@@ -8,7 +8,6 @@ number of players, and the parity-guessing game Les Etrennes.
 
 from .etrennes import EtrennesConfig, etrennes_matrix, etrennes_solve
 from .leher import (
-    DeckComposition,
     PaulAction,
     PaulStrategy,
     PierreAction,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Certificate",
-    "DeckComposition",
     "EliminationResult",
     "EquilibriumCheck",
     "EtrennesConfig",

@@ -30,6 +30,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import ClassVar, TypeVar
 
 from .rational import as_rational
 from .solver import GameMatrix
@@ -39,11 +40,6 @@ RANK_COUNT = 13
 COPIES_PER_RANK = 4
 DECK_SIZE = RANK_COUNT * COPIES_PER_RANK
 ORDERED_DEALS = DECK_SIZE * (DECK_SIZE - 1) * (DECK_SIZE - 2)
-
-#: Denominator of a lot conditioned on Paul's dealt card (51 cards for
-#: Pierre, then 50 for the optional draw).
-CONDITIONAL_DEAL_COUNT = (DECK_SIZE - 1) * (DECK_SIZE - 2)
-
 
 class PaulAction(enum.Enum):
     HOLD = "hold"
@@ -61,41 +57,6 @@ def _check_rank(rank: int) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class DeckComposition:
-    """Copies of each rank remaining in the deck; counts[r - 1] is rank r."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.counts) != RANK_COUNT:
-            raise ValueError(f"deck needs {RANK_COUNT} rank counts, got {len(self.counts)}")
-        for rank0, count in enumerate(self.counts):
-            if not 0 <= count <= COPIES_PER_RANK:
-                raise ValueError(f"rank {rank0 + 1} count {count} outside 0..{COPIES_PER_RANK}")
-
-    @classmethod
-    def standard(cls) -> DeckComposition:
-        return cls((COPIES_PER_RANK,) * RANK_COUNT)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def count(self, rank: int) -> int:
-        return self.counts[_check_rank(rank) - 1]
-
-    def without(self, *ranks: int) -> DeckComposition:
-        """A copy with one card of each given rank removed."""
-        counts = list(self.counts)
-        for rank in ranks:
-            index = _check_rank(rank) - 1
-            if counts[index] == 0:
-                raise ValueError(f"no copies of rank {rank} left to remove")
-            counts[index] -= 1
-        return DeckComposition(tuple(counts))
-
-
 def _parse_action_string(text: str, yes_letters: str) -> tuple[bool, ...]:
     if len(text) != RANK_COUNT:
         raise ValueError(f"action string must be {RANK_COUNT} characters, got {text!r}")
@@ -111,8 +72,12 @@ def _parse_action_string(text: str, yes_letters: str) -> tuple[bool, ...]:
 
 
 def _threshold_flags(threshold: int) -> tuple[bool, ...]:
-    if not 0 <= threshold <= RANK_COUNT:
-        raise ValueError(f"threshold must be in 0..13, got {threshold}")
+    if (
+        not isinstance(threshold, int)
+        or isinstance(threshold, bool)
+        or not 0 <= threshold <= RANK_COUNT
+    ):
+        raise ValueError(f"threshold must be an integer in 0..13, got {threshold!r}")
     return tuple(rank <= threshold for rank in range(1, RANK_COUNT + 1))
 
 
@@ -126,78 +91,83 @@ def _threshold_of(flags: tuple[bool, ...]) -> int | None:
     return t
 
 
-@dataclass(frozen=True)
-class PaulStrategy:
-    """Paul's plan for his dealt card: switch[r - 1] is True when rank r is swapped."""
+_Table = TypeVar("_Table", bound="_RankTable")
 
-    switch: tuple[bool, ...]
+
+class _RankTable:
+    """Behaviour shared by the two per-rank strategy tables.
+
+    A subclass is a frozen dataclass with one tuple of flags, named by
+    `_FIELD`; a True flag at index r - 1 means the player acts on rank r.
+    In the 13-letter table form any of `_LETTERS` reads as acting and H as
+    holding; the first of `_LETTERS` is the one written.
+    """
+
+    _FIELD: ClassVar[str]
+    _LETTERS: ClassVar[str]
+
+    @property
+    def _flags(self) -> tuple[bool, ...]:
+        return getattr(self, self._FIELD)
 
     def __post_init__(self) -> None:
-        if len(self.switch) != RANK_COUNT or not all(isinstance(f, bool) for f in self.switch):
+        if len(self._flags) != RANK_COUNT or not all(isinstance(f, bool) for f in self._flags):
             raise ValueError("strategy needs one boolean per rank 1..13")
 
     @classmethod
-    def threshold(cls, threshold: int) -> PaulStrategy:
-        """Switch every rank up to `threshold`, hold above (0 = never switch)."""
+    def threshold(cls: type[_Table], threshold: int) -> _Table:
+        """Act on every rank up to `threshold`, hold above (0 = never act)."""
         return cls(_threshold_flags(threshold))
 
     @classmethod
-    def parse(cls, text: str) -> PaulStrategy:
-        """Accepts "threshold:t" or a 13-letter table like "SSSSSSSHHHHHH"."""
+    def parse(cls: type[_Table], text: str) -> _Table:
+        """Accepts "threshold:t" or a 13-letter action table."""
         body = text.strip()
         if body.lower().startswith("threshold:"):
             return cls.threshold(int(body.split(":", 1)[1]))
-        return cls(_parse_action_string(body, "S"))
+        return cls(_parse_action_string(body, cls._LETTERS))
+
+    @property
+    def threshold_value(self) -> int | None:
+        return _threshold_of(self._flags)
+
+    def serialize(self) -> str:
+        t = self.threshold_value
+        if t is not None:
+            return f"threshold:{t}"
+        return "".join(self._LETTERS[0] if f else "H" for f in self._flags)
+
+
+@dataclass(frozen=True)
+class PaulStrategy(_RankTable):
+    """Paul's plan for his dealt card: switch[r - 1] is True when rank r is swapped.
+
+    Table letters: S = switch, H = hold; threshold t switches the ranks 1..t.
+    """
+
+    switch: tuple[bool, ...]
+
+    _FIELD = "switch"
+    _LETTERS = "S"
 
     def action(self, rank: int) -> PaulAction:
         return PaulAction.SWITCH if self.switch[_check_rank(rank) - 1] else PaulAction.HOLD
 
-    @property
-    def threshold_value(self) -> int | None:
-        return _threshold_of(self.switch)
-
-    def serialize(self) -> str:
-        t = self.threshold_value
-        if t is not None:
-            return f"threshold:{t}"
-        return "".join("S" if f else "H" for f in self.switch)
-
 
 @dataclass(frozen=True)
-class PierreStrategy:
-    """Pierre's plan at his free node (Paul stood): draw[r - 1] is True when rank r redraws."""
+class PierreStrategy(_RankTable):
+    """Pierre's plan at his free node (Paul stood): draw[r - 1] is True when rank r redraws.
+
+    Table letters: D (or S) = draw, H = hold; threshold t draws on the ranks 1..t.
+    """
 
     draw: tuple[bool, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.draw) != RANK_COUNT or not all(isinstance(f, bool) for f in self.draw):
-            raise ValueError("strategy needs one boolean per rank 1..13")
-
-    @classmethod
-    def threshold(cls, threshold: int) -> PierreStrategy:
-        """Draw on every rank up to `threshold`, hold above (0 = never draw)."""
-        return cls(_threshold_flags(threshold))
-
-    @classmethod
-    def parse(cls, text: str) -> PierreStrategy:
-        """Accepts "threshold:t" or a 13-letter table; D (or S) = draw, H = hold."""
-        body = text.strip()
-        if body.lower().startswith("threshold:"):
-            return cls.threshold(int(body.split(":", 1)[1]))
-        return cls(_parse_action_string(body, "DS"))
+    _FIELD = "draw"
+    _LETTERS = "DS"
 
     def action(self, rank: int) -> PierreAction:
         return PierreAction.DRAW if self.draw[_check_rank(rank) - 1] else PierreAction.HOLD
-
-    @property
-    def threshold_value(self) -> int | None:
-        return _threshold_of(self.draw)
-
-    def serialize(self) -> str:
-        t = self.threshold_value
-        if t is not None:
-            return f"threshold:{t}"
-        return "".join("D" if f else "H" for f in self.draw)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +237,22 @@ def paul_wins_deal(
 # ---------------------------------------------------------------------------
 
 
+_ALL_RANKS = tuple(range(1, RANK_COUNT + 1))
+
+
 @lru_cache(maxsize=None)
-def _win_weights(paul: PaulStrategy, pierre: PierreStrategy) -> tuple[int, int]:
-    """Integer win weights (Paul's, Pierre's) over the 132,600 ordered deals.
+def _win_weights(
+    paul: PaulStrategy,
+    pierre: PierreStrategy,
+    _paul_ranks: tuple[int, ...] = _ALL_RANKS,
+    _pierre_ranks: tuple[int, ...] = _ALL_RANKS,
+) -> tuple[int, int, int]:
+    """Integer win weights (Paul's, Pierre's, total) over ordered deals.
+
+    Only deals whose first card has a rank in `_paul_ranks` and whose second
+    has a rank in `_pierre_ranks` are counted, so `total` is the number of
+    such ordered three-card deals: 132,600 for the full deck, and the
+    denominator of a lot conditioned on the dealt cards otherwise.
 
     Each player's weight is accumulated by its own predicate (strictly higher
     for Paul, at-least for Pierre) rather than as each other's complement, so
@@ -278,9 +261,11 @@ def _win_weights(paul: PaulStrategy, pierre: PierreStrategy) -> tuple[int, int]:
     """
     paul_weight = 0
     pierre_weight = 0
-    for a in range(1, RANK_COUNT + 1):
-        for b in range(1, RANK_COUNT + 1):
+    total = 0
+    for a in _paul_ranks:
+        for b in _pierre_ranks:
             weight_ab = COPIES_PER_RANK * (COPIES_PER_RANK - (b == a))
+            total += weight_ab * (DECK_SIZE - 2)
             paul_final, pierre_current, draws = _before_draw(a, b, paul, pierre)
             if not draws:
                 # The unseen third card cannot matter: 50 equal outcomes.
@@ -289,14 +274,14 @@ def _win_weights(paul: PaulStrategy, pierre: PierreStrategy) -> tuple[int, int]:
                 if pierre_current >= paul_final:
                     pierre_weight += weight_ab * (DECK_SIZE - 2)
                 continue
-            for c in range(1, RANK_COUNT + 1):
+            for c in _ALL_RANKS:
                 weight_c = COPIES_PER_RANK - (c == a) - (c == b)
                 pierre_final = pierre_current if c == KING else c
                 if paul_final > pierre_final:
                     paul_weight += weight_ab * weight_c
                 if pierre_final >= paul_final:
                     pierre_weight += weight_ab * weight_c
-    return paul_weight, pierre_weight
+    return paul_weight, pierre_weight, total
 
 
 def paul_win_probability(paul: PaulStrategy, pierre: PierreStrategy) -> Fraction:
@@ -321,20 +306,8 @@ def conditional_lot_paul(card: int, action: PaulAction, pierre: PierreStrategy) 
     if not isinstance(action, PaulAction):
         raise ValueError(f"expected a PaulAction, got {action!r}")
     paul = PaulStrategy.threshold(RANK_COUNT if action is PaulAction.SWITCH else 0)
-    win = 0
-    for b in range(1, RANK_COUNT + 1):
-        weight_b = COPIES_PER_RANK - (b == card)
-        paul_final, pierre_current, draws = _before_draw(card, b, paul, pierre)
-        if not draws:
-            if paul_final > pierre_current:
-                win += weight_b * (DECK_SIZE - 2)
-            continue
-        for c in range(1, RANK_COUNT + 1):
-            weight_c = COPIES_PER_RANK - (c == card) - (c == b)
-            pierre_final = pierre_current if c == KING else c
-            if paul_final > pierre_final:
-                win += weight_b * weight_c
-    return Fraction(win, CONDITIONAL_DEAL_COUNT)
+    win, _, total = _win_weights(paul, pierre, (card,))
+    return Fraction(win, total)
 
 
 def conditional_lot_pierre(card: int, action: PierreAction, paul: PaulStrategy) -> Fraction:
@@ -350,27 +323,11 @@ def conditional_lot_pierre(card: int, action: PierreAction, paul: PaulStrategy) 
     if not isinstance(action, PierreAction):
         raise ValueError(f"expected a PierreAction, got {action!r}")
     pierre = PierreStrategy.threshold(RANK_COUNT if action is PierreAction.DRAW else 0)
-    stand_weights = [
-        (a, COPIES_PER_RANK - (a == card))
-        for a in range(1, RANK_COUNT + 1)
-        if not paul.switch[a - 1]
-    ]
-    total = sum(weight for _, weight in stand_weights)
+    stand_ranks = tuple(rank for rank in _ALL_RANKS if not paul.switch[rank - 1])
+    _, win, total = _win_weights(paul, pierre, stand_ranks, (card,))
     if total == 0:
         raise ValueError("conditioning event impossible: Paul never stands under this strategy")
-    win = 0
-    for a, weight_a in stand_weights:
-        paul_final, pierre_current, draws = _before_draw(a, card, paul, pierre)
-        if not draws:
-            if pierre_current >= paul_final:
-                win += weight_a * (DECK_SIZE - 2)
-            continue
-        for c in range(1, RANK_COUNT + 1):
-            weight_c = COPIES_PER_RANK - (c == a) - (c == card)
-            pierre_final = pierre_current if c == KING else c
-            if pierre_final >= paul_final:
-                win += weight_a * weight_c
-    return Fraction(win, total * (DECK_SIZE - 2))
+    return Fraction(win, total)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +396,24 @@ def conditional_mixed_lot_paul7(
     return p_switch * lot_switch + (1 - p_switch) * lot_hold
 
 
+def _token_weights(
+    a: Fraction | int | str,
+    b: Fraction | int | str,
+    c: Fraction | int | str,
+    d: Fraction | int | str,
+) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Token weights as exact rationals: all nonnegative, a + b and c + d positive."""
+    a, b, c, d = (as_rational(x) for x in (a, b, c, d))
+    for name, weight in zip("abcd", (a, b, c, d)):
+        if weight < 0:
+            raise ValueError(f"weight {name} must be nonnegative, got {weight}")
+    if a + b == 0:
+        raise ValueError("Paul's weights a + b must be positive")
+    if c + d == 0:
+        raise ValueError("Pierre's weights c + d must be positive")
+    return a, b, c, d
+
+
 def mixed_value(
     a: Fraction | int | str,
     b: Fraction | int | str,
@@ -454,14 +429,7 @@ def mixed_value(
     computed table, and the normalisation is (a + b)(c + d), which is what
     makes the constant-value claims of the correspondence come out.
     """
-    a, b, c, d = (as_rational(x) for x in (a, b, c, d))
-    for name, weight in zip("abcd", (a, b, c, d)):
-        if weight < 0:
-            raise ValueError(f"weight {name} must be nonnegative, got {weight}")
-    if a + b == 0:
-        raise ValueError("Paul's weights a + b must be positive")
-    if c + d == 0:
-        raise ValueError("Pierre's weights c + d must be positive")
+    a, b, c, d = _token_weights(a, b, c, d)
     table = build_leher_matrix()
     numerator = (
         a * c * table.entries[0][0]

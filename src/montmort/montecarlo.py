@@ -20,7 +20,6 @@ from fractions import Fraction
 from math import sqrt
 
 from . import leher
-from .rational import as_rational
 
 MASK64 = (1 << 64) - 1
 XORSHIFT_MULTIPLIER = 2685821657736338717  # 0x2545F4914F6CDD1D
@@ -108,14 +107,7 @@ def leher_simulate(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    a, b, c, d = (as_rational(x) for x in (a, b, c, d))
-    for name, weight in zip("abcd", (a, b, c, d)):
-        if weight < 0:
-            raise ValueError(f"weight {name} must be nonnegative, got {weight}")
-    if a + b == 0:
-        raise ValueError("Paul's weights a + b must be positive")
-    if c + d == 0:
-        raise ValueError("Pierre's weights c + d must be positive")
+    a, b, c, d = leher._token_weights(a, b, c, d)
 
     paul_switch = a / (a + b)
     pierre_switch = c / (c + d)

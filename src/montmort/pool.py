@@ -52,6 +52,7 @@ class PoolConfig:
     streak_required: int | None = None
 
     def __post_init__(self) -> None:
+        # A bool is an int, but both bools already fall below 2.
         if not isinstance(self.players, int) or self.players < 2:
             raise ValueError(f"players must be an integer >= 2, got {self.players!r}")
         object.__setattr__(self, "champion_win_prob", as_rational(self.champion_win_prob))
@@ -63,7 +64,8 @@ class PoolConfig:
             raise ValueError("ante and fee must be nonnegative")
         if self.streak_required is None:
             object.__setattr__(self, "streak_required", self.players - 1)
-        if not isinstance(self.streak_required, int) or self.streak_required < 1:
+        required = self.streak_required
+        if not isinstance(required, int) or isinstance(required, bool) or required < 1:
             raise ValueError("streak_required must be an integer >= 1")
 
     @property

@@ -6,6 +6,9 @@ transition law (`advance`) and exact Fractions; the unlumped solver builds
 the raw (champion, streak, queue) state space and solves it seat by seat,
 validating the role-symmetry reduction used in production. The reference
 pool simulator replays `pool_simulate`'s stream usage through `advance`.
+The Le Her deal tally walks the 52 * 51 * 50 ordered deals of physical cards
+one by one through the game law (`paul_wins_deal`), with none of the
+rank-multiplicity weights the exact enumeration uses.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from montmort.leher import COPIES_PER_RANK, DECK_SIZE, PaulStrategy, PierreStrategy, paul_wins_deal
 from montmort.montecarlo import RandomStream
 from montmort.pool import PoolConfig, PoolState, advance, opening_state
 from montmort.solver import solve_linear_system
@@ -226,3 +230,30 @@ def simulate_pool_reference(config: PoolConfig, seed: int, trials: int, max_game
             truncated += 1
         total_games += games
     return wins, losses, games_when_won, total_games, truncated
+
+
+def physical_deal_tallies(
+    paul: PaulStrategy, pierre: PierreStrategy
+) -> dict[tuple[int, int], tuple[int, int, int]]:
+    """(deals, Paul's wins, Pierre's wins) per (Paul's rank, Pierre's rank).
+
+    Every ordered deal of three distinct cards from the 52 is played out
+    card by card; the dealer takes every deal Paul does not win.
+    """
+    rank_of = [card // COPIES_PER_RANK + 1 for card in range(DECK_SIZE)]
+    tallies = {}
+    for first in range(DECK_SIZE):
+        a = rank_of[first]
+        for second in range(DECK_SIZE):
+            if second == first:
+                continue
+            b = rank_of[second]
+            deals = paul_won = 0
+            for third in range(DECK_SIZE):
+                if third == first or third == second:
+                    continue
+                deals += 1
+                paul_won += paul_wins_deal(a, b, rank_of[third], paul, pierre)
+            before = tallies.get((a, b), (0, 0, 0))
+            tallies[a, b] = (before[0] + deals, before[1] + paul_won, before[2] + deals - paul_won)
+    return tallies

@@ -6,7 +6,6 @@ import pytest
 from montmort.leher import (
     KING,
     ORDERED_DEALS,
-    DeckComposition,
     PaulAction,
     PaulStrategy,
     PierreAction,
@@ -22,6 +21,7 @@ from montmort.leher import (
     paul_wins_deal,
     threshold_matrix,
 )
+from oracles import physical_deal_tallies
 
 T7 = PaulStrategy.threshold(7)
 T6 = PaulStrategy.threshold(6)
@@ -30,7 +30,7 @@ P7 = PierreStrategy.threshold(7)
 
 
 # ---------------------------------------------------------------------------
-# Strategies and deck
+# Strategies
 # ---------------------------------------------------------------------------
 
 
@@ -52,6 +52,10 @@ class TestStrategies:
             PaulStrategy.threshold(14)
         with pytest.raises(ValueError):
             PierreStrategy.threshold(-1)
+        with pytest.raises(ValueError):
+            PaulStrategy.threshold(7.5)
+        with pytest.raises(ValueError):
+            PierreStrategy.threshold(True)
 
     def test_parse_threshold_form(self):
         assert PaulStrategy.parse("threshold:7") == T7
@@ -85,25 +89,6 @@ class TestStrategies:
     def test_strategy_requires_thirteen_flags(self):
         with pytest.raises(ValueError):
             PaulStrategy((True, False))
-
-
-class TestDeckComposition:
-    def test_standard_deck(self):
-        deck = DeckComposition.standard()
-        assert deck.total == 52
-        assert deck.count(13) == 4
-
-    def test_without_removes_cards(self):
-        deck = DeckComposition.standard().without(7, 7, 8)
-        assert deck.count(7) == 2
-        assert deck.count(8) == 3
-        assert deck.total == 49
-
-    def test_counts_bounded(self):
-        with pytest.raises(ValueError):
-            DeckComposition((5,) + (4,) * 12)
-        with pytest.raises(ValueError):
-            DeckComposition((4,) * 12)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +256,76 @@ class TestConditionalLots:
                 for card in range(1, 14)
             )
             assert total == paul_win_probability(paul, pierre)
+
+
+# ---------------------------------------------------------------------------
+# Differential check against a card-by-card count of the physical deals
+# ---------------------------------------------------------------------------
+
+
+def _random_tables(seed, count):
+    rng = random.Random(seed)
+    return [
+        (
+            PaulStrategy(tuple(rng.random() < 0.5 for _ in range(13))),
+            PierreStrategy(tuple(rng.random() < 0.5 for _ in range(13))),
+        )
+        for _ in range(count)
+    ]
+
+
+ORACLE_PAIRS = [
+    (T7, P8),
+    (T6, P7),
+    (PaulStrategy.threshold(13), PierreStrategy.threshold(0)),
+    (PaulStrategy.threshold(0), PierreStrategy.threshold(13)),
+] + _random_tables(23, 3)
+
+ALWAYS_SWITCH = PaulStrategy.threshold(13)
+NEVER_SWITCH = PaulStrategy.threshold(0)
+ALWAYS_DRAW = PierreStrategy.threshold(13)
+NEVER_DRAW = PierreStrategy.threshold(0)
+
+
+def _counted_lot(tallies, paul_ranks, pierre_ranks, side):
+    """Wins of `side` (1 = Paul, 2 = Pierre) over the deals with those first two ranks."""
+    selected = [
+        tally for (a, b), tally in tallies.items() if a in paul_ranks and b in pierre_ranks
+    ]
+    deals = sum(tally[0] for tally in selected)
+    return None if deals == 0 else Fraction(sum(tally[side] for tally in selected), deals)
+
+
+@pytest.mark.parametrize(
+    "paul,pierre",
+    ORACLE_PAIRS,
+    ids=[f"{paul.serialize()}-{pierre.serialize()}" for paul, pierre in ORACLE_PAIRS],
+)
+class TestPhysicalDealOracle:
+    def test_full_lots(self, paul, pierre):
+        tallies = physical_deal_tallies(paul, pierre)
+        every = range(1, 14)
+        assert paul_win_probability(paul, pierre) == _counted_lot(tallies, every, every, 1)
+        assert pierre_win_probability(paul, pierre) == _counted_lot(tallies, every, every, 2)
+
+    def test_conditional_lots_paul(self, paul, pierre):
+        for action, plan in ((PaulAction.SWITCH, ALWAYS_SWITCH), (PaulAction.HOLD, NEVER_SWITCH)):
+            tallies = physical_deal_tallies(plan, pierre)
+            for card in range(1, 14):
+                expected = _counted_lot(tallies, (card,), range(1, 14), 1)
+                assert conditional_lot_paul(card, action, pierre) == expected
+
+    def test_conditional_lots_pierre(self, paul, pierre):
+        stand_ranks = [rank for rank in range(1, 14) if not paul.switch[rank - 1]]
+        for action, plan in ((PierreAction.DRAW, ALWAYS_DRAW), (PierreAction.HOLD, NEVER_DRAW)):
+            tallies = physical_deal_tallies(paul, plan)
+            for card in range(1, 14):
+                expected = _counted_lot(tallies, stand_ranks, (card,), 2)
+                if expected is None:
+                    with pytest.raises(ValueError, match="impossible"):
+                        conditional_lot_pierre(card, action, paul)
+                else:
+                    assert conditional_lot_pierre(card, action, paul) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,8 @@ class TestConfig:
             {"players": 3, "ante": -1},
             {"players": 3, "fee": Fraction(-1, 2)},
             {"players": 3, "streak_required": 0},
+            {"players": True},
+            {"players": 3, "streak_required": True},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
