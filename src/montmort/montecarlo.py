@@ -29,6 +29,12 @@ ZERO_SEED_REPLACEMENT = 0x9E3779B97F4A7C15
 _TWO64 = 1 << 64
 
 
+def require_count(name: str, value: object) -> None:
+    """Reject anything but an int >= 1 (a bool is not a count)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 class RandomStream:
     """A single-owner xorshift-star stream; same seed, same sequence, anywhere."""
 
@@ -105,8 +111,7 @@ def leher_simulate(
     probability c / (c + d)), then the three cards of the deal. The deal is
     settled by the game law in :mod:`montmort.leher`.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    require_count("trials", trials)
     a, b, c, d = leher._token_weights(a, b, c, d)
 
     paul_switch = a / (a + b)

@@ -15,10 +15,14 @@ every game (seat 0 is the incumbent of game one). That makes the chain over
 champion role, never to a seat identity, so relabelling seats maps
 trajectories to trajectories. A tracked player's winning chances, expected
 fee losses and games-weighted winnings therefore depend on the state only
-through the player's role, (streak, queue position), and each quantity
-solves one exact linear system over that (streak_required - 1) * n role
-space. The test suite cross-checks against the unlumped state-space solve
-and against truncated enumeration of game sequences.
+through the player's role: the champion's streak level and the player's
+place at that level (champion or queue position). A champion win moves one
+level up and every loss lands on level 1, so the levels reduce from the top
+down to one exact n x n system per quantity (the absorbing-chain argument
+of Kemeny and Snell, applied one streak level at a time), and the expected
+duration has a closed form. The test suite cross-checks against the
+unlumped state-space solve and against truncated enumeration of game
+sequences.
 
 Everything exact is a Fraction; the Monte Carlo cross-check reports exact
 empirical frequencies with floating-point standard errors.
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
-from .montecarlo import RandomStream
+from .montecarlo import RandomStream, require_count
 from .rational import as_rational
 from .solver import solve_linear_system
 
@@ -108,64 +112,8 @@ def opening_state(config: PoolConfig, incumbent_won: bool) -> PoolState:
 
 
 # ---------------------------------------------------------------------------
-# Role-space linear systems
+# Level-by-level role solve
 # ---------------------------------------------------------------------------
-
-
-class _RoleSpace:
-    """Index bookkeeping for the lumped (streak, queue position) roles.
-
-    Variables are C(s) for champion streaks s in 1..R-1 and Q(s, i) for queue
-    positions i in 1..n-1 under a champion at streak s. For each quantity we
-    solve (I - transitions) x = rewards, where transitions carry probability
-    p to the champion-wins successor (absent when the win ends the pool) and
-    1 - p to the champion-loses successor.
-    """
-
-    def __init__(self, config: PoolConfig):
-        self.n = config.players
-        self.required = config.streak_required
-        self.p = config.champion_win_prob
-        self.size = (self.required - 1) * self.n
-
-    def champion(self, streak: int) -> int:
-        return streak - 1
-
-    def queue(self, streak: int, position: int) -> int:
-        return (self.required - 1) + (streak - 1) * (self.n - 1) + (position - 1)
-
-    def _successors(self, index: int) -> tuple[int | None, int]:
-        """(champion-wins successor or None if the pool ends, champion-loses successor)."""
-        n, top = self.n, self.required - 1
-        if index < top:
-            streak = index + 1
-            win = None if streak == top else self.champion(streak + 1)
-            return win, self.queue(1, n - 1)
-        offset = index - top
-        streak = offset // (n - 1) + 1
-        position = offset % (n - 1) + 1
-        if streak == top:
-            win = None
-        else:
-            win = self.queue(streak + 1, n - 1 if position == 1 else position - 1)
-        lose = self.champion(1) if position == 1 else self.queue(1, position - 1)
-        return win, lose
-
-    def solve(self, rewards: list[Fraction]) -> list[Fraction]:
-        p = self.p
-        rows = []
-        for index in range(self.size):
-            row = [Fraction(0)] * self.size
-            row[index] = Fraction(1)
-            win, lose = self._successors(index)
-            if win is not None:
-                row[win] -= p
-            row[lose] -= 1 - p
-            rows.append(row)
-        solution = solve_linear_system(rows, rewards)
-        if solution is None:
-            raise PoolDivergenceError("the pool's linear system is singular; no certain finish")
-        return solution
 
 
 def _require_absorbing(config: PoolConfig) -> None:
@@ -175,76 +123,91 @@ def _require_absorbing(config: PoolConfig) -> None:
         )
 
 
-def _win_rewards(roles: _RoleSpace) -> list[Fraction]:
-    rewards = [Fraction(0)] * roles.size
-    rewards[roles.champion(roles.required - 1)] = roles.p
-    return rewards
+def _solve_levels(config: PoolConfig, rewards: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Each role's value, level by level, for one reward vector per level.
 
-
-def _loss_rewards(roles: _RoleSpace) -> list[Fraction]:
-    # The champion pays when beaten; the challenger pays whenever the
-    # champion wins, the final game included.
-    rewards = [Fraction(0)] * roles.size
-    for streak in range(1, roles.required):
-        rewards[roles.champion(streak)] = 1 - roles.p
-        rewards[roles.queue(streak, 1)] = roles.p
-    return rewards
+    Level s (streak 1..R-1) has n roles: role 0 is the champion on streak s
+    and role i is queue position i. A role's value is its reward plus, with
+    probability p, the value of its champion-wins successor on level s + 1
+    (roles 0 -> 0, 1 -> n - 1, i -> i - 1; nothing once the top level wins,
+    as the pool ends) plus, with probability 1 - p, the value of its
+    champion-loses successor on level 1 (roles 0 -> n - 1, 1 -> 0, i -> i - 1).
+    Working down from the top, each level is affine in level 1,
+    x_s = a_s + M_s x_1, so the only system solved is (I - M_1) x_1 = a_1,
+    n x n. The levels above follow from the same equations read forwards:
+    the win map is a permutation, and p > 0 whenever there are two levels
+    or more, since with p = 0 that system is singular.
+    """
+    n = config.players
+    p = config.champion_win_prob
+    q = 1 - p
+    won = (0, n - 1, *range(1, n - 1))
+    lost = (n - 1, 0, *range(1, n - 1))
+    a = [Fraction(0)] * n
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for reward in reversed(rewards):
+        a = [reward[r] + p * a[won[r]] for r in range(n)]
+        m = [[p * x for x in m[won[r]]] for r in range(n)]
+        for r in range(n):
+            m[r][lost[r]] += q
+    system = [[int(r == c) - m[r][c] for c in range(n)] for r in range(n)]
+    first = solve_linear_system(system, a)
+    if first is None:
+        raise PoolDivergenceError("the pool's linear system is singular; no certain finish")
+    levels = [first]
+    for reward in rewards[:-1]:
+        below, above = levels[-1], [Fraction(0)] * n
+        for r in range(n):
+            above[won[r]] = (below[r] - reward[r] - q * first[lost[r]]) / p
+        levels.append(above)
+    return levels
 
 
 def _seat_values(
-    roles: _RoleSpace, values: list[Fraction], opener_extra: Fraction = Fraction(0)
+    config: PoolConfig, level_one: list[Fraction], opener_extra: Fraction = Fraction(0)
 ) -> list[Fraction]:
-    """Combine role values over the two outcomes of game one.
+    """Combine level-1 role values over the two outcomes of game one.
 
     Seat 0 becomes the streak-1 champion with probability p and otherwise
     lands at the back of the queue; seat 1 mirrors it; seat k >= 2 starts at
     queue position k - 1 either way. `opener_extra` adds a reward the losing
     opener collects immediately (used for fee losses).
     """
-    p = roles.p
-    champion_value = values[roles.champion(1)]
-    back_value = values[roles.queue(1, roles.n - 1)]
-    seats = [
-        p * champion_value + (1 - p) * (back_value + opener_extra),
-        p * (back_value + opener_extra) + (1 - p) * champion_value,
-    ]
-    for seat in range(2, roles.n):
-        seats.append(values[roles.queue(1, seat - 1)])
-    return seats
+    p = config.champion_win_prob
+    champion = level_one[0]
+    back = level_one[-1] + opener_extra
+    return [p * champion + (1 - p) * back, p * back + (1 - p) * champion, *level_one[1:-1]]
+
+
+def _win_chances(config: PoolConfig) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Each seat's chance of taking the pot, and each role's, level by level."""
+    _require_absorbing(config)
+    n, p = config.players, config.champion_win_prob
+    if config.streak_required == 1:
+        # Game one decides the pool; there are no levels.
+        return [p, 1 - p] + [Fraction(0)] * (n - 2), []
+    # Only the top-level champion can take the pot, by winning once more.
+    zeros = [Fraction(0)] * n
+    rewards = [zeros] * (config.streak_required - 2) + [[p] + zeros[1:]]
+    levels = _solve_levels(config, rewards)
+    return _seat_values(config, levels[0]), levels
 
 
 def pool_win_probabilities(config: PoolConfig) -> tuple[Fraction, ...]:
     """Exact probability that each seat eventually takes the pot."""
-    _require_absorbing(config)
-    n, p = config.players, config.champion_win_prob
-    if config.streak_required == 1:
-        return (p, 1 - p) + (Fraction(0),) * (n - 2)
-    roles = _RoleSpace(config)
-    wins = roles.solve(_win_rewards(roles))
-    return tuple(_seat_values(roles, wins))
+    return tuple(_win_chances(config)[0])
 
 
 def pool_expected_games(config: PoolConfig) -> Fraction:
-    """Exact expected number of games played, the final one included."""
+    """Exact expected number of games played, the final one included.
+
+    After game one every loss restarts a champion at streak 1, so the rest
+    of the pool is the wait for R - 1 champion wins in a row, whose mean is
+    the sum of p^-j for j = 1..R-1.
+    """
     _require_absorbing(config)
-    if config.streak_required == 1:
-        return Fraction(1)
-    # Duration depends only on the champion's streak: one game now, then
-    # either the streak grows or a fresh champion starts over.
     p = config.champion_win_prob
-    top = config.streak_required - 1
-    rows = []
-    for streak in range(1, top + 1):
-        row = [Fraction(0)] * top
-        row[streak - 1] = Fraction(1)
-        if streak < top:
-            row[streak] -= p
-        row[0] -= 1 - p
-        rows.append(row)
-    remaining = solve_linear_system(rows, [Fraction(1)] * top)
-    if remaining is None:
-        raise PoolDivergenceError("the pool's duration system is singular; no certain finish")
-    return 1 + remaining[0]
+    return 1 + sum((1 / p**j for j in range(1, config.streak_required)), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -262,32 +225,28 @@ def pool_solve(config: PoolConfig) -> PoolSolution:
 
     A seat's payment is its ante plus the fee times its expected losses. Its
     pot share is E[(n * ante + fee * G) 1{seat wins}], with the coupled term
-    E[G 1{seat wins}] solved over the same role space using the win
+    E[G 1{seat wins}] solved over the same streak levels using the win
     probabilities as rewards.
     """
-    _require_absorbing(config)
+    win, win_levels = _win_chances(config)
     n = config.players
     p = config.champion_win_prob
     ante, fee = config.ante, config.fee
+    expected_games = pool_expected_games(config)
 
     if config.streak_required == 1:
-        win = [p, 1 - p] + [Fraction(0)] * (n - 2)
-        expected_games = Fraction(1)
+        # Game one decides the pool: its loser pays once, nobody else does.
         losses = [1 - p, p] + [Fraction(0)] * (n - 2)
         games_won = list(win)
     else:
-        roles = _RoleSpace(config)
-        wins = roles.solve(_win_rewards(roles))
-        win = _seat_values(roles, wins)
-        expected_games = pool_expected_games(config)
-        losses = _seat_values(roles, roles.solve(_loss_rewards(roles)), opener_extra=Fraction(1))
+        # The champion pays when beaten; the challenger pays whenever the
+        # champion wins, the final game included.
+        loss_rewards = [[1 - p, p] + [Fraction(0)] * (n - 2)] * len(win_levels)
+        losses = _seat_values(config, _solve_levels(config, loss_rewards)[0], Fraction(1))
         # E[(games after game one) 1{wins}] per role, then add the win
         # probability itself so game one is counted.
-        coupled = roles.solve(list(wins))
-        games_won = [
-            seat_win + seat_coupled
-            for seat_win, seat_coupled in zip(win, _seat_values(roles, coupled))
-        ]
+        coupled = _seat_values(config, _solve_levels(config, win_levels)[0])
+        games_won = [seat_win + seat_coupled for seat_win, seat_coupled in zip(win, coupled)]
 
     pot_base = n * ante
     payments = [ante + fee * seat_losses for seat_losses in losses]
@@ -329,10 +288,8 @@ def pool_simulate(
     the pot. The trial loop mirrors `advance` with plain integers; the test
     suite pins the two code paths against each other.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if max_games < 1:
-        raise ValueError("max_games must be at least 1")
+    require_count("trials", trials)
+    require_count("max_games", max_games)
     _require_absorbing(config)
     n = config.players
     required = config.streak_required

@@ -101,3 +101,6 @@ class TestLeherSimulate:
             leher_simulate(1, 1, -1, 2, seed=1, trials=10)
         with pytest.raises(ValueError):
             leher_simulate(1, 1, 1, 1, seed=1, trials=0)
+        for trials in (True, 2.5, "10"):
+            with pytest.raises(ValueError):
+                leher_simulate(1, 1, 1, 1, seed=1, trials=trials)

@@ -108,6 +108,9 @@ class TestWinProbabilities:
             PoolConfig(4, Fraction(1, 2)),
             PoolConfig(4, Fraction(1, 3)),
             PoolConfig(3, Fraction(3, 4), streak_required=3),
+            PoolConfig(2, Fraction(1, 3), streak_required=3),
+            PoolConfig(5, Fraction(2, 5), streak_required=2),
+            PoolConfig(3, Fraction(1, 3), streak_required=4),
         ],
     )
     def test_matches_unlumped_state_space_solve(self, config):
@@ -167,6 +170,8 @@ class TestPoolSolve:
             PoolConfig(5, Fraction(2, 5), streak_required=2),
             PoolConfig(5, Fraction(1), streak_required=3),
             PoolConfig(6, Fraction(1, 2)),
+            PoolConfig(12, Fraction(3, 5), streak_required=5),
+            PoolConfig(20, Fraction(1, 3)),
         ],
     )
     def test_accounting_invariants(self, config):
@@ -189,16 +194,27 @@ class TestPoolSolve:
                     assert low <= exact[seat] <= low + oracle.tail_mass
 
     def test_truncated_enumeration_confirms_money(self):
-        oracle = enumerate_pool(FAIR3, depth=60)
-        assert oracle.tail_mass <= Fraction(1, 2**59)
-        solution = pool_solve(FAIR3)
-        for seat in range(3):
-            assert abs(oracle.expected_net[seat] - solution.expected_net[seat]) <= (
-                oracle.residual_net_bound
+        # Depth-60 game trees pin the nets and the duration within their
+        # residual bounds, streaks above n - 1 included; a streak of 4 has
+        # three levels, so the per-seat nets also check the upper levels.
+        cases = [
+            (FAIR3, Fraction(1, 2**59)),
+            (PoolConfig(3, Fraction(1, 3)), Fraction(6, 10**11)),
+            (PoolConfig(4, Fraction(2, 3), streak_required=3), Fraction(6, 10**11)),
+            (PoolConfig(3, Fraction(3, 4), streak_required=3), Fraction(6, 10**11)),
+            (PoolConfig(3, Fraction(4, 5), streak_required=4), Fraction(1, 10**9)),
+        ]
+        for config, tail_bound in cases:
+            oracle = enumerate_pool(config, depth=60)
+            assert oracle.tail_mass <= tail_bound
+            solution = pool_solve(config)
+            for seat in range(config.players):
+                assert abs(oracle.expected_net[seat] - solution.expected_net[seat]) <= (
+                    oracle.residual_net_bound
+                )
+            assert abs(oracle.expected_games - solution.expected_games) <= (
+                oracle.residual_games_bound
             )
-        assert abs(oracle.expected_games - solution.expected_games) <= (
-            oracle.residual_games_bound
-        )
 
 
 class TestPoolSimulate:
@@ -246,3 +262,8 @@ class TestPoolSimulate:
             pool_simulate(FAIR3, seed=1, trials=0)
         with pytest.raises(ValueError):
             pool_simulate(FAIR3, seed=1, trials=10, max_games=0)
+        for bad in (True, 2.5, "10"):
+            with pytest.raises(ValueError):
+                pool_simulate(FAIR3, seed=1, trials=bad)
+            with pytest.raises(ValueError):
+                pool_simulate(FAIR3, seed=1, trials=10, max_games=bad)
