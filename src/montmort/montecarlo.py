@@ -53,9 +53,12 @@ class RandomStream:
         return (x * XORSHIFT_MULTIPLIER) & MASK64
 
     def next_below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by rejection sampling; advances the stream."""
-        if bound < 1:
-            raise ValueError(f"bound must be at least 1, got {bound}")
+        """Uniform integer in [0, bound) by rejection sampling; advances the stream.
+
+        A bound above 2**64 is out of a 64-bit draw's reach and is rejected.
+        """
+        if not 1 <= bound <= _TWO64:
+            raise ValueError(f"bound must lie in 1..2**64, got {bound}")
         limit = _TWO64 - (_TWO64 % bound)
         while True:
             draw = self.next_u64()

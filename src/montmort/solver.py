@@ -2,15 +2,17 @@
 
 Entries are Fractions and everything stays exact: a pure saddle-point check
 first, then iterated elimination of strictly dominated pure strategies, then
-support enumeration with exact equalisation solves over the reduced matrix.
-Every candidate is checked for global optimality, and the final solution is
-certified against the original, unreduced matrix before being returned.
+one rational simplex tableau for the column player's LP (Dantzig's matrix-game
+LP, with Bland's anti-cycling rule) over the reduced matrix. The final
+solution is certified against the original, unreduced matrix before being
+returned.
 
 The row player maximises; column payoffs are what the row player receives.
 Mixed strategies carry raw nonnegative weights (token counts, in the spirit
 of the historical bag of black and white tokens) and normalise on demand.
-Values are unique; optimal mixes need not be, and ties are broken toward the
-lexicographically smallest support sets.
+Values are unique; optimal mixes need not be. Ties are broken
+deterministically and the same way for every positive affine map of the
+payoffs (the simplex runs on the entries rescaled onto [1, 2]).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
@@ -34,12 +35,14 @@ class GameMatrix:
     col_labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not self.entries or not self.entries[0]:
+        entries = tuple(tuple(as_rational(x) for x in row) for row in self.entries)
+        object.__setattr__(self, "entries", entries)
+        if not entries or not entries[0]:
             raise ValueError("matrix needs at least one row and one column")
-        width = len(self.entries[0])
-        if any(len(row) != width for row in self.entries):
+        width = len(entries[0])
+        if any(len(row) != width for row in entries):
             raise ValueError("matrix rows must all have the same length")
-        if len(self.row_labels) != len(self.entries) or len(self.col_labels) != width:
+        if len(self.row_labels) != len(entries) or len(self.col_labels) != width:
             raise ValueError("label counts must match the matrix shape")
 
     @classmethod
@@ -49,7 +52,7 @@ class GameMatrix:
         row_labels: Iterable[str] | None = None,
         col_labels: Iterable[str] | None = None,
     ) -> GameMatrix:
-        entries = tuple(tuple(as_rational(x) for x in row) for row in rows)
+        entries = tuple(tuple(row) for row in rows)
         if not entries or not entries[0]:
             raise ValueError("matrix needs at least one row and one column")
         rl = tuple(row_labels) if row_labels is not None else tuple(
@@ -108,6 +111,7 @@ class MixedStrategy:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "weights", tuple(as_rational(w) for w in self.weights))
         if any(w < 0 for w in self.weights):
             raise ValueError("mixed-strategy weights must be nonnegative")
         if not any(w > 0 for w in self.weights):
@@ -115,7 +119,7 @@ class MixedStrategy:
 
     @classmethod
     def from_weights(cls, weights: Iterable[Fraction | int | str]) -> MixedStrategy:
-        return cls(tuple(as_rational(w) for w in weights))
+        return cls(tuple(weights))
 
     @classmethod
     def pure(cls, size: int, index: int) -> MixedStrategy:
@@ -368,84 +372,54 @@ def _pure_saddle(matrix: GameMatrix) -> tuple[int, int] | None:
     return i, j
 
 
-def _equalisation_mix(
-    payoffs: list[list[Fraction]], supports: tuple[int, ...], size: int
-) -> tuple[list[Fraction], Fraction] | None:
-    """Weights making every strategy in `supports` yield the same value.
+def _simplex(matrix: GameMatrix) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Exact optimal (row, column) mixes from one rational simplex tableau.
 
-    `payoffs[k][s]` is what the opponent's pure strategy s in the candidate
-    support earns against our k-th supported strategy. Unknowns are our
-    weights plus the common value; singular systems mean the candidate
-    support cannot equalise and are skipped by the caller.
-    """
-    k = len(supports)
-    coefficients: list[list[Fraction]] = []
-    constants: list[Fraction] = []
-    for s in range(k):
-        coefficients.append([payoffs[t][s] for t in range(k)] + [Fraction(-1)])
-        constants.append(Fraction(0))
-    coefficients.append([Fraction(1)] * k + [Fraction(0)])
-    constants.append(Fraction(1))
-    solution = solve_linear_system(coefficients, constants)
-    if solution is None:
-        return None
-    weights = solution[:k]
-    if any(w < 0 for w in weights):
-        return None
-    full = [Fraction(0)] * size
-    for index, weight in zip(supports, weights):
-        full[index] = weight
-    return full, solution[k]
-
-
-def _support_enumeration(
-    matrix: GameMatrix,
-) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Exact value and optimal mixes by square-support enumeration.
-
-    Works on a shifted copy with all entries positive, which guarantees an
-    equalising square support exists and its system is nonsingular; the
-    shift is removed from the value afterwards. Supports are scanned in
-    lexicographic order by size, so the first globally optimal candidate has
-    the lexicographically smallest supports.
+    The entries are mapped affinely onto [1, 2], so the game value is
+    positive and the column player's LP, maximise sum(t) subject to B t <= 1
+    and t >= 0, starts feasible from the slack basis and is bounded. Bland's
+    rule (enter the lowest column with a negative reduced cost; among tied
+    ratios, leave by the lowest basic index) guarantees termination. At the
+    optimum sum(t) = 1 / value of the mapped game, the column mix is
+    t / sum(t), and the slack reduced costs divided by sum(t) are the row
+    mix. A positive affine map of the payoffs leaves the mapped game, hence
+    every pivot and both mixes, unchanged.
     """
     m, n = matrix.n_rows, matrix.n_cols
     low = min(min(row) for row in matrix.entries)
-    shift = Fraction(1) - low if low <= 0 else Fraction(0)
-    a = [[x + shift for x in row] for row in matrix.entries]
-
-    for k in range(1, min(m, n) + 1):
-        for row_support in combinations(range(m), k):
-            for col_support in combinations(range(n), k):
-                rows_result = _equalisation_mix(
-                    [[a[i][j] for j in col_support] for i in row_support],
-                    row_support,
-                    m,
-                )
-                if rows_result is None:
-                    continue
-                x, value = rows_result
-                cols_result = _equalisation_mix(
-                    [[a[i][j] for i in row_support] for j in col_support],
-                    col_support,
-                    n,
-                )
-                if cols_result is None:
-                    continue
-                y, col_value = cols_result
-                if col_value != value:
-                    continue
-                # Global optimality: no pure strategy beats the candidate.
-                if any(
-                    sum(x[i] * a[i][j] for i in row_support) < value for j in range(n)
-                ):
-                    continue
-                if any(
-                    sum(a[i][j] * y[j] for j in col_support) > value for i in range(m)
-                ):
-                    continue
-                return value - shift, tuple(x), tuple(y)
-    raise RuntimeError("support enumeration found no equilibrium; this cannot happen")
+    span = max(max(row) for row in matrix.entries) - low  # > 0: no saddle point
+    one, zero = Fraction(1), Fraction(0)
+    rows = [
+        [(x - low) / span + 1 for x in payoffs]
+        + [one if k == i else zero for k in range(m)]
+        + [one]
+        for i, payoffs in enumerate(matrix.entries)
+    ]
+    objective = [-one] * n + [zero] * (m + 1)
+    basis = list(range(n, n + m))
+    while True:
+        entering = next((k for k in range(n + m) if objective[k] < 0), None)
+        if entering is None:
+            break
+        _, _, leaving = min(
+            (row[-1] / row[entering], basis[i], i)
+            for i, row in enumerate(rows)
+            if row[entering] > 0
+        )
+        pivot = rows[leaving]
+        scale = pivot[entering]
+        pivot[:] = [x / scale for x in pivot]
+        for row in rows + [objective]:
+            factor = row[entering]
+            if row is not pivot and factor:
+                row[:] = [x - factor * y for x, y in zip(row, pivot)]
+        basis[leaving] = entering
+    total = objective[-1]
+    t = [zero] * n
+    for i, k in enumerate(basis):
+        if k < n:
+            t[k] = rows[i][-1]
+    return tuple(y / total for y in objective[n:n + m]), tuple(x / total for x in t)
 
 
 def solve_zero_sum(matrix: GameMatrix) -> GameSolution:
@@ -453,8 +427,10 @@ def solve_zero_sum(matrix: GameMatrix) -> GameSolution:
 
     Pure saddle points are returned directly. Otherwise strictly dominated
     strategies are eliminated (which preserves the value and every
-    equilibrium), the reduced game is solved by support enumeration, and the
-    zero-extended mixes are certified against the original matrix.
+    equilibrium), the reduced game is solved by one exact simplex tableau,
+    and the zero-extended mixes are certified against the original matrix.
+    Where optimal mixes are not unique, the one returned is deterministic
+    and unchanged by any positive affine map of the payoffs.
     """
     saddle = _pure_saddle(matrix)
     if saddle is not None:
@@ -463,7 +439,7 @@ def solve_zero_sum(matrix: GameMatrix) -> GameSolution:
         col_mix = MixedStrategy.pure(matrix.n_cols, j)
     else:
         reduced = eliminate_dominated(matrix, "strict")
-        value, x_red, y_red = _support_enumeration(reduced.matrix)
+        x_red, y_red = _simplex(reduced.matrix)
         x = [Fraction(0)] * matrix.n_rows
         for index, weight in zip(reduced.row_indices, x_red):
             x[index] = weight

@@ -8,18 +8,21 @@ validating the role-symmetry reduction used in production. The reference
 pool simulator replays `pool_simulate`'s stream usage through `advance`.
 The Le Her deal tally walks the 52 * 51 * 50 ordered deals of physical cards
 one by one through the game law (`paul_wins_deal`), with none of the
-rank-multiplicity weights the exact enumeration uses.
+rank-multiplicity weights the exact enumeration uses. Support enumeration
+solves a matrix game by trying every pair of square supports with exact
+equalisation solves, sharing nothing with the production simplex tableau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from montmort.leher import COPIES_PER_RANK, DECK_SIZE, PaulStrategy, PierreStrategy, paul_wins_deal
 from montmort.montecarlo import RandomStream
 from montmort.pool import PoolConfig, PoolState, advance, opening_state
-from montmort.solver import solve_linear_system
+from montmort.solver import GameMatrix, solve_linear_system
 
 
 @dataclass(frozen=True)
@@ -257,3 +260,83 @@ def physical_deal_tallies(
             before = tallies.get((a, b), (0, 0, 0))
             tallies[a, b] = (before[0] + deals, before[1] + paul_won, before[2] + deals - paul_won)
     return tallies
+
+
+def _equalisation_mix(
+    payoffs: list[list[Fraction]], supports: tuple[int, ...], size: int
+) -> tuple[list[Fraction], Fraction] | None:
+    """Weights making every strategy in `supports` yield the same value.
+
+    `payoffs[k][s]` is what the opponent's pure strategy s in the candidate
+    support earns against our k-th supported strategy. Unknowns are our
+    weights plus the common value; singular systems mean the candidate
+    support cannot equalise and are skipped by the caller.
+    """
+    k = len(supports)
+    coefficients: list[list[Fraction]] = []
+    constants: list[Fraction] = []
+    for s in range(k):
+        coefficients.append([payoffs[t][s] for t in range(k)] + [Fraction(-1)])
+        constants.append(Fraction(0))
+    coefficients.append([Fraction(1)] * k + [Fraction(0)])
+    constants.append(Fraction(1))
+    solution = solve_linear_system(coefficients, constants)
+    if solution is None:
+        return None
+    weights = solution[:k]
+    if any(w < 0 for w in weights):
+        return None
+    full = [Fraction(0)] * size
+    for index, weight in zip(supports, weights):
+        full[index] = weight
+    return full, solution[k]
+
+
+def support_enumeration_solve(
+    matrix: GameMatrix,
+) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Exact value and optimal mixes by square-support enumeration.
+
+    Works on a shifted copy with all entries positive, which guarantees an
+    equalising square support exists and its system is nonsingular; the
+    shift is removed from the value afterwards. Supports are scanned in
+    lexicographic order by size, so the first globally optimal candidate has
+    the lexicographically smallest supports.
+    """
+    m, n = matrix.n_rows, matrix.n_cols
+    low = min(min(row) for row in matrix.entries)
+    shift = Fraction(1) - low if low <= 0 else Fraction(0)
+    a = [[x + shift for x in row] for row in matrix.entries]
+
+    for k in range(1, min(m, n) + 1):
+        for row_support in combinations(range(m), k):
+            for col_support in combinations(range(n), k):
+                rows_result = _equalisation_mix(
+                    [[a[i][j] for j in col_support] for i in row_support],
+                    row_support,
+                    m,
+                )
+                if rows_result is None:
+                    continue
+                x, value = rows_result
+                cols_result = _equalisation_mix(
+                    [[a[i][j] for i in row_support] for j in col_support],
+                    col_support,
+                    n,
+                )
+                if cols_result is None:
+                    continue
+                y, col_value = cols_result
+                if col_value != value:
+                    continue
+                # Global optimality: no pure strategy beats the candidate.
+                if any(
+                    sum(x[i] * a[i][j] for i in row_support) < value for j in range(n)
+                ):
+                    continue
+                if any(
+                    sum(a[i][j] * y[j] for j in col_support) > value for i in range(m)
+                ):
+                    continue
+                return value - shift, tuple(x), tuple(y)
+    raise RuntimeError("support enumeration found no equilibrium; this cannot happen")

@@ -43,8 +43,10 @@ class TestRandomStream:
             assert all(0 <= stream.next_below(bound) < bound for _ in range(200))
 
     def test_bound_zero_rejected(self):
-        with pytest.raises(ValueError):
-            RandomStream(1).next_below(0)
+        for bound in (0, 2**64 + 1):
+            with pytest.raises(ValueError):
+                RandomStream(1).next_below(bound)
+        assert 0 <= RandomStream(1).next_below(2**64) < 2**64
 
     def test_rejection_sampling_is_unbiased_enough(self):
         # Spec'd bias check: one million draws below 52, every residue

@@ -215,6 +215,19 @@ class TestCli:
         estimate = parse_rational(payload["estimate"])
         assert abs(float(estimate) - float(Fraction(11327, 22100))) <= 4 * payload["sigma"]
 
+    def test_simulate_leher_denominator_beyond_the_stream_exits_2(self, capsys):
+        # Pierre's switch chance is 1/(2**65 + 1): no 64-bit draw can sample it.
+        code = main(
+            [
+                "simulate",
+                "leher",
+                "--a", "1/36893488147419103232", "--b", "1", "--c", "1", "--d", "1",
+                "--seed", "1", "--trials", "10",
+            ]
+        )
+        assert code == 2
+        assert "2**64" in capsys.readouterr().err
+
     def test_reproduce_csv(self, capsys):
         assert main(["reproduce", "--format", "csv"]) == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import support_enumeration_solve
 
 from montmort.leher import build_leher_matrix, threshold_matrix
 from montmort.solver import (
@@ -56,6 +57,17 @@ class TestGameMatrix:
         data = matrix([[Fraction(1, 2)]]).to_json_dict()
         assert data == {"rows": ["row0"], "cols": ["col0"], "entries": [["1/2"]]}
 
+    def test_rejects_floats(self):
+        with pytest.raises(TypeError):
+            matrix([[0.5, 1]])
+        with pytest.raises(TypeError):
+            GameMatrix(((0.5, 0.25), (0.75, 1.0)), ("r0", "r1"), ("c0", "c1"))
+
+    def test_constructor_coerces_to_fractions(self):
+        game = GameMatrix(((1, "1/2"), (Fraction(3, 4), 0)), ("r0", "r1"), ("c0", "c1"))
+        assert game.entries == ((Fraction(1), Fraction(1, 2)), (Fraction(3, 4), Fraction(0)))
+        assert all(type(x) is Fraction for row in game.entries for x in row)
+
     def test_negated_transpose(self):
         game = GameMatrix.from_rows([[1, 2], [3, 4]], ["r0", "r1"], ["c0", "c1"])
         flipped = game.negated_transpose()
@@ -87,6 +99,18 @@ class TestMixedStrategy:
 
     def test_pure(self):
         assert MixedStrategy.pure(3, 1).weights == (0, 1, 0)
+
+    def test_rejects_floats(self):
+        with pytest.raises(TypeError):
+            MixedStrategy.from_weights([0.5, 0.5])
+        with pytest.raises(TypeError):
+            MixedStrategy((0.5, 0.5))
+
+    def test_constructor_coerces_to_fractions(self):
+        mix = MixedStrategy((1, "1/2"))
+        assert mix.weights == (Fraction(1), Fraction(1, 2))
+        assert all(type(w) is Fraction for w in mix.weights)
+        assert expected_payoff(matrix([[1, 0], [0, 1]]), mix, mix) == Fraction(5, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -345,3 +369,29 @@ class TestSolverProperties:
                 assert payoff <= solution.value
             for payoff in solution.certificate.col_payoffs:
                 assert payoff >= solution.value
+
+
+class TestSupportEnumerationOracle:
+    """The simplex tableau against the old exponential search, kept as an oracle."""
+
+    @pytest.mark.parametrize("low, high, seed", [(-9, 9, 201), (-1, 1, 202)])
+    def test_values_match_and_mixes_certify(self, low, high, seed):
+        # Entries in {-1, 0, 1} make most games degenerate: ties among
+        # supports, where the two solvers may return different optimal mixes.
+        rng = random.Random(seed)
+        for _ in range(160):
+            game = random_matrix(rng, max_size=5, low=low, high=high)
+            solution = solve_zero_sum(game)
+            oracle_value, _, _ = support_enumeration_solve(game)
+            assert solution.value == oracle_value
+            ok, value, _ = verify_equilibrium(game, solution.row_mix, solution.col_mix)
+            assert ok and value == solution.value
+
+    def test_twelve_by_twelve_solves_and_certifies(self):
+        # Support enumeration would try up to C(24, 12) - 1 = 2,704,155 support pairs.
+        rng = random.Random(207)
+        game = matrix([[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)])
+        solution = solve_zero_sum(game)
+        ok, value, _ = verify_equilibrium(game, solution.row_mix, solution.col_mix)
+        assert ok and value == solution.value
+        assert len(solution.row_mix.support()) > 1
