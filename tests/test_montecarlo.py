@@ -6,13 +6,39 @@ import pytest
 from montmort.leher import mixed_value
 from montmort.montecarlo import (
     ZERO_SEED_REPLACEMENT,
+    LeherSimulation,
     RandomStream,
     leher_simulate,
 )
+from montmort.pool import PoolConfig, pool_simulate
 
 # Generated once from this implementation (seed 42, bound 52) and frozen;
 # any change to the generator or its consumption order must show up here.
 GOLDEN_SEED42_BELOW52 = [36, 30, 26]
+
+# Whole simulation results, frozen the same way. The README promises that a
+# seed gives the same result everywhere; these pin that promise for both
+# simulators, including a zero weight, fractional weights, seed 0 and a seed
+# above 2**64 (masked to 5).
+GOLDEN_LEHER = [
+    ((3, 5, 5, 3), 17, 20000,
+     LeherSimulation(10183, 20000, Fraction(10183, 20000), 0.003534941848885212)),
+    ((1, 0, 1, 0), 8, 5000,
+     LeherSimulation(2624, 5000, Fraction(2624, 5000), 0.007062364476575816)),
+    ((0, 1, 0, 1), 2**64 + 5, 5000,
+     LeherSimulation(2547, 5000, Fraction(2547, 5000), 0.007069818102327668)),
+    (("1/3", 2, 5, "7/2"), 0, 7919,
+     LeherSimulation(4002, 7919, Fraction(4002, 7919), 0.005618363234482689)),
+]
+
+# (config, seed, trials, max_games or None, seat wins, total games, truncated)
+GOLDEN_POOL = [
+    (PoolConfig(3), 17, 20000, None, [7232, 7073, 5695], 59755, 0),
+    (PoolConfig(5, Fraction(2, 5)), 4, 3000, None, [613, 626, 613, 583, 565], 76049, 0),
+    (PoolConfig(4, Fraction(3, 4), streak_required=3), 99, 5000, None,
+     [2374, 983, 891, 752], 20466, 0),
+    (PoolConfig(3), 3, 500, 2, [120, 130, 0], 1000, 250),
+]
 
 
 class TestRandomStream:
@@ -68,6 +94,22 @@ class TestRandomStream:
         assert not any(stream.bernoulli(Fraction(0)) for _ in range(50))
         with pytest.raises(ValueError):
             stream.bernoulli(Fraction(3, 2))
+
+
+class TestGoldenSimulations:
+    @pytest.mark.parametrize("weights,seed,trials,expected", GOLDEN_LEHER)
+    def test_leher_simulate(self, weights, seed, trials, expected):
+        assert leher_simulate(*weights, seed=seed, trials=trials) == expected
+
+    @pytest.mark.parametrize(
+        "config,seed,trials,max_games,wins,total_games,truncated", GOLDEN_POOL
+    )
+    def test_pool_simulate(self, config, seed, trials, max_games, wins, total_games, truncated):
+        kwargs = {} if max_games is None else {"max_games": max_games}
+        result = pool_simulate(config, seed=seed, trials=trials, **kwargs)
+        assert result.win_prob == tuple(Fraction(w, trials) for w in wins)
+        assert result.expected_games == Fraction(total_games, trials)
+        assert result.truncated_trials == truncated
 
 
 class TestLeherSimulate:
