@@ -7,10 +7,16 @@ with the classic published constants: shifts 12, 25, 27 and multiplier
 the same stream on every platform and in any language, making golden
 simulation outputs portable.
 
+A seed is any integer (not a bool), masked to its low 64 bits.
+
 Simulations touch only the game-law code paths, never the exact engine's
 numeric answers, so their agreement with the exact results is evidence
-rather than tautology. Empirical frequencies are exact Fractions of counts;
-only the reported standard errors are floating point.
+rather than tautology. The Le Her simulator tabulates that law once per
+call, from `leher._before_draw` for every token pair and every pair of
+first two ranks, and consumes the stream per trial in a fixed order: the
+two tokens, then three cards dealt from an indexed deck. Empirical
+frequencies are exact Fractions of counts; only the reported standard
+errors are floating point.
 """
 
 from __future__ import annotations
@@ -41,28 +47,31 @@ class RandomStream:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         state = seed & MASK64
         self.state = state if state else ZERO_SEED_REPLACEMENT
 
     def next_u64(self) -> int:
-        x = self.state
-        x ^= x >> 12
-        x = (x ^ (x << 25)) & MASK64
-        x ^= x >> 27
-        self.state = x
-        return (x * XORSHIFT_MULTIPLIER) & MASK64
+        return self.next_below(_TWO64)
 
     def next_below(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection sampling; advances the stream.
 
-        A bound above 2**64 is out of a 64-bit draw's reach and is rejected.
+        Each step is one xorshift-star output. A bound above 2**64 is out of
+        a 64-bit draw's reach and is rejected.
         """
         if not 1 <= bound <= _TWO64:
             raise ValueError(f"bound must lie in 1..2**64, got {bound}")
         limit = _TWO64 - (_TWO64 % bound)
+        x = self.state
         while True:
-            draw = self.next_u64()
+            x ^= x >> 12
+            x = (x ^ (x << 25)) & MASK64
+            x ^= x >> 27
+            draw = (x * XORSHIFT_MULTIPLIER) & MASK64
             if draw < limit:
+                self.state = x
                 return draw % bound
 
     def bernoulli(self, probability: Fraction) -> bool:
@@ -72,21 +81,10 @@ class RandomStream:
         return self.next_below(probability.denominator) < probability.numerator
 
 
-def _draw_three_ranks(stream: RandomStream) -> tuple[int, int, int]:
-    """Deal three cards without replacement, respecting rank multiplicities."""
-    counts = [leher.COPIES_PER_RANK] * leher.RANK_COUNT
-    remaining = leher.DECK_SIZE
-    dealt = []
-    for _ in range(3):
-        pick = stream.next_below(remaining)
-        for rank0, count in enumerate(counts):
-            pick -= count
-            if pick < 0:
-                dealt.append(rank0 + 1)
-                counts[rank0] -= 1
-                remaining -= 1
-                break
-    return dealt[0], dealt[1], dealt[2]
+#: The 52 cards as ranks in rank order, so pick k of a deal is the k-th card left.
+_DECK = tuple(
+    rank for rank in range(1, leher.RANK_COUNT + 1) for _ in range(leher.COPIES_PER_RANK)
+)
 
 
 @dataclass(frozen=True)
@@ -111,24 +109,47 @@ def leher_simulate(
 
     Per trial the stream is consumed in a fixed order: Paul's token (switch
     the 7 with probability a / (a + b)), Pierre's token (switch the 8 with
-    probability c / (c + d)), then the three cards of the deal. The deal is
-    settled by the game law in :mod:`montmort.leher`.
+    probability c / (c + d)), then the three cards of the deal, each picked
+    by its index among the cards left in rank order. The game law of
+    :mod:`montmort.leher` is tabulated once per call: `_before_draw` settles
+    every pair of first two ranks under each of the four token pairs, and a
+    trial only applies Pierre's redraw, in which a drawn king is thrown back.
     """
     require_count("trials", trials)
     a, b, c, d = leher._token_weights(a, b, c, d)
+    stream = RandomStream(seed)
 
     paul_switch = a / (a + b)
     pierre_switch = c / (c + d)
+    paul_num, paul_den = paul_switch.numerator, paul_switch.denominator
+    pierre_num, pierre_den = pierre_switch.numerator, pierre_switch.denominator
     paul_choices = (leher.PaulStrategy.threshold(6), leher.PaulStrategy.threshold(7))
     pierre_choices = (leher.PierreStrategy.threshold(7), leher.PierreStrategy.threshold(8))
+    ranks = range(1, leher.RANK_COUNT + 1)
+    # settled[paul token][pierre token][paul rank - 1][pierre rank - 1]
+    # is (paul_final, pierre_current, pierre_draws).
+    settled = [
+        [
+            [[leher._before_draw(x, y, paul, pierre) for y in ranks] for x in ranks]
+            for pierre in pierre_choices
+        ]
+        for paul in paul_choices
+    ]
 
-    stream = RandomStream(seed)
+    king = leher.KING
+    deck_size = len(_DECK)
+    below = stream.next_below
     wins = 0
     for _ in range(trials):
-        paul = paul_choices[stream.bernoulli(paul_switch)]
-        pierre = pierre_choices[stream.bernoulli(pierre_switch)]
-        paul_card, pierre_card, replacement = _draw_three_ranks(stream)
-        if leher.paul_wins_deal(paul_card, pierre_card, replacement, paul, pierre):
+        law = settled[below(paul_den) < paul_num][below(pierre_den) < pierre_num]
+        deck = list(_DECK)
+        paul_card = deck.pop(below(deck_size))
+        pierre_card = deck.pop(below(deck_size - 1))
+        replacement = deck[below(deck_size - 2)]
+        paul_final, pierre_final, draws = law[paul_card - 1][pierre_card - 1]
+        if draws and replacement != king:
+            pierre_final = replacement
+        if paul_final > pierre_final:
             wins += 1
     frequency = Fraction(wins, trials)
     std_error = sqrt(float(frequency) * float(1 - frequency) / trials)

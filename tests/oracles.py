@@ -5,7 +5,9 @@ pool enumeration walks game sequences breadth-first using only the pool's
 transition law (`advance`) and exact Fractions; the unlumped solver builds
 the raw (champion, streak, queue) state space and solves it seat by seat,
 validating the role-symmetry reduction used in production. The reference
-pool simulator replays `pool_simulate`'s stream usage through `advance`.
+pool simulator replays `pool_simulate`'s stream usage through `advance`;
+the reference Le Her simulator draws tokens with `bernoulli`, walks rank
+counts for every card and settles every deal through `paul_wins_deal`.
 The Le Her deal tally walks the 52 * 51 * 50 ordered deals of physical cards
 one by one through the game law (`paul_wins_deal`), with none of the
 rank-multiplicity weights the exact enumeration uses. Support enumeration
@@ -19,7 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from montmort.leher import COPIES_PER_RANK, DECK_SIZE, PaulStrategy, PierreStrategy, paul_wins_deal
+from montmort.leher import (
+    COPIES_PER_RANK,
+    DECK_SIZE,
+    RANK_COUNT,
+    PaulStrategy,
+    PierreStrategy,
+    _token_weights,
+    paul_wins_deal,
+)
 from montmort.montecarlo import RandomStream
 from montmort.pool import PoolConfig, PoolState, advance, opening_state
 from montmort.solver import GameMatrix, solve_linear_system
@@ -233,6 +243,47 @@ def simulate_pool_reference(config: PoolConfig, seed: int, trials: int, max_game
             truncated += 1
         total_games += games
     return wins, losses, games_when_won, total_games, truncated
+
+
+def _draw_three_ranks(stream: RandomStream) -> tuple[int, int, int]:
+    """Deal three cards without replacement, respecting rank multiplicities."""
+    counts = [COPIES_PER_RANK] * RANK_COUNT
+    remaining = DECK_SIZE
+    dealt = []
+    for _ in range(3):
+        pick = stream.next_below(remaining)
+        for rank0, count in enumerate(counts):
+            pick -= count
+            if pick < 0:
+                dealt.append(rank0 + 1)
+                counts[rank0] -= 1
+                remaining -= 1
+                break
+    return dealt[0], dealt[1], dealt[2]
+
+
+def simulate_leher_reference(a, b, c, d, seed: int, trials: int) -> int:
+    """Paul's wins over `trials` token-bag deals, one game-law call per deal.
+
+    Consumes the stream as `leher_simulate` does: Paul's token, Pierre's
+    token, then the three cards, so the production loop's tabulated law and
+    indexed deck can be pinned against the plain one.
+    """
+    a, b, c, d = _token_weights(a, b, c, d)
+    paul_switch = a / (a + b)
+    pierre_switch = c / (c + d)
+    paul_choices = (PaulStrategy.threshold(6), PaulStrategy.threshold(7))
+    pierre_choices = (PierreStrategy.threshold(7), PierreStrategy.threshold(8))
+
+    stream = RandomStream(seed)
+    wins = 0
+    for _ in range(trials):
+        paul = paul_choices[stream.bernoulli(paul_switch)]
+        pierre = pierre_choices[stream.bernoulli(pierre_switch)]
+        paul_card, pierre_card, replacement = _draw_three_ranks(stream)
+        if paul_wins_deal(paul_card, pierre_card, replacement, paul, pierre):
+            wins += 1
+    return wins
 
 
 def physical_deal_tallies(

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import sqrt
 
@@ -11,6 +12,7 @@ from montmort.montecarlo import (
     leher_simulate,
 )
 from montmort.pool import PoolConfig, pool_simulate
+from oracles import simulate_leher_reference
 
 # Generated once from this implementation (seed 42, bound 52) and frozen;
 # any change to the generator or its consumption order must show up here.
@@ -112,6 +114,35 @@ class TestGoldenSimulations:
         assert result.truncated_trials == truncated
 
 
+def _reference_cases(count: int) -> list[tuple]:
+    """Seeded (weights, seed, trials) cases for the Le Her reference oracle."""
+    rng = random.Random(1504)
+    weight_pool = (0, 1, 2, 3, 5, 8, "1/3", "7/2", Fraction(5, 9), "0/7")
+    special_seeds = (0, -1, -(2**63), 2**64, 2**64 + 5, 2**100 + 3, 2**64 - 1)
+    cases = [((3, 5, 5, 3), 17, 2000), ((1, 0, 0, 1), -8, 2000), ((0, 1, 1, 0), 2**64, 2000)]
+    while len(cases) < count:
+        a, b, c, d = (rng.choice(weight_pool) for _ in range(4))
+        if Fraction(a) + Fraction(b) == 0 or Fraction(c) + Fraction(d) == 0:
+            continue
+        if len(cases) % 3 == 0:
+            seed = special_seeds[len(cases) // 3 % len(special_seeds)]
+        else:
+            seed = rng.randrange(-(2**70), 2**70)
+        cases.append(((a, b, c, d), seed, rng.randint(200, 400)))
+    return cases
+
+
+class TestLeherReferenceOracle:
+    def test_wins_match_plain_law(self):
+        mismatches = []
+        for weights, seed, trials in _reference_cases(240):
+            wins = leher_simulate(*weights, seed=seed, trials=trials).wins
+            expected = simulate_leher_reference(*weights, seed=seed, trials=trials)
+            if wins != expected:
+                mismatches.append((weights, seed, trials, wins, expected))
+        assert mismatches == []
+
+
 class TestLeherSimulate:
     def test_deterministic_for_fixed_seed(self):
         assert leher_simulate(3, 5, 5, 3, seed=1, trials=5000) == leher_simulate(
@@ -148,3 +179,6 @@ class TestLeherSimulate:
         for trials in (True, 2.5, "10"):
             with pytest.raises(ValueError):
                 leher_simulate(1, 1, 1, 1, seed=1, trials=trials)
+        for seed in (True, 1.5, "3", None):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                leher_simulate(1, 1, 1, 1, seed=seed, trials=10)

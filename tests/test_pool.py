@@ -267,3 +267,6 @@ class TestPoolSimulate:
                 pool_simulate(FAIR3, seed=1, trials=bad)
             with pytest.raises(ValueError):
                 pool_simulate(FAIR3, seed=1, trials=10, max_games=bad)
+        for seed in (True, 1.5, "3", None):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                pool_simulate(FAIR3, seed=seed, trials=5)
