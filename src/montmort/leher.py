@@ -19,9 +19,10 @@ drawing is his only hope otherwise. Any other play at that node is strictly
 worse. This forced response reproduces every lot quoted in the
 Montmort-Bernoulli-Waldegrave correspondence.
 
-All probabilities are exact Fractions obtained by enumerating ordered rank
-triples with multiplicity weights over the 52 * 51 * 50 = 132,600 ordered
-deals; no floating point anywhere.
+A deal's outcome depends only on its first two ranks and the players' flags
+at them, so one table of 13 * 13 * 2 * 2 = 676 integer cells counts both
+players' wins over the 52 * 51 * 50 = 132,600 ordered deals, and every full
+and conditional lot is an exact Fraction summed from it; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -61,13 +62,11 @@ def _parse_action_string(text: str, yes_letters: str) -> tuple[bool, ...]:
     if len(text) != RANK_COUNT:
         raise ValueError(f"action string must be {RANK_COUNT} characters, got {text!r}")
     flags = []
-    for letter in text.upper():
-        if letter in yes_letters:
-            flags.append(True)
-        elif letter == "H":
-            flags.append(False)
-        else:
+    for letter in text:
+        letter = letter.upper() if letter.isascii() else letter  # "ſ".upper() is "S"
+        if letter not in yes_letters + "H":
             raise ValueError(f"bad action letter {letter!r} in {text!r}")
+        flags.append(letter != "H")
     return tuple(flags)
 
 
@@ -124,7 +123,10 @@ class _RankTable:
         """Accepts "threshold:t" or a 13-letter action table."""
         body = text.strip()
         if body.lower().startswith("threshold:"):
-            return cls.threshold(int(body.split(":", 1)[1]))
+            value = body.split(":", 1)[1]
+            if not value.isascii() or "_" in value:  # int() reads "٧" and "1_0" too
+                raise ValueError(f"threshold must be an integer in 0..13, got {value!r}")
+            return cls.threshold(int(value))
         return cls(_parse_action_string(body, cls._LETTERS))
 
     @property
@@ -176,28 +178,22 @@ class PierreStrategy(_RankTable):
 
 
 def _before_draw(
-    paul_card: int,
-    pierre_card: int,
-    paul: PaulStrategy,
-    pierre: PierreStrategy,
+    paul_card: int, pierre_card: int, switch: bool, draw: bool
 ) -> tuple[int, int, bool]:
-    """Both decisions up to Pierre's optional redraw.
+    """Both decisions up to Pierre's optional redraw, given the players' flags.
 
-    Returns (paul_final, pierre_current, pierre_draws). When pierre_draws is
-    False the deal is settled and pierre_current is Pierre's final card.
+    `switch` is Paul's flag at his card and `draw` Pierre's at his. Returns
+    (paul_final, pierre_current, pierre_draws); when pierre_draws is False
+    the deal is settled and pierre_current is Pierre's final card.
     """
-    if paul.switch[paul_card - 1]:
+    if switch:
         if pierre_card == KING:
             # Swap refused; Pierre stands on the king.
             return paul_card, KING, False
         # Swap completed: Pierre holds paul_card and knows Paul holds
         # pierre_card, so his response is forced (dealer keeps ties).
-        if paul_card >= pierre_card:
-            return pierre_card, paul_card, False
-        return pierre_card, paul_card, True
-    if pierre.draw[pierre_card - 1]:
-        return paul_card, pierre_card, True
-    return paul_card, pierre_card, False
+        return pierre_card, paul_card, paul_card < pierre_card
+    return paul_card, pierre_card, draw
 
 
 def resolve_deal(
@@ -214,7 +210,9 @@ def resolve_deal(
     """
     for card in (paul_card, pierre_card, replacement):
         _check_rank(card)
-    paul_final, pierre_current, draws = _before_draw(paul_card, pierre_card, paul, pierre)
+    paul_final, pierre_current, draws = _before_draw(
+        paul_card, pierre_card, paul.switch[paul_card - 1], pierre.draw[pierre_card - 1]
+    )
     if draws and replacement != KING:
         return paul_final, replacement
     return paul_final, pierre_current
@@ -237,67 +235,65 @@ def paul_wins_deal(
 # ---------------------------------------------------------------------------
 
 
-_ALL_RANKS = tuple(range(1, RANK_COUNT + 1))
+def _cell(a: int, b: int, switch: bool, draw: bool) -> int:
+    """Index of the deal class (a, b, switch, draw) in `_weight_table()`."""
+    return (((a - 1) * RANK_COUNT + b - 1) * 2 + switch) * 2 + draw
 
 
 @lru_cache(maxsize=None)
-def _win_weights(
-    paul: PaulStrategy,
-    pierre: PierreStrategy,
-    _paul_ranks: tuple[int, ...] = _ALL_RANKS,
-    _pierre_ranks: tuple[int, ...] = _ALL_RANKS,
-) -> tuple[int, int, int]:
-    """Integer win weights (Paul's, Pierre's, total) over ordered deals.
+def _weight_table() -> tuple[tuple[int, int], ...]:
+    """Integer win weights (Paul's, Pierre's) of the 676 deal classes, indexed by `_cell`.
 
-    Only deals whose first card has a rank in `_paul_ranks` and whose second
-    has a rank in `_pierre_ranks` are counted, so `total` is the number of
-    such ordered three-card deals: 132,600 for the full deck, and the
-    denominator of a lot conditioned on the dealt cards otherwise.
-
-    Each player's weight is accumulated by its own predicate (strictly higher
-    for Paul, at-least for Pierre) rather than as each other's complement, so
-    the complementarity law checked in the tests is a real property of the
-    enumeration, not an accounting identity.
+    A deal's outcome depends only on its first two ranks a and b, Paul's flag
+    at a and Pierre's flag at b. A cell counts the ordered deals with first
+    ranks (a, b) and any third card, 4 * (4 - [a = b]) * 50 of them, that each
+    player wins, each by its own predicate (strictly higher for Paul, at least
+    as high for Pierre), so the complementarity law checked in the tests is a
+    real property of the table, not an accounting identity.
     """
-    paul_weight = 0
-    pierre_weight = 0
-    total = 0
-    for a in _paul_ranks:
-        for b in _pierre_ranks:
+    ranks = range(1, RANK_COUNT + 1)
+    table = []
+    for a in ranks:
+        for b in ranks:
             weight_ab = COPIES_PER_RANK * (COPIES_PER_RANK - (b == a))
-            total += weight_ab * (DECK_SIZE - 2)
-            paul_final, pierre_current, draws = _before_draw(a, b, paul, pierre)
-            if not draws:
-                # The unseen third card cannot matter: 50 equal outcomes.
-                if paul_final > pierre_current:
-                    paul_weight += weight_ab * (DECK_SIZE - 2)
-                if pierre_current >= paul_final:
-                    pierre_weight += weight_ab * (DECK_SIZE - 2)
-                continue
-            for c in _ALL_RANKS:
-                weight_c = COPIES_PER_RANK - (c == a) - (c == b)
-                pierre_final = pierre_current if c == KING else c
-                if paul_final > pierre_final:
-                    paul_weight += weight_ab * weight_c
-                if pierre_final >= paul_final:
-                    pierre_weight += weight_ab * weight_c
-    return paul_weight, pierre_weight, total
+            for switch, draw in ((False, False), (False, True), (True, False), (True, True)):
+                paul_final, pierre_current, draws = _before_draw(a, b, switch, draw)
+                paul_weight = pierre_weight = 0
+                for c in ranks:
+                    weight_c = COPIES_PER_RANK - (c == a) - (c == b)
+                    pierre_final = c if draws and c != KING else pierre_current
+                    if paul_final > pierre_final:
+                        paul_weight += weight_c
+                    if pierre_final >= paul_final:
+                        pierre_weight += weight_c
+                table.append((weight_ab * paul_weight, weight_ab * pierre_weight))
+    return tuple(table)
+
+
+def _full_weight(paul: PaulStrategy, pierre: PierreStrategy, side: int) -> int:
+    """Paul's (side 0) or Pierre's (side 1) win weight over all ordered deals."""
+    table = _weight_table()
+    return sum(
+        table[_cell(a, b, switch, draw)][side]
+        for a, switch in enumerate(paul.switch, 1)
+        for b, draw in enumerate(pierre.draw, 1)
+    )
 
 
 def paul_win_probability(paul: PaulStrategy, pierre: PierreStrategy) -> Fraction:
     """Paul's exact lot for a strategy pair on the full 52-card deck."""
-    return Fraction(_win_weights(paul, pierre)[0], ORDERED_DEALS)
+    return Fraction(_full_weight(paul, pierre, 0), ORDERED_DEALS)
 
 
 def pierre_win_probability(paul: PaulStrategy, pierre: PierreStrategy) -> Fraction:
     """Pierre's exact lot; ties go to him, so this complements Paul's exactly."""
-    return Fraction(_win_weights(paul, pierre)[1], ORDERED_DEALS)
+    return Fraction(_full_weight(paul, pierre, 1), ORDERED_DEALS)
 
 
 def conditional_lot_paul(card: int, action: PaulAction, pierre: PierreStrategy) -> Fraction:
     """Paul's winning lot given his dealt card and his chosen action.
 
-    Enumerates Pierre's 51 possible cards and, where a redraw happens, the 50
+    Counts Pierre's 51 possible cards and, where a redraw happens, the 50
     possible replacements; the result has denominator dividing 51 * 50.
     When the action is SWITCH the answer does not depend on `pierre`, since
     Pierre's post-swap response is forced by the rules.
@@ -305,9 +301,10 @@ def conditional_lot_paul(card: int, action: PaulAction, pierre: PierreStrategy) 
     _check_rank(card)
     if not isinstance(action, PaulAction):
         raise ValueError(f"expected a PaulAction, got {action!r}")
-    paul = PaulStrategy.threshold(RANK_COUNT if action is PaulAction.SWITCH else 0)
-    win, _, total = _win_weights(paul, pierre, (card,))
-    return Fraction(win, total)
+    table = _weight_table()
+    switch = action is PaulAction.SWITCH
+    win = sum(table[_cell(card, b, switch, draw)][0] for b, draw in enumerate(pierre.draw, 1))
+    return Fraction(win, COPIES_PER_RANK * (DECK_SIZE - 1) * (DECK_SIZE - 2))
 
 
 def conditional_lot_pierre(card: int, action: PierreAction, paul: PaulStrategy) -> Fraction:
@@ -322,12 +319,14 @@ def conditional_lot_pierre(card: int, action: PierreAction, paul: PaulStrategy) 
     _check_rank(card)
     if not isinstance(action, PierreAction):
         raise ValueError(f"expected a PierreAction, got {action!r}")
-    pierre = PierreStrategy.threshold(RANK_COUNT if action is PierreAction.DRAW else 0)
-    stand_ranks = tuple(rank for rank in _ALL_RANKS if not paul.switch[rank - 1])
-    _, win, total = _win_weights(paul, pierre, stand_ranks, (card,))
-    if total == 0:
+    stand_ranks = [a for a, switch in enumerate(paul.switch, 1) if not switch]
+    if not stand_ranks:
         raise ValueError("conditioning event impossible: Paul never stands under this strategy")
-    return Fraction(win, total)
+    table = _weight_table()
+    draw = action is PierreAction.DRAW
+    win = sum(table[_cell(a, card, False, draw)][1] for a in stand_ranks)
+    stand_cards = sum(COPIES_PER_RANK - (a == card) for a in stand_ranks)
+    return Fraction(win, COPIES_PER_RANK * stand_cards * (DECK_SIZE - 2))
 
 
 # ---------------------------------------------------------------------------

@@ -125,12 +125,12 @@ def leher_simulate(
     pierre_num, pierre_den = pierre_switch.numerator, pierre_switch.denominator
     paul_choices = (leher.PaulStrategy.threshold(6), leher.PaulStrategy.threshold(7))
     pierre_choices = (leher.PierreStrategy.threshold(7), leher.PierreStrategy.threshold(8))
-    ranks = range(1, leher.RANK_COUNT + 1)
     # settled[paul token][pierre token][paul rank - 1][pierre rank - 1]
     # is (paul_final, pierre_current, pierre_draws).
     settled = [
         [
-            [[leher._before_draw(x, y, paul, pierre) for y in ranks] for x in ranks]
+            [[leher._before_draw(x, y, s, d) for y, d in enumerate(pierre.draw, 1)]
+             for x, s in enumerate(paul.switch, 1)]
             for pierre in pierre_choices
         ]
         for paul in paul_choices

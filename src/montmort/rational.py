@@ -20,25 +20,26 @@ Rational = Fraction
 
 DEFAULT_DECIMAL_DIGITS = 6
 
-_NUMERATOR_RE = re.compile(r"^[+-]?\d+$")
-_DENOMINATOR_RE = re.compile(r"^\d+$")
+_NUMERATOR_RE = re.compile(r"[+-]?[0-9]+")
+_DENOMINATOR_RE = re.compile(r"[0-9]+")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the "p/q" wire form, or a bare integer "p" meaning p/1.
 
-    The sign, if any, goes on p; q must be a plain positive integer.
+    The sign, if any, goes on p; q must be a plain positive integer. Digits
+    are ASCII only.
 
     >>> parse_rational("-3/6")
     Fraction(-1, 2)
     """
     body = text.strip()
     numerator, slash, denominator = body.partition("/")
-    if not _NUMERATOR_RE.match(numerator):
+    if not _NUMERATOR_RE.fullmatch(numerator):
         raise ValueError(f"malformed rational {text!r}: expected 'p' or 'p/q'")
     if not slash:
         return Fraction(int(numerator))
-    if not _DENOMINATOR_RE.match(denominator):
+    if not _DENOMINATOR_RE.fullmatch(denominator):
         raise ValueError(f"malformed rational {text!r}: denominator must be a plain integer")
     if int(denominator) == 0:
         raise ValueError(f"malformed rational {text!r}: denominator must be positive")

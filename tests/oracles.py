@@ -10,7 +10,10 @@ the reference Le Her simulator draws tokens with `bernoulli`, walks rank
 counts for every card and settles every deal through `paul_wins_deal`.
 The Le Her deal tally walks the 52 * 51 * 50 ordered deals of physical cards
 one by one through the game law (`paul_wins_deal`), with none of the
-rank-multiplicity weights the exact enumeration uses. Support enumeration
+rank-multiplicity weights the exact enumeration uses. The rank-subset
+enumerator is the engine's former lot computation: it walks the rank
+triples of one strategy pair, restricted to chosen first and second ranks,
+and shares none of the production weight table's indexing. Support enumeration
 solves a matrix game by trying every pair of square supports with exact
 equalisation solves, sharing nothing with the production simplex tableau.
 """
@@ -24,9 +27,11 @@ from itertools import combinations
 from montmort.leher import (
     COPIES_PER_RANK,
     DECK_SIZE,
+    KING,
     RANK_COUNT,
     PaulStrategy,
     PierreStrategy,
+    _before_draw,
     _token_weights,
     paul_wins_deal,
 )
@@ -311,6 +316,54 @@ def physical_deal_tallies(
             before = tallies.get((a, b), (0, 0, 0))
             tallies[a, b] = (before[0] + deals, before[1] + paul_won, before[2] + deals - paul_won)
     return tallies
+
+
+_ALL_RANKS = tuple(range(1, RANK_COUNT + 1))
+
+
+def rank_subset_win_weights(
+    paul: PaulStrategy,
+    pierre: PierreStrategy,
+    _paul_ranks: tuple[int, ...] = _ALL_RANKS,
+    _pierre_ranks: tuple[int, ...] = _ALL_RANKS,
+) -> tuple[int, int, int]:
+    """Integer win weights (Paul's, Pierre's, total) over ordered deals.
+
+    Only deals whose first card has a rank in `_paul_ranks` and whose second
+    has a rank in `_pierre_ranks` are counted, so `total` is the number of
+    such ordered three-card deals: 132,600 for the full deck, and the
+    denominator of a lot conditioned on the dealt cards otherwise.
+
+    Each player's weight is accumulated by its own predicate (strictly higher
+    for Paul, at-least for Pierre) rather than as each other's complement, so
+    the complementarity law checked in the tests is a real property of the
+    enumeration, not an accounting identity.
+    """
+    paul_weight = 0
+    pierre_weight = 0
+    total = 0
+    for a in _paul_ranks:
+        for b in _pierre_ranks:
+            weight_ab = COPIES_PER_RANK * (COPIES_PER_RANK - (b == a))
+            total += weight_ab * (DECK_SIZE - 2)
+            paul_final, pierre_current, draws = _before_draw(
+                a, b, paul.switch[a - 1], pierre.draw[b - 1]
+            )
+            if not draws:
+                # The unseen third card cannot matter: 50 equal outcomes.
+                if paul_final > pierre_current:
+                    paul_weight += weight_ab * (DECK_SIZE - 2)
+                if pierre_current >= paul_final:
+                    pierre_weight += weight_ab * (DECK_SIZE - 2)
+                continue
+            for c in _ALL_RANKS:
+                weight_c = COPIES_PER_RANK - (c == a) - (c == b)
+                pierre_final = pierre_current if c == KING else c
+                if paul_final > pierre_final:
+                    paul_weight += weight_ab * weight_c
+                if pierre_final >= paul_final:
+                    pierre_weight += weight_ab * weight_c
+    return paul_weight, pierre_weight, total
 
 
 def _equalisation_mix(

@@ -24,7 +24,7 @@ from montmort.leher import (
     paul_win_probability,
     pierre_win_probability,
     threshold_matrix,
-    _win_weights,
+    _weight_table,
 )
 from montmort.montecarlo import leher_simulate
 from montmort.pool import PoolConfig, pool_expected_games, pool_simulate, pool_solve
@@ -50,7 +50,7 @@ def _verdict(number: int, description: str, ok: bool) -> None:
 
 
 def test_criterion_1_table_reproduction():
-    _win_weights.cache_clear()
+    _weight_table.cache_clear()
     started = time.perf_counter()
     cells = (
         paul_win_probability(T7, P8),

@@ -20,8 +20,10 @@ from montmort.leher import (
     resolve_deal,
     paul_wins_deal,
     threshold_matrix,
+    _cell,
+    _weight_table,
 )
-from oracles import physical_deal_tallies
+from oracles import physical_deal_tallies, rank_subset_win_weights
 
 T7 = PaulStrategy.threshold(7)
 T6 = PaulStrategy.threshold(6)
@@ -74,6 +76,10 @@ class TestStrategies:
             PaulStrategy.parse("SSSSSSSXHHHHH")
         with pytest.raises(ValueError):
             PaulStrategy.parse("SSSSSSSDHHHHH")  # D is Pierre's letter
+        for bad in ("ſſſſſſſHHHHHH", "threshold:٧", "threshold:1_0"):
+            for strategy_type in (PaulStrategy, PierreStrategy):
+                with pytest.raises(ValueError):
+                    strategy_type.parse(bad)
 
     def test_serialize_prefers_threshold_form(self):
         assert T7.serialize() == "threshold:7"
@@ -326,6 +332,118 @@ class TestPhysicalDealOracle:
                         conditional_lot_pierre(card, action, paul)
                 else:
                     assert conditional_lot_pierre(card, action, paul) == expected
+
+
+# ---------------------------------------------------------------------------
+# The weight table against the former rank-subset enumerator
+# ---------------------------------------------------------------------------
+
+THRESHOLD_PAIRS = [
+    (PaulStrategy.threshold(s), PierreStrategy.threshold(t)) for s in range(14) for t in range(14)
+]
+
+
+class TestWeightTable:
+    def test_cell_invariants(self):
+        table = _weight_table()
+        assert len(table) == 676
+        for a in range(1, 14):
+            for b in range(1, 14):
+                deals = 4 * (4 - (a == b)) * 50
+                for switch in (False, True):
+                    for draw in (False, True):
+                        assert sum(table[_cell(a, b, switch, draw)]) == deals
+                assert table[_cell(a, b, True, False)] == table[_cell(a, b, True, True)]
+
+    @pytest.mark.parametrize(
+        "pairs", [THRESHOLD_PAIRS, _random_tables(41, 200)], ids=["thresholds", "tables"]
+    )
+    def test_full_lots_match_reference(self, pairs):
+        for paul, pierre in pairs:
+            paul_weight, pierre_weight, total = rank_subset_win_weights(paul, pierre)
+            assert total == ORDERED_DEALS
+            assert paul_win_probability(paul, pierre) == Fraction(paul_weight, total)
+            assert pierre_win_probability(paul, pierre) == Fraction(pierre_weight, total)
+
+    @pytest.mark.parametrize("paul,pierre", [(T7, P8), (T6, P7)] + _random_tables(41, 4))
+    def test_conditional_lots_match_reference(self, paul, pierre):
+        stand_ranks = tuple(rank for rank in range(1, 14) if not paul.switch[rank - 1])
+        paul_plans = ((PaulAction.SWITCH, ALWAYS_SWITCH), (PaulAction.HOLD, NEVER_SWITCH))
+        pierre_plans = ((PierreAction.DRAW, ALWAYS_DRAW), (PierreAction.HOLD, NEVER_DRAW))
+        for card in range(1, 14):
+            for action, plan in paul_plans:
+                win, _, total = rank_subset_win_weights(plan, pierre, (card,))
+                assert conditional_lot_paul(card, action, pierre) == Fraction(win, total)
+            for action, plan in pierre_plans:
+                _, win, total = rank_subset_win_weights(paul, plan, stand_ranks, (card,))
+                assert conditional_lot_pierre(card, action, paul) == Fraction(win, total)
+
+
+# ---------------------------------------------------------------------------
+# Waldegrave's mix over every per-rank table
+# ---------------------------------------------------------------------------
+
+#: Paul plays "switch the 7" 3 times in 8, Pierre "switch the 8" 5 times in 8.
+PAUL_MIX = ((Fraction(3, 8), T7), (Fraction(5, 8), T6))
+PIERRE_MIX = ((Fraction(5, 8), P8), (Fraction(3, 8), P7))
+MINIMAX = Fraction(11327, 22100)
+
+
+def _lot_against_pierre_mix(paul):
+    return sum(weight * paul_win_probability(paul, pierre) for weight, pierre in PIERRE_MIX)
+
+
+def _lot_against_paul_mix(pierre):
+    return sum(weight * paul_win_probability(paul, pierre) for weight, paul in PAUL_MIX)
+
+
+def _card_gains(strategy_type, lot):
+    """Paul's lot at the never-act table, and its change from acting on each card alone."""
+    base = lot(strategy_type.threshold(0))
+    gains = [
+        lot(strategy_type(tuple(rank == card for rank in range(1, 14)))) - base
+        for card in range(1, 14)
+    ]
+    return base, gains
+
+
+class TestWholeGameCertificate:
+    """Waldegrave's 3:5 / 5:3 mix is an equilibrium over all 2**13 x 2**13 per-rank tables.
+
+    Paul's lot is a sum over the deal classes (a, b) of a weight that reads
+    only Paul's flag at a and Pierre's flag at b. Against a fixed Pierre table,
+    or a mix of them, the lot is therefore a constant plus one term per card
+    Paul switches, and against Paul's mix it is a constant plus one term per
+    card Pierre draws on. Each best reply over all 8192 tables is thus a
+    per-card argmax of those terms, read off from 14 lots.
+    """
+
+    def test_paul_best_reply_to_pierre_mix(self):
+        base, gains = _card_gains(PaulStrategy, _lot_against_pierre_mix)
+        assert [card for card, gain in enumerate(gains, 1) if gain > 0] == list(range(1, 7))
+        assert [card for card, gain in enumerate(gains, 1) if gain == 0] == [7]
+        assert base + sum(gain for gain in gains if gain > 0) == MINIMAX
+        for paul in (T6, T7):
+            assert _lot_against_pierre_mix(paul) == MINIMAX
+
+    def test_pierre_best_reply_to_paul_mix(self):
+        base, gains = _card_gains(PierreStrategy, _lot_against_paul_mix)
+        assert [card for card, gain in enumerate(gains, 1) if gain < 0] == list(range(1, 8))
+        assert [card for card, gain in enumerate(gains, 1) if gain == 0] == [8]
+        assert base + sum(gain for gain in gains if gain < 0) == MINIMAX
+        for pierre in (P7, P8):
+            assert _lot_against_paul_mix(pierre) == MINIMAX
+
+    def test_no_sampled_table_beats_a_best_reply(self):
+        paul_base, paul_gains = _card_gains(PaulStrategy, _lot_against_pierre_mix)
+        pierre_base, pierre_gains = _card_gains(PierreStrategy, _lot_against_paul_mix)
+        for paul, pierre in _random_tables(43, 200):
+            lot = _lot_against_pierre_mix(paul)
+            assert lot == paul_base + sum(g for g, f in zip(paul_gains, paul.switch) if f)
+            assert lot <= MINIMAX
+            lot = _lot_against_paul_mix(pierre)
+            assert lot == pierre_base + sum(g for g, f in zip(pierre_gains, pierre.draw) if f)
+            assert lot >= MINIMAX
 
 
 # ---------------------------------------------------------------------------

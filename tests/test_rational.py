@@ -61,7 +61,10 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "/", "1/", "/2", "1/-2", "1/+2", "a/b", "1.5", "1/0", "--3", "1/2/3", "1 / 2"],
+        [
+            "", "/", "1/", "/2", "1/-2", "1/+2", "a/b", "1.5", "1/0", "--3", "1/2/3", "1 / 2",
+            "٣/٤", "٣", "3/٤", "3\n/4",
+        ],
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
