@@ -35,6 +35,48 @@ CASES = {
         "--paul", "threshold:6", "--format", "json",
     ],
     "leher_value_3_5_5_3.txt": ["leher", "value", "--a", "3", "--b", "5", "--c", "5", "--d", "3"],
+    "pool_solve_3.txt": ["pool", "solve", "--players", "3"],
+    "pool_solve_3.json": ["pool", "solve", "--players", "3", "--format", "json"],
+    "pool_solve_3.csv": ["pool", "solve", "--players", "3", "--format", "csv"],
+    "pool_solve_5_stakes.json": [
+        "pool", "solve", "--players", "5", "--p", "2/5", "--streak", "3",
+        "--ante", "3/2", "--fee", "1/4", "--format", "json",
+    ],
+    # More streak levels than seats.
+    "pool_solve_3_streak_4.json": [
+        "pool", "solve", "--players", "3", "--p", "3/4", "--streak", "4", "--format", "json",
+    ],
+    # Ten streak levels under the default streak.
+    "pool_solve_12.json": ["pool", "solve", "--players", "12", "--p", "1/3", "--format", "json"],
+    "pool_simulate_3_seed_42.txt": [
+        "pool", "simulate", "--players", "3", "--seed", "42", "--trials", "2000",
+    ],
+    "pool_simulate_3_seed_42.json": [
+        "pool", "simulate", "--players", "3", "--seed", "42", "--trials", "2000",
+        "--format", "json",
+    ],
+    "pool_simulate_3_seed_42.csv": [
+        "pool", "simulate", "--players", "3", "--seed", "42", "--trials", "2000",
+        "--format", "csv",
+    ],
+    "etrennes_solve.txt": ["etrennes", "solve"],
+    "etrennes_solve.json": ["etrennes", "solve", "--format", "json"],
+    "etrennes_solve.csv": ["etrennes", "solve", "--format", "csv"],
+    "etrennes_solve_7_3_5.json": [
+        "etrennes", "solve", "--even", "7/3", "--odd", "5", "--format", "json",
+    ],
+    "simulate_leher_seed_17.txt": [
+        "simulate", "leher", "--a", "3", "--b", "5", "--c", "5", "--d", "3",
+        "--seed", "17", "--trials", "2000",
+    ],
+    "simulate_leher_seed_17.json": [
+        "simulate", "leher", "--a", "3", "--b", "5", "--c", "5", "--d", "3",
+        "--seed", "17", "--trials", "2000", "--format", "json",
+    ],
+    "simulate_leher_seed_17.csv": [
+        "simulate", "leher", "--a", "3", "--b", "5", "--c", "5", "--d", "3",
+        "--seed", "17", "--trials", "2000", "--format", "csv",
+    ],
 }
 
 
