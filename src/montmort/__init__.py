@@ -27,7 +27,6 @@ from .pool import (
     PoolDivergenceError,
     PoolSimulation,
     PoolSolution,
-    PoolState,
     pool_expected_games,
     pool_simulate,
     pool_solve,
@@ -36,7 +35,6 @@ from .pool import (
 from .rational import (
     Rational,
     as_rational,
-    compare,
     decimal_string,
     format_rational,
     parse_rational,
@@ -75,7 +73,6 @@ __all__ = [
     "PoolDivergenceError",
     "PoolSimulation",
     "PoolSolution",
-    "PoolState",
     "RandomStream",
     "Rational",
     "ReportEntry",
@@ -83,7 +80,6 @@ __all__ = [
     "best_response",
     "build_leher_matrix",
     "build_reproduction_report",
-    "compare",
     "conditional_lot_paul",
     "conditional_lot_pierre",
     "conditional_mixed_lot_paul7",

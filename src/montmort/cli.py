@@ -14,8 +14,12 @@ import argparse
 import csv
 import io
 import json
+import re
+import string
 import sys
+from collections.abc import Callable
 from fractions import Fraction
+from typing import TypeVar
 
 from . import __version__, etrennes, leher, montecarlo, pool, report, solver
 from .rational import approx_string as _approx
@@ -23,26 +27,36 @@ from .rational import decimal_string, format_rational, parse_rational
 
 SIGMA_BAND = 4  # simulation verdicts: estimate within 4 standard errors
 
-
-def _rational(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
+_T = TypeVar("_T")
 
 
-def _paul_strategy(text: str) -> leher.PaulStrategy:
-    try:
-        return leher.PaulStrategy.parse(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 
-def _pierre_strategy(text: str) -> leher.PierreStrategy:
-    try:
-        return leher.PierreStrategy.parse(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
+def _parse_integer(text: str) -> int:
+    """An ASCII integer: int() alone would also read "٣" and "1_0"."""
+    body = text.strip(string.whitespace)
+    if not _INTEGER_RE.fullmatch(body):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(body)
+
+
+def _argument_type(parse: Callable[[str], _T]) -> Callable[[str], _T]:
+    """An argparse type that reports a parser's ValueError as a usage error."""
+
+    def convert(text: str) -> _T:
+        try:
+            return parse(text)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+
+    return convert
+
+
+_integer = _argument_type(_parse_integer)
+_rational = _argument_type(parse_rational)
+_paul_strategy = _argument_type(leher.PaulStrategy.parse)
+_pierre_strategy = _argument_type(leher.PierreStrategy.parse)
 
 
 def _print_csv(rows: list[list[str]]) -> None:
@@ -370,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         "conditional", help="a lot conditioned on the dealt card"
     )
     conditional.add_argument("--player", choices=("paul", "pierre"), required=True)
-    conditional.add_argument("--card", type=int, required=True, help="dealt rank, 1..13")
+    conditional.add_argument("--card", type=_integer, required=True, help="dealt rank, 1..13")
     conditional.add_argument(
         "--action", choices=("hold", "switch", "draw"), required=True,
         help="hold/switch for Paul, hold/draw for Pierre",
@@ -401,13 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
     pool_commands = pool_parser.add_subparsers(dest="subcommand", required=True)
 
     def add_pool_options(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--players", type=int, required=True, help="number of seats, >= 2")
+        sub.add_argument("--players", type=_integer, required=True, help="number of seats, >= 2")
         sub.add_argument("--p", type=_rational, default=Fraction(1, 2),
                          help="incumbent's win probability each game (default 1/2)")
         sub.add_argument("--ante", type=_rational, default=Fraction(1), help="ante (default 1)")
         sub.add_argument("--fee", type=_rational, default=Fraction(1),
                          help="fee each loser pays (default 1)")
-        sub.add_argument("--streak", type=int, default=None,
+        sub.add_argument("--streak", type=_integer, default=None,
                          help="consecutive wins required (default players - 1)")
 
     pool_solve = pool_commands.add_parser("solve", help="exact per-seat solution")
@@ -417,9 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pool_sim = pool_commands.add_parser("simulate", help="Monte Carlo cross-check")
     add_pool_options(pool_sim)
-    pool_sim.add_argument("--seed", type=int, required=True)
-    pool_sim.add_argument("--trials", type=int, required=True)
-    pool_sim.add_argument("--max-games", type=int, default=pool.DEFAULT_TRIAL_GAME_CAP,
+    pool_sim.add_argument("--seed", type=_integer, required=True)
+    pool_sim.add_argument("--trials", type=_integer, required=True)
+    pool_sim.add_argument("--max-games", type=_integer, default=pool.DEFAULT_TRIAL_GAME_CAP,
                           help="abandon a trial after this many games")
     _add_format(pool_sim)
     pool_sim.set_defaults(handler=_cmd_pool_simulate)
@@ -439,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim_leher = simulate_commands.add_parser("leher", help="simulate mixed-strategy Le Her")
     for name in ("--a", "--b", "--c", "--d"):
         sim_leher.add_argument(name, type=_rational, required=True)
-    sim_leher.add_argument("--seed", type=int, required=True)
-    sim_leher.add_argument("--trials", type=int, required=True)
+    sim_leher.add_argument("--seed", type=_integer, required=True)
+    sim_leher.add_argument("--trials", type=_integer, required=True)
     _add_format(sim_leher)
     sim_leher.set_defaults(handler=_cmd_simulate_leher)
 

@@ -28,6 +28,7 @@ and conditional lot is an exact Fraction summed from it; no floats anywhere.
 from __future__ import annotations
 
 import enum
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -120,8 +121,8 @@ class _RankTable:
 
     @classmethod
     def parse(cls: type[_Table], text: str) -> _Table:
-        """Accepts "threshold:t" or a 13-letter action table."""
-        body = text.strip()
+        """Accepts "threshold:t" or a 13-letter action table (ASCII only)."""
+        body = text.strip(string.whitespace)
         if body.lower().startswith("threshold:"):
             value = body.split(":", 1)[1]
             if not value.isascii() or "_" in value:  # int() reads "٧" and "1_0" too

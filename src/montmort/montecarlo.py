@@ -74,12 +74,6 @@ class RandomStream:
                 self.state = x
                 return draw % bound
 
-    def bernoulli(self, probability: Fraction) -> bool:
-        """Exact-probability coin flip: no floating point in the threshold."""
-        if not 0 <= probability <= 1:
-            raise ValueError(f"probability must lie in [0, 1], got {probability}")
-        return self.next_below(probability.denominator) < probability.numerator
-
 
 #: The 52 cards as ranks in rank order, so pick k of a deal is the k-th card left.
 _DECK = tuple(

@@ -17,12 +17,15 @@ trajectories to trajectories. A tracked player's winning chances, expected
 fee losses and games-weighted winnings therefore depend on the state only
 through the player's role: the champion's streak level and the player's
 place at that level (champion or queue position). A champion win moves one
-level up and every loss lands on level 1, so the levels reduce from the top
-down to one exact n x n system per quantity (the absorbing-chain argument
-of Kemeny and Snell, applied one streak level at a time), and the expected
-duration has a closed form. The test suite cross-checks against the
-unlumped state-space solve and against truncated enumeration of game
-sequences.
+level up and every loss lands on level 1, so each quantity is one exact
+n x n system over the level-1 roles (the absorbing-chain argument of Kemeny
+and Snell): a level-1 role's row is read off its win path, the roles it
+holds on the levels above through consecutive champion wins, each of whose
+games either pays that level's reward or sends it back to level 1. The
+upper levels are never formed, and the expected duration has a closed
+form. The test suite cross-checks against the unlumped state-space solve,
+against truncated enumeration of game sequences and, under the default
+streak, against the historical pool's closed-form ratio.
 
 Everything exact is a Fraction; the Monte Carlo cross-check reports exact
 empirical frequencies with floating-point standard errors.
@@ -30,6 +33,7 @@ empirical frequencies with floating-point standard errors.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -39,6 +43,9 @@ from .rational import as_rational
 from .solver import solve_linear_system
 
 DEFAULT_TRIAL_GAME_CAP = 1_000_000
+
+# A role's reward per game on level j + 1, as a function of (j, role).
+Reward = Callable[[int, int], Fraction]
 
 
 class PoolDivergenceError(ValueError):
@@ -78,41 +85,8 @@ class PoolConfig:
         return self.players * self.ante
 
 
-@dataclass(frozen=True)
-class PoolState:
-    """Position between games: who is on a streak and who waits in line."""
-
-    champion: int
-    streak: int
-    queue: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.streak < 1:
-            raise ValueError("streak must be at least 1")
-        seats = (self.champion, *self.queue)
-        if len(set(seats)) != len(seats):
-            raise ValueError("champion and queue must name distinct seats")
-
-
-def advance(state: PoolState, champion_wins: bool) -> PoolState:
-    """Play one game: the loser goes to the back, the winner is champion."""
-    challenger = state.queue[0]
-    rest = state.queue[1:]
-    if champion_wins:
-        return PoolState(state.champion, state.streak + 1, rest + (challenger,))
-    return PoolState(challenger, 1, rest + (state.champion,))
-
-
-def opening_state(config: PoolConfig, incumbent_won: bool) -> PoolState:
-    """The state after game one, which seats 0 and 1 play (seat 0 incumbent)."""
-    waiting = tuple(range(2, config.players))
-    if incumbent_won:
-        return PoolState(0, 1, waiting + (1,))
-    return PoolState(1, 1, waiting + (0,))
-
-
 # ---------------------------------------------------------------------------
-# Level-by-level role solve
+# Level-1 role solve along the win paths
 # ---------------------------------------------------------------------------
 
 
@@ -123,44 +97,42 @@ def _require_absorbing(config: PoolConfig) -> None:
         )
 
 
-def _solve_levels(config: PoolConfig, rewards: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Each role's value, level by level, for one reward vector per level.
+def _level_one(
+    config: PoolConfig, reward: Reward, win_chances: list[Fraction] | None = None
+) -> list[Fraction]:
+    """Each level-1 role's value, its row read off the role's win path.
 
     Level s (streak 1..R-1) has n roles: role 0 is the champion on streak s
-    and role i is queue position i. A role's value is its reward plus, with
-    probability p, the value of its champion-wins successor on level s + 1
-    (roles 0 -> 0, 1 -> n - 1, i -> i - 1; nothing once the top level wins,
-    as the pool ends) plus, with probability 1 - p, the value of its
-    champion-loses successor on level 1 (roles 0 -> n - 1, 1 -> 0, i -> i - 1).
-    Working down from the top, each level is affine in level 1,
-    x_s = a_s + M_s x_1, so the only system solved is (I - M_1) x_1 = a_1,
-    n x n. The levels above follow from the same equations read forwards:
-    the win map is a permutation, and p > 0 whenever there are two levels
-    or more, since with p = 0 that system is singular.
+    and role i is queue position i. A champion win moves role r up a level
+    as won[r] (0 -> 0, 1 -> n - 1, i -> i - 1; the pool ends from the top
+    level) and a loss sends it to level 1 as lost[r] (0 -> n - 1, 1 -> 0,
+    i -> i - 1). After j wins in a row (j = 0..R-2) level-1 role r is role
+    won^j(r) on level j + 1, with weight p^j; each game there pays
+    reward(j, role) and with probability q = 1 - p sends it to level 1, so
+    x1[r] = sum_j p^j (reward + q x1[lost[won^j r]]). Given the level-1 win
+    chances w1 it solves E[G 1{win}], whose reward is each level's win
+    chance: unrolled along the same path, its constant is
+    sum_j (j + 1) p^j (reward + q w1[lost[won^j r]]).
     """
-    n = config.players
-    p = config.champion_win_prob
+    n, p = config.players, config.champion_win_prob
     q = 1 - p
     won = (0, n - 1, *range(1, n - 1))
     lost = (n - 1, 0, *range(1, n - 1))
-    a = [Fraction(0)] * n
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for reward in reversed(rewards):
-        a = [reward[r] + p * a[won[r]] for r in range(n)]
-        m = [[p * x for x in m[won[r]]] for r in range(n)]
-        for r in range(n):
-            m[r][lost[r]] += q
-    system = [[int(r == c) - m[r][c] for c in range(n)] for r in range(n)]
-    first = solve_linear_system(system, a)
-    if first is None:
+    system = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    constants = [Fraction(0)] * n
+    for r in range(n):
+        role, weight = r, Fraction(1)
+        for j in range(config.streak_required - 1):
+            system[r][lost[role]] -= weight * q
+            gain = reward(j, role)
+            if win_chances is not None:
+                gain = (j + 1) * (gain + q * win_chances[lost[role]])
+            constants[r] += weight * gain
+            role, weight = won[role], weight * p
+    solution = solve_linear_system(system, constants)
+    if solution is None:
         raise PoolDivergenceError("the pool's linear system is singular; no certain finish")
-    levels = [first]
-    for reward in rewards[:-1]:
-        below, above = levels[-1], [Fraction(0)] * n
-        for r in range(n):
-            above[won[r]] = (below[r] - reward[r] - q * first[lost[r]]) / p
-        levels.append(above)
-    return levels
+    return solution
 
 
 def _seat_values(
@@ -179,18 +151,21 @@ def _seat_values(
     return [p * champion + (1 - p) * back, p * back + (1 - p) * champion, *level_one[1:-1]]
 
 
-def _win_chances(config: PoolConfig) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Each seat's chance of taking the pot, and each role's, level by level."""
+def _pot_reward(config: PoolConfig) -> Reward:
+    """Only the top-level champion can take the pot, by winning once more."""
+    top, p = config.streak_required - 2, config.champion_win_prob
+    return lambda j, role: p if j == top and role == 0 else Fraction(0)
+
+
+def _win_chances(config: PoolConfig) -> tuple[list[Fraction], list[Fraction]]:
+    """Each seat's chance of taking the pot, and each level-1 role's."""
     _require_absorbing(config)
     n, p = config.players, config.champion_win_prob
     if config.streak_required == 1:
         # Game one decides the pool; there are no levels.
         return [p, 1 - p] + [Fraction(0)] * (n - 2), []
-    # Only the top-level champion can take the pot, by winning once more.
-    zeros = [Fraction(0)] * n
-    rewards = [zeros] * (config.streak_required - 2) + [[p] + zeros[1:]]
-    levels = _solve_levels(config, rewards)
-    return _seat_values(config, levels[0]), levels
+    level_one = _level_one(config, _pot_reward(config))
+    return _seat_values(config, level_one), level_one
 
 
 def pool_win_probabilities(config: PoolConfig) -> tuple[Fraction, ...]:
@@ -224,28 +199,27 @@ def pool_solve(config: PoolConfig) -> PoolSolution:
     """Complete exact solution: win chances, duration, payments and nets.
 
     A seat's payment is its ante plus the fee times its expected losses. Its
-    pot share is E[(n * ante + fee * G) 1{seat wins}], with the coupled term
-    E[G 1{seat wins}] solved over the same streak levels using the win
-    probabilities as rewards.
+    pot share is E[(n * ante + fee * G) 1{seat wins}]. Win chances, losses
+    and the coupled term E[G 1{seat wins}] are each one n x n system over
+    the level-1 roles, its rows read off the roles' win paths.
     """
-    win, win_levels = _win_chances(config)
-    n = config.players
-    p = config.champion_win_prob
+    win, win_level_one = _win_chances(config)
+    n, p = config.players, config.champion_win_prob
     ante, fee = config.ante, config.fee
     expected_games = pool_expected_games(config)
+    loss = [1 - p, p] + [Fraction(0)] * (n - 2)
 
     if config.streak_required == 1:
         # Game one decides the pool: its loser pays once, nobody else does.
-        losses = [1 - p, p] + [Fraction(0)] * (n - 2)
+        losses = loss
         games_won = list(win)
     else:
         # The champion pays when beaten; the challenger pays whenever the
         # champion wins, the final game included.
-        loss_rewards = [[1 - p, p] + [Fraction(0)] * (n - 2)] * len(win_levels)
-        losses = _seat_values(config, _solve_levels(config, loss_rewards)[0], Fraction(1))
+        losses = _seat_values(config, _level_one(config, lambda j, role: loss[role]), Fraction(1))
         # E[(games after game one) 1{wins}] per role, then add the win
         # probability itself so game one is counted.
-        coupled = _seat_values(config, _solve_levels(config, win_levels)[0])
+        coupled = _seat_values(config, _level_one(config, _pot_reward(config), win_level_one))
         games_won = [seat_win + seat_coupled for seat_win, seat_coupled in zip(win, coupled)]
 
     pot_base = n * ante
@@ -285,8 +259,8 @@ def pool_simulate(
     Identical (config, seed, trials) always reproduces identical output.
     A trial that reaches `max_games` games is abandoned and counted in
     `truncated_trials`: its fees are kept in the books but nobody collects
-    the pot. The trial loop mirrors `advance` with plain integers; the test
-    suite pins the two code paths against each other.
+    the pot. The trial loop is the pool's transition law in plain integers;
+    the test suite pins it against the oracle `advance` in `tests/oracles.py`.
     """
     require_count("trials", trials)
     require_count("max_games", max_games)

@@ -14,6 +14,7 @@ coercing inputs.
 from __future__ import annotations
 
 import re
+import string
 from fractions import Fraction
 
 Rational = Fraction
@@ -28,12 +29,12 @@ def parse_rational(text: str) -> Fraction:
     """Parse the "p/q" wire form, or a bare integer "p" meaning p/1.
 
     The sign, if any, goes on p; q must be a plain positive integer. Digits
-    are ASCII only.
+    and the surrounding whitespace are ASCII only.
 
     >>> parse_rational("-3/6")
     Fraction(-1, 2)
     """
-    body = text.strip()
+    body = text.strip(string.whitespace)
     numerator, slash, denominator = body.partition("/")
     if not _NUMERATOR_RE.fullmatch(numerator):
         raise ValueError(f"malformed rational {text!r}: expected 'p' or 'p/q'")
@@ -97,11 +98,3 @@ def approx_string(value: Fraction, digits: int = DEFAULT_DECIMAL_DIGITS) -> str:
     """The standard two-part rendering: exact form first, decimal alongside."""
     return f"{format_rational(value)} ≈ {decimal_string(value, digits)}"
 
-
-def compare(x: Fraction, y: Fraction) -> int:
-    """Exact three-way comparison: -1, 0 or 1 as x is below, equal to or above y."""
-    if x < y:
-        return -1
-    if x > y:
-        return 1
-    return 0

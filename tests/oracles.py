@@ -1,13 +1,16 @@
 """Independent oracles the tests check the exact engines against.
 
-These deliberately avoid the production solvers' code paths. The truncated
-pool enumeration walks game sequences breadth-first using only the pool's
-transition law (`advance`) and exact Fractions; the unlumped solver builds
-the raw (champion, streak, queue) state space and solves it seat by seat,
+These deliberately avoid the production solvers' code paths. The pool's
+reference transition law lives here (`PoolState`, `advance`,
+`opening_state`); the engine keeps only the simulator's integer loop. The
+truncated pool enumeration walks game sequences breadth-first using only
+that law and exact Fractions; the unlumped solver builds the raw
+(champion, streak, queue) state space and solves it seat by seat,
 validating the role-symmetry reduction used in production. The reference
 pool simulator replays `pool_simulate`'s stream usage through `advance`;
-the reference Le Her simulator draws tokens with `bernoulli`, walks rank
-counts for every card and settles every deal through `paul_wins_deal`.
+the reference Le Her simulator draws tokens with the exact coin flip
+`bernoulli`, walks rank counts for every card and settles every deal
+through `paul_wins_deal`.
 The Le Her deal tally walks the 52 * 51 * 50 ordered deals of physical cards
 one by one through the game law (`paul_wins_deal`), with none of the
 rank-multiplicity weights the exact enumeration uses. The rank-subset
@@ -36,8 +39,41 @@ from montmort.leher import (
     paul_wins_deal,
 )
 from montmort.montecarlo import RandomStream
-from montmort.pool import PoolConfig, PoolState, advance, opening_state
+from montmort.pool import PoolConfig
 from montmort.solver import GameMatrix, solve_linear_system
+
+
+@dataclass(frozen=True)
+class PoolState:
+    """Position between games: who is on a streak and who waits in line."""
+
+    champion: int
+    streak: int
+    queue: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.streak < 1:
+            raise ValueError("streak must be at least 1")
+        seats = (self.champion, *self.queue)
+        if len(set(seats)) != len(seats):
+            raise ValueError("champion and queue must name distinct seats")
+
+
+def advance(state: PoolState, champion_wins: bool) -> PoolState:
+    """Play one game: the loser goes to the back, the winner is champion."""
+    challenger = state.queue[0]
+    rest = state.queue[1:]
+    if champion_wins:
+        return PoolState(state.champion, state.streak + 1, rest + (challenger,))
+    return PoolState(challenger, 1, rest + (state.champion,))
+
+
+def opening_state(config: PoolConfig, incumbent_won: bool) -> PoolState:
+    """The state after game one, which seats 0 and 1 play (seat 0 incumbent)."""
+    waiting = tuple(range(2, config.players))
+    if incumbent_won:
+        return PoolState(0, 1, waiting + (1,))
+    return PoolState(1, 1, waiting + (0,))
 
 
 @dataclass(frozen=True)
@@ -267,6 +303,13 @@ def _draw_three_ranks(stream: RandomStream) -> tuple[int, int, int]:
     return dealt[0], dealt[1], dealt[2]
 
 
+def bernoulli(stream: RandomStream, probability: Fraction) -> bool:
+    """Exact-probability coin flip: no floating point in the threshold."""
+    if not 0 <= probability <= 1:
+        raise ValueError(f"probability must lie in [0, 1], got {probability}")
+    return stream.next_below(probability.denominator) < probability.numerator
+
+
 def simulate_leher_reference(a, b, c, d, seed: int, trials: int) -> int:
     """Paul's wins over `trials` token-bag deals, one game-law call per deal.
 
@@ -283,8 +326,8 @@ def simulate_leher_reference(a, b, c, d, seed: int, trials: int) -> int:
     stream = RandomStream(seed)
     wins = 0
     for _ in range(trials):
-        paul = paul_choices[stream.bernoulli(paul_switch)]
-        pierre = pierre_choices[stream.bernoulli(pierre_switch)]
+        paul = paul_choices[bernoulli(stream, paul_switch)]
+        pierre = pierre_choices[bernoulli(stream, pierre_switch)]
         paul_card, pierre_card, replacement = _draw_three_ranks(stream)
         if paul_wins_deal(paul_card, pierre_card, replacement, paul, pierre):
             wins += 1

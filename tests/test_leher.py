@@ -76,7 +76,7 @@ class TestStrategies:
             PaulStrategy.parse("SSSSSSSXHHHHH")
         with pytest.raises(ValueError):
             PaulStrategy.parse("SSSSSSSDHHHHH")  # D is Pierre's letter
-        for bad in ("ſſſſſſſHHHHHH", "threshold:٧", "threshold:1_0"):
+        for bad in ("ſſſſſſſHHHHHH", "threshold:٧", "threshold:1_0", "\u3000threshold:7"):
             for strategy_type in (PaulStrategy, PierreStrategy):
                 with pytest.raises(ValueError):
                     strategy_type.parse(bad)

@@ -5,15 +5,19 @@ import pytest
 from montmort.pool import (
     PoolConfig,
     PoolDivergenceError,
-    PoolState,
-    advance,
-    opening_state,
     pool_expected_games,
     pool_simulate,
     pool_solve,
     pool_win_probabilities,
 )
-from oracles import enumerate_pool, simulate_pool_reference, unlumped_win_probabilities
+from oracles import (
+    PoolState,
+    advance,
+    enumerate_pool,
+    opening_state,
+    simulate_pool_reference,
+    unlumped_win_probabilities,
+)
 
 FAIR3 = PoolConfig(3)
 
@@ -126,6 +130,73 @@ class TestWinProbabilities:
     def test_waiting_seats_degrade_at_even_odds(self):
         probs = pool_win_probabilities(PoolConfig(4))
         assert probs[0] == probs[1] >= probs[2] >= probs[3]
+
+
+class TestHistoricalPoolClosedForm:
+    """Under the default streak R = n - 1, seats 1..n-1 win in geometric ratio.
+
+    Law: w[k + 1] / w[k] = 1 / (1 + q p^(n-2)) for k = 1..n-2, q = 1 - p.
+
+    Argument. Let z(s, i) be the chance of the player at queue position
+    i >= 1 while the champion is on streak s, and x_i = z(1, i). Couple the
+    games of two pools that differ only in that streak, s against s + 1.
+    They stay identical until the champion loses, after which their states
+    coincide, unless the champion first wins m = R - s - 1 games in a row:
+    then the streak-(s + 1) pool ends with the tracked player beaten (it
+    stood within reach, i <= m), while the streak-s champion, with
+    probability q, loses the next game and starts a fresh reign in which
+    the tracked player stands at position i + s. So
+
+        z(s, i) = z(s + 1, i) + q p^m x_{i+s}        (i + s <= n - 2).
+
+    A player at position i + 1 >= 2 is not the next challenger: a champion
+    loss starts a fresh reign with it at position i, a champion win leaves
+    it at position i behind a streak-2 champion, so
+    x_{i+1} = q x_i + p z(2, i) = x_i - q p^(n-2) x_{i+1} for i + 1 <= n - 2.
+    Game one leaves a streak-1 champion and seat k >= 2 at position k - 1
+    whatever its outcome, so w[k] = x_{k-1}: seats 2..n-1 are geometric.
+    Seat 1 stands at position 1 behind a streak-0 champion, so
+    w[1] = z(0, 1) = x_1 + q p^(n-2) x_1 = w[2] (1 + q p^(n-2)).
+    At p = 1/2 seats 0 and 1 are interchangeable, so w[0] = w[1] as well
+    and the law fixes the whole vector.
+
+    This is an independent check on the engine's role solve, far beyond
+    the unlumped oracle's reach.
+    """
+
+    @staticmethod
+    def ratio(n, p):
+        return 1 / (1 + (1 - p) * p ** (n - 2))
+
+    @pytest.mark.parametrize(
+        "n, p",
+        [
+            (n, p)
+            for n in range(3, 9)
+            for p in ("1/7", "1/3", "2/5", "1/2", "3/4", "5/6")
+        ]
+        + [(n, p) for n in (20, 30, 40) for p in ("1/2", "2/5")],
+    )
+    def test_geometric_ratio(self, n, p):
+        config = PoolConfig(n, p)
+        win = pool_win_probabilities(config)
+        assert sum(win) == 1
+        ratio = self.ratio(n, config.champion_win_prob)
+        for k in range(1, n - 1):
+            assert win[k + 1] == ratio * win[k]
+
+    def fair_law(self, n):
+        # w[0] = w[1] = a and w[k] = a ratio^(k-1) for k >= 1, summing to 1.
+        ratio = self.ratio(n, Fraction(1, 2))
+        a = 1 / (1 + sum(ratio**k for k in range(n - 1)))
+        return (a, *(a * ratio**k for k in range(n - 1)))
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_fair_pool_is_fixed_by_the_law(self, n):
+        assert pool_win_probabilities(PoolConfig(n)) == self.fair_law(n)
+
+    def test_law_gives_waldegraves_answer(self):
+        assert self.fair_law(3) == (Fraction(5, 14), Fraction(5, 14), Fraction(4, 14))
 
 
 class TestExpectedGames:

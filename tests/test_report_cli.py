@@ -74,6 +74,31 @@ class TestCli:
         assert excinfo.value.code == 2
         assert "malformed rational" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["leher", "conditional", "--player", "paul", "--card", "٧", "--action", "hold"],
+            ["pool", "solve", "--players", "٣"],
+            ["pool", "solve", "--players", "3", "--streak", "٢"],
+            ["pool", "simulate", "--players", "3", "--seed", "1", "--trials", "10",
+             "--max-games", "1_000"],
+            ["simulate", "leher", "--a", "3", "--b", "5", "--c", "5", "--d", "3",
+             "--seed", "1_0", "--trials", "1_000"],
+            ["simulate", "leher", "--a", "3", "--b", "5", "--c", "5", "--d", "3",
+             "--seed", "1", "--trials", "1_000"],
+        ],
+    )
+    def test_integer_flags_are_ascii_only(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+
+    def test_negative_seed_accepted(self, capsys):
+        argv = ["pool", "simulate", "--players", "3", "--seed", "-5", "--trials", "200"]
+        assert main(argv) == 0
+        assert "seed -5" in capsys.readouterr().out
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["leher", "table", "--frobnicate"])
