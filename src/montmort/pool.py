@@ -138,7 +138,7 @@ def _level_one(
 def _seat_values(
     config: PoolConfig, level_one: list[Fraction], opener_extra: Fraction = Fraction(0)
 ) -> list[Fraction]:
-    """Combine level-1 role values over the two outcomes of game one.
+    """Combine the level-1 role values from `_level_one` over game one's outcomes.
 
     Seat 0 becomes the streak-1 champion with probability p and otherwise
     lands at the back of the queue; seat 1 mirrors it; seat k >= 2 starts at
