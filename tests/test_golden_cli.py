@@ -3,7 +3,8 @@
 Each file under `golden_cli/` holds the exact stdout of one `montmort`
 command, so an engine change that alters any printed figure, label, number
 format or line ending shows up here, not only in the figures the other
-tests compare as Fractions.
+tests compare as Fractions. Each case also pins the command's exit code:
+a simulation whose estimate misses its exact target exits 1.
 """
 
 from pathlib import Path
@@ -14,73 +15,82 @@ from montmort.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden_cli"
 
+_PAUL_7_HOLD = [
+    "leher", "conditional", "--player", "paul", "--card", "7", "--action", "hold",
+    "--pierre", "threshold:8",
+]
+_PIERRE_8_DRAW = [
+    "leher", "conditional", "--player", "pierre", "--card", "8", "--action", "draw",
+    "--paul", "threshold:6",
+]
+_VALUE_3_5_5_3 = ["leher", "value", "--a", "3", "--b", "5", "--c", "5", "--d", "3"]
+_POOL_SIM_3 = ["pool", "simulate", "--players", "3", "--seed", "42"]
+_SIM_LEHER_17 = [
+    "simulate", "leher", "--a", "3", "--b", "5", "--c", "5", "--d", "3", "--seed", "17",
+]
+_JSON = ["--format", "json"]
+_CSV = ["--format", "csv"]
+
+# file name -> (exit code, argv)
 CASES = {
-    "reproduce.txt": ["reproduce"],
-    "reproduce.json": ["reproduce", "--format", "json"],
-    "reproduce.csv": ["reproduce", "--format", "csv"],
-    "leher_table.json": ["leher", "table", "--format", "json"],
-    "leher_table.csv": ["leher", "table", "--format", "csv"],
-    "leher_table_all_thresholds.json": ["leher", "table", "--all-thresholds", "--format", "json"],
-    "leher_table_all_thresholds.csv": ["leher", "table", "--all-thresholds", "--format", "csv"],
-    "leher_solve.json": ["leher", "solve", "--format", "json"],
-    "leher_solve.csv": ["leher", "solve", "--format", "csv"],
-    "leher_solve_all_thresholds.json": ["leher", "solve", "--all-thresholds", "--format", "json"],
-    "leher_solve_all_thresholds.csv": ["leher", "solve", "--all-thresholds", "--format", "csv"],
-    "leher_conditional_paul_7_hold.json": [
-        "leher", "conditional", "--player", "paul", "--card", "7", "--action", "hold",
-        "--pierre", "threshold:8", "--format", "json",
-    ],
-    "leher_conditional_pierre_8_draw.json": [
-        "leher", "conditional", "--player", "pierre", "--card", "8", "--action", "draw",
-        "--paul", "threshold:6", "--format", "json",
-    ],
-    "leher_value_3_5_5_3.txt": ["leher", "value", "--a", "3", "--b", "5", "--c", "5", "--d", "3"],
-    "pool_solve_3.txt": ["pool", "solve", "--players", "3"],
-    "pool_solve_3.json": ["pool", "solve", "--players", "3", "--format", "json"],
-    "pool_solve_3.csv": ["pool", "solve", "--players", "3", "--format", "csv"],
-    "pool_solve_5_stakes.json": [
+    "reproduce.txt": (0, ["reproduce"]),
+    "reproduce.json": (0, ["reproduce", *_JSON]),
+    "reproduce.csv": (0, ["reproduce", *_CSV]),
+    "leher_table.txt": (0, ["leher", "table"]),
+    "leher_table.json": (0, ["leher", "table", *_JSON]),
+    "leher_table.csv": (0, ["leher", "table", *_CSV]),
+    "leher_table_all_thresholds.txt": (0, ["leher", "table", "--all-thresholds"]),
+    "leher_table_all_thresholds.json": (0, ["leher", "table", "--all-thresholds", *_JSON]),
+    "leher_table_all_thresholds.csv": (0, ["leher", "table", "--all-thresholds", *_CSV]),
+    "leher_solve.txt": (0, ["leher", "solve"]),
+    "leher_solve.json": (0, ["leher", "solve", *_JSON]),
+    "leher_solve.csv": (0, ["leher", "solve", *_CSV]),
+    "leher_solve_all_thresholds.json": (0, ["leher", "solve", "--all-thresholds", *_JSON]),
+    "leher_solve_all_thresholds.csv": (0, ["leher", "solve", "--all-thresholds", *_CSV]),
+    "leher_conditional_paul_7_hold.txt": (0, _PAUL_7_HOLD),
+    "leher_conditional_paul_7_hold.json": (0, [*_PAUL_7_HOLD, *_JSON]),
+    "leher_conditional_paul_7_hold.csv": (0, [*_PAUL_7_HOLD, *_CSV]),
+    "leher_conditional_pierre_8_draw.txt": (0, _PIERRE_8_DRAW),
+    "leher_conditional_pierre_8_draw.json": (0, [*_PIERRE_8_DRAW, *_JSON]),
+    "leher_conditional_pierre_8_draw.csv": (0, [*_PIERRE_8_DRAW, *_CSV]),
+    "leher_value_3_5_5_3.txt": (0, _VALUE_3_5_5_3),
+    "leher_value_3_5_5_3.json": (0, [*_VALUE_3_5_5_3, *_JSON]),
+    "leher_value_3_5_5_3.csv": (0, [*_VALUE_3_5_5_3, *_CSV]),
+    "pool_solve_3.txt": (0, ["pool", "solve", "--players", "3"]),
+    "pool_solve_3.json": (0, ["pool", "solve", "--players", "3", *_JSON]),
+    "pool_solve_3.csv": (0, ["pool", "solve", "--players", "3", *_CSV]),
+    "pool_solve_5_stakes.json": (0, [
         "pool", "solve", "--players", "5", "--p", "2/5", "--streak", "3",
-        "--ante", "3/2", "--fee", "1/4", "--format", "json",
-    ],
+        "--ante", "3/2", "--fee", "1/4", *_JSON,
+    ]),
     # More streak levels than seats.
-    "pool_solve_3_streak_4.json": [
-        "pool", "solve", "--players", "3", "--p", "3/4", "--streak", "4", "--format", "json",
-    ],
+    "pool_solve_3_streak_4.json": (0, [
+        "pool", "solve", "--players", "3", "--p", "3/4", "--streak", "4", *_JSON,
+    ]),
     # Ten streak levels under the default streak.
-    "pool_solve_12.json": ["pool", "solve", "--players", "12", "--p", "1/3", "--format", "json"],
-    "pool_simulate_3_seed_42.txt": [
-        "pool", "simulate", "--players", "3", "--seed", "42", "--trials", "2000",
-    ],
-    "pool_simulate_3_seed_42.json": [
-        "pool", "simulate", "--players", "3", "--seed", "42", "--trials", "2000",
-        "--format", "json",
-    ],
-    "pool_simulate_3_seed_42.csv": [
-        "pool", "simulate", "--players", "3", "--seed", "42", "--trials", "2000",
-        "--format", "csv",
-    ],
-    "etrennes_solve.txt": ["etrennes", "solve"],
-    "etrennes_solve.json": ["etrennes", "solve", "--format", "json"],
-    "etrennes_solve.csv": ["etrennes", "solve", "--format", "csv"],
-    "etrennes_solve_7_3_5.json": [
-        "etrennes", "solve", "--even", "7/3", "--odd", "5", "--format", "json",
-    ],
-    "simulate_leher_seed_17.txt": [
-        "simulate", "leher", "--a", "3", "--b", "5", "--c", "5", "--d", "3",
-        "--seed", "17", "--trials", "2000",
-    ],
-    "simulate_leher_seed_17.json": [
-        "simulate", "leher", "--a", "3", "--b", "5", "--c", "5", "--d", "3",
-        "--seed", "17", "--trials", "2000", "--format", "json",
-    ],
-    "simulate_leher_seed_17.csv": [
-        "simulate", "leher", "--a", "3", "--b", "5", "--c", "5", "--d", "3",
-        "--seed", "17", "--trials", "2000", "--format", "csv",
-    ],
+    "pool_solve_12.json": (0, ["pool", "solve", "--players", "12", "--p", "1/3", *_JSON]),
+    "pool_simulate_3_seed_42.txt": (0, [*_POOL_SIM_3, "--trials", "2000"]),
+    "pool_simulate_3_seed_42.json": (0, [*_POOL_SIM_3, "--trials", "2000", *_JSON]),
+    "pool_simulate_3_seed_42.csv": (0, [*_POOL_SIM_3, "--trials", "2000", *_CSV]),
+    # One trial: every frequency is 0 or 1 with sigma 0, so every seat fails.
+    "pool_simulate_3_seed_42_trials_1.txt": (1, [*_POOL_SIM_3, "--trials", "1"]),
+    "pool_simulate_3_seed_42_trials_1.json": (1, [*_POOL_SIM_3, "--trials", "1", *_JSON]),
+    "pool_simulate_3_seed_42_trials_1.csv": (1, [*_POOL_SIM_3, "--trials", "1", *_CSV]),
+    "etrennes_solve.txt": (0, ["etrennes", "solve"]),
+    "etrennes_solve.json": (0, ["etrennes", "solve", *_JSON]),
+    "etrennes_solve.csv": (0, ["etrennes", "solve", *_CSV]),
+    "etrennes_solve_7_3_5.json": (0, ["etrennes", "solve", "--even", "7/3", "--odd", "5", *_JSON]),
+    "simulate_leher_seed_17.txt": (0, [*_SIM_LEHER_17, "--trials", "2000"]),
+    "simulate_leher_seed_17.json": (0, [*_SIM_LEHER_17, "--trials", "2000", *_JSON]),
+    "simulate_leher_seed_17.csv": (0, [*_SIM_LEHER_17, "--trials", "2000", *_CSV]),
+    "simulate_leher_seed_17_trials_1.txt": (1, [*_SIM_LEHER_17, "--trials", "1"]),
+    "simulate_leher_seed_17_trials_1.json": (1, [*_SIM_LEHER_17, "--trials", "1", *_JSON]),
+    "simulate_leher_seed_17_trials_1.csv": (1, [*_SIM_LEHER_17, "--trials", "1", *_CSV]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name, capsys):
-    assert main(CASES[name]) == 0
+    code, argv = CASES[name]
+    assert main(argv) == code
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN_DIR / name).read_bytes()
