@@ -3,7 +3,9 @@
 Exact fractions are always the primary output; decimals are annotations.
 Rationals on the command line use the "p/q" form (a bare integer works too).
 Strategies are "threshold:t" or a 13-letter table, rank 1 (ace) through 13
-(king). Formats: text (default), json, csv. `montmort reproduce` recomputes
+(king). Formats: text (default), json, csv; each handler formats every
+figure once and hands the JSON payload, CSV rows and text lines built from
+those same strings to `_emit`, which prints one. `montmort reproduce` recomputes
 the whole historical battery and exits 0 only when every figure matches,
 so it can gate CI directly. No environment variables are consulted.
 """
@@ -22,7 +24,6 @@ from fractions import Fraction
 from typing import TypeVar
 
 from . import __version__, etrennes, leher, montecarlo, pool, report, solver
-from .rational import approx_string as _approx
 from .rational import decimal_string, format_rational, parse_rational
 
 SIGMA_BAND = 4  # simulation verdicts: estimate within 4 standard errors
@@ -59,14 +60,30 @@ _paul_strategy = _argument_type(leher.PaulStrategy.parse)
 _pierre_strategy = _argument_type(leher.PierreStrategy.parse)
 
 
-def _print_csv(rows: list[list[str]]) -> None:
-    buffer = io.StringIO()
-    csv.writer(buffer).writerows(rows)
-    print(buffer.getvalue(), end="")
+def _emit(fmt: str, payload: dict | list, rows: list[list[str]], text: list[str]) -> None:
+    """Print one result in the chosen format: the JSON payload, CSV rows or text lines."""
+    if fmt == "json":
+        print(json.dumps(payload, indent=2))
+    elif fmt == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows(rows)
+        print(buffer.getvalue(), end="")
+    else:
+        print("\n".join(text))
 
 
 def _value_payload(value: Fraction) -> dict:
     return {"exact": format_rational(value), "decimal": decimal_string(value)}
+
+
+def _approx(value: dict) -> str:
+    """A `_value_payload` as text: the exact fraction, then its decimal."""
+    return f"{value['exact']} ≈ {value['decimal']}"
+
+
+def _verdict(estimate: Fraction, target: Fraction, sigma: float) -> str:
+    """A simulated estimate passes within SIGMA_BAND standard errors of its exact target."""
+    return "pass" if abs(float(estimate) - float(target)) <= SIGMA_BAND * sigma else "fail"
 
 
 def _rank_name(rank: int) -> str:
@@ -74,67 +91,28 @@ def _rank_name(rank: int) -> str:
     return names.get(rank, f"a {rank}")
 
 
-def _matrix_rows(matrix: solver.GameMatrix) -> list[list[str]]:
-    header = ["row\\col", *matrix.col_labels]
-    rows = [header]
-    for label, row in zip(matrix.row_labels, matrix.entries):
-        rows.append([label, *(format_rational(x) for x in row)])
-    return rows
-
-
-def _emit_matrix(matrix: solver.GameMatrix, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(matrix.to_json_dict(), indent=2))
-    elif fmt == "csv":
-        _print_csv(_matrix_rows(matrix))
-    else:
-        rows = _matrix_rows(matrix)
-        widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-        for row in rows:
-            print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)))
-
-
-def _solution_payload(solution: solver.GameSolution, matrix: solver.GameMatrix) -> dict:
-    return {
-        "value": _value_payload(solution.value),
-        "row_mix": {
-            label: format_rational(weight)
-            for label, weight in zip(matrix.row_labels, solution.row_mix.weights)
-        },
-        "col_mix": {
-            label: format_rational(weight)
-            for label, weight in zip(matrix.col_labels, solution.col_mix.weights)
-        },
+def _emit_solution(solution: solver.GameSolution, matrix: solver.GameMatrix, fmt: str) -> None:
+    value = _value_payload(solution.value)
+    row_mix = dict(zip(matrix.row_labels, map(format_rational, solution.row_mix.weights)))
+    col_mix = dict(zip(matrix.col_labels, map(format_rational, solution.col_mix.weights)))
+    certificate = solution.certificate
+    payload = {
+        "value": value,
+        "row_mix": row_mix,
+        "col_mix": col_mix,
         "certificate": {
-            "row_payoffs": [format_rational(x) for x in solution.certificate.row_payoffs],
-            "col_payoffs": [format_rational(x) for x in solution.certificate.col_payoffs],
+            "row_payoffs": [format_rational(x) for x in certificate.row_payoffs],
+            "col_payoffs": [format_rational(x) for x in certificate.col_payoffs],
         },
     }
-
-
-def _emit_solution(solution: solver.GameSolution, matrix: solver.GameMatrix, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(_solution_payload(solution, matrix), indent=2))
-        return
-    if fmt == "csv":
-        rows = [["quantity", "strategy", "value"], ["value", "", format_rational(solution.value)]]
-        for label, weight in zip(matrix.row_labels, solution.row_mix.weights):
-            rows.append(["row_weight", label, format_rational(weight)])
-        for label, weight in zip(matrix.col_labels, solution.col_mix.weights):
-            rows.append(["col_weight", label, format_rational(weight)])
-        _print_csv(rows)
-        return
-    print(f"value: {_approx(solution.value)}")
-    row_parts = [
-        f"{label} = {format_rational(weight)}"
-        for label, weight in zip(matrix.row_labels, solution.row_mix.weights)
+    rows = [["quantity", "strategy", "value"], ["value", "", value["exact"]]]
+    rows += [["row_weight", label, weight] for label, weight in row_mix.items()]
+    rows += [["col_weight", label, weight] for label, weight in col_mix.items()]
+    text = [f"value: {_approx(value)}"] + [
+        f"{side} weights: " + ", ".join(f"{label} = {weight}" for label, weight in mix.items())
+        for side, mix in (("row", row_mix), ("col", col_mix))
     ]
-    col_parts = [
-        f"{label} = {format_rational(weight)}"
-        for label, weight in zip(matrix.col_labels, solution.col_mix.weights)
-    ]
-    print("row weights: " + ", ".join(row_parts))
-    print("col weights: " + ", ".join(col_parts))
+    _emit(fmt, payload, rows, text)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +122,12 @@ def _emit_solution(solution: solver.GameSolution, matrix: solver.GameMatrix, fmt
 
 def _cmd_leher_table(args: argparse.Namespace) -> int:
     matrix = leher.threshold_matrix() if args.all_thresholds else leher.build_leher_matrix()
-    _emit_matrix(matrix, args.format)
+    payload = matrix.to_json_dict()
+    rows = [["row\\col", *payload["cols"]]]
+    rows += [[label, *entries] for label, entries in zip(payload["rows"], payload["entries"])]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    text = ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)) for row in rows]
+    _emit(args.format, payload, rows, text)
     return 0
 
 
@@ -167,23 +150,15 @@ def _cmd_leher_conditional(args: argparse.Namespace) -> int:
         action = leher.PierreAction(args.action)
         lot = leher.conditional_lot_pierre(args.card, action, args.paul)
         label = f"Pierre's lot holding {_rank_name(args.card)} and playing {args.action} (Paul stood)"
-    if args.format == "json":
-        print(json.dumps({"label": label, "lot": _value_payload(lot)}, indent=2))
-    elif args.format == "csv":
-        _print_csv([["label", "lot"], [label, format_rational(lot)]])
-    else:
-        print(f"{label}: {_approx(lot)}")
+    value = _value_payload(lot)
+    rows = [["label", "lot"], [label, value["exact"]]]
+    _emit(args.format, {"label": label, "lot": value}, rows, [f"{label}: {_approx(value)}"])
     return 0
 
 
 def _cmd_leher_value(args: argparse.Namespace) -> int:
-    value = leher.mixed_value(args.a, args.b, args.c, args.d)
-    if args.format == "json":
-        print(json.dumps({"value": _value_payload(value)}, indent=2))
-    elif args.format == "csv":
-        _print_csv([["value"], [format_rational(value)]])
-    else:
-        print(_approx(value))
+    value = _value_payload(leher.mixed_value(args.a, args.b, args.c, args.d))
+    _emit(args.format, {"value": value}, [["value"], [value["exact"]]], [_approx(value)])
     return 0
 
 
@@ -198,8 +173,8 @@ def _pool_config(args: argparse.Namespace) -> pool.PoolConfig:
 
 
 def _cmd_pool_solve(args: argparse.Namespace) -> int:
-    config = _pool_config(args)
-    solution = pool.pool_solve(config)
+    solution = pool.pool_solve(_pool_config(args))
+    games = _value_payload(solution.expected_games)
     seats = [
         {
             "seat": index + 1,
@@ -211,80 +186,55 @@ def _cmd_pool_solve(args: argparse.Namespace) -> int:
             zip(solution.win_prob, solution.expected_payment, solution.expected_net)
         )
     ]
-    if args.format == "json":
-        print(
-            json.dumps(
-                {"expected_games": _value_payload(solution.expected_games), "seats": seats},
-                indent=2,
-            )
-        )
-        return 0
-    if args.format == "csv":
-        rows = [["seat", "win_prob", "expected_payment", "expected_net"]]
-        for index in range(config.players):
-            rows.append(
-                [
-                    str(index + 1),
-                    format_rational(solution.win_prob[index]),
-                    format_rational(solution.expected_payment[index]),
-                    format_rational(solution.expected_net[index]),
-                ]
-            )
-        rows.append(["expected_games", format_rational(solution.expected_games), "", ""])
-        _print_csv(rows)
-        return 0
-    print(f"expected games: {_approx(solution.expected_games)}")
-    for index in range(config.players):
-        print(
-            f"seat {index + 1}: wins {_approx(solution.win_prob[index])}; "
-            f"pays {_approx(solution.expected_payment[index])}; "
-            f"net {_approx(solution.expected_net[index])}"
-        )
+    figures = ("win_prob", "expected_payment", "expected_net")
+    rows = [["seat", *figures]]
+    rows += [[str(seat["seat"]), *(seat[key]["exact"] for key in figures)] for seat in seats]
+    rows.append(["expected_games", games["exact"], "", ""])
+    text = [f"expected games: {_approx(games)}"] + [
+        f"seat {seat['seat']}: wins {_approx(seat['win_prob'])}; "
+        f"pays {_approx(seat['expected_payment'])}; net {_approx(seat['expected_net'])}"
+        for seat in seats
+    ]
+    _emit(args.format, {"expected_games": games, "seats": seats}, rows, text)
     return 0
 
 
 def _cmd_pool_simulate(args: argparse.Namespace) -> int:
     config = _pool_config(args)
-    exact = pool.pool_solve(config)
+    targets = pool.pool_win_probabilities(config)
     result = pool.pool_simulate(config, seed=args.seed, trials=args.trials, max_games=args.max_games)
-    verdicts = []
-    for estimate, sigma, target in zip(result.win_prob, result.win_prob_se, exact.win_prob):
-        verdicts.append(abs(float(estimate) - float(target)) <= SIGMA_BAND * sigma)
+    games = _value_payload(result.expected_games)
     seats = [
         {
             "seat": index + 1,
-            "win_freq": format_rational(result.win_prob[index]),
-            "sigma": result.win_prob_se[index],
-            "target": format_rational(exact.win_prob[index]),
-            "verdict": "pass" if verdicts[index] else "fail",
+            "win_freq": format_rational(estimate),
+            "sigma": sigma,
+            "target": format_rational(target),
+            "verdict": _verdict(estimate, target, sigma),
         }
-        for index in range(config.players)
+        for index, (estimate, sigma, target) in enumerate(
+            zip(result.win_prob, result.win_prob_se, targets)
+        )
     ]
     payload = {
         "trials": result.trials,
         "seed": args.seed,
-        "expected_games": format_rational(result.expected_games),
+        "expected_games": games["exact"],
         "truncated_trials": result.truncated_trials,
         "seats": seats,
     }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        rows = [["seat", "win_freq", "sigma", "target", "verdict"]]
-        rows += [
-            [str(s["seat"]), s["win_freq"], repr(s["sigma"]), s["target"], s["verdict"]]
-            for s in seats
-        ]
-        _print_csv(rows)
-    else:
-        print(f"{result.trials} pools, seed {args.seed}, truncated {result.truncated_trials}")
-        print(f"mean games: {_approx(result.expected_games)}")
-        for entry in seats:
-            print(
-                f"seat {entry['seat']}: win freq {entry['win_freq']} "
-                f"(target {entry['target']}, sigma {entry['sigma']:.6f}) {entry['verdict']}"
-            )
-    return 0 if all(verdicts) else 1
+    rows = [["seat", "win_freq", "sigma", "target", "verdict"]]
+    rows += [[str(x) for x in seat.values()] for seat in seats]
+    text = [
+        f"{result.trials} pools, seed {args.seed}, truncated {result.truncated_trials}",
+        f"mean games: {_approx(games)}",
+    ] + [
+        f"seat {seat['seat']}: win freq {seat['win_freq']} "
+        f"(target {seat['target']}, sigma {seat['sigma']:.6f}) {seat['verdict']}"
+        for seat in seats
+    ]
+    _emit(args.format, payload, rows, text)
+    return 0 if all(seat["verdict"] == "pass" for seat in seats) else 1
 
 
 def _cmd_etrennes_solve(args: argparse.Namespace) -> int:
@@ -295,53 +245,52 @@ def _cmd_etrennes_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate_leher(args: argparse.Namespace) -> int:
-    target = leher.mixed_value(args.a, args.b, args.c, args.d)
+    exact = leher.mixed_value(args.a, args.b, args.c, args.d)
     result = montecarlo.leher_simulate(
         args.a, args.b, args.c, args.d, seed=args.seed, trials=args.trials
     )
-    within = abs(float(result.frequency) - float(target)) <= SIGMA_BAND * result.std_error
+    estimate, target = _value_payload(result.frequency), _value_payload(exact)
+    verdict = _verdict(result.frequency, exact, result.std_error)
     payload = {
-        "estimate": format_rational(result.frequency),
-        "target": format_rational(target),
+        "estimate": estimate["exact"],
+        "target": target["exact"],
         "sigma": result.std_error,
         "trials": result.trials,
         "seed": args.seed,
-        "verdict": "pass" if within else "fail",
+        "verdict": verdict,
     }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        _print_csv(
-            [
-                ["estimate", "target", "sigma", "trials", "seed", "verdict"],
-                [
-                    payload["estimate"],
-                    payload["target"],
-                    repr(payload["sigma"]),
-                    str(payload["trials"]),
-                    str(payload["seed"]),
-                    payload["verdict"],
-                ],
-            ]
-        )
-    else:
-        print(
-            f"Paul won {result.wins} of {result.trials}: {payload['estimate']} "
-            f"≈ {decimal_string(result.frequency)} "
-            f"(target {_approx(target)}, sigma {result.std_error:.6f}) {payload['verdict']}"
-        )
-    return 0 if within else 1
+    rows = [list(payload), [str(x) for x in payload.values()]]
+    text = [
+        f"Paul won {result.wins} of {result.trials}: {_approx(estimate)} "
+        f"(target {_approx(target)}, sigma {result.std_error:.6f}) {verdict}"
+    ]
+    _emit(args.format, payload, rows, text)
+    return 0 if verdict == "pass" else 1
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     entries = report.build_reproduction_report()
-    if args.format == "json":
-        print(report.render_json(entries))
-    elif args.format == "csv":
-        print(report.render_csv(entries), end="")
-    else:
-        print(report.render_text(entries))
-    return 0 if report.all_pass(entries) else 1
+    payload = [
+        {
+            "label": entry.label,
+            "expected": format_rational(entry.expected),
+            "computed": format_rational(entry.computed),
+            "source": entry.source,
+            "verdict": entry.verdict,
+        }
+        for entry in entries
+    ]
+    rows = [["label", "expected", "computed", "source", "verdict"]]
+    rows += [list(item.values()) for item in payload]
+    text = [
+        f"[{item['verdict'].upper()}] {item['label']}: expected {item['expected']}, "
+        f"computed {item['computed']}  ({item['source']})"
+        for item in payload
+    ]
+    passed = sum(entry.passed for entry in entries)
+    text.append(f"{passed}/{len(entries)} historical figures reproduced exactly")
+    _emit(args.format, payload, rows, text)
+    return 0 if passed == len(entries) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,6 @@ zero only if every entry passes.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +32,6 @@ from .leher import (
     paul_win_probability,
     pierre_win_probability,
 )
-from .rational import format_rational
 from .solver import solve_zero_sum
 
 _TABLE = "Montmort's table of the lots of Paul and Pierre, Essay d'analyse (2nd ed., 1713)"
@@ -56,12 +52,12 @@ class ReportEntry:
     source: str
 
     @property
-    def verdict(self) -> str:
-        return "pass" if self.expected == self.computed else "fail"
-
-    @property
     def passed(self) -> bool:
         return self.expected == self.computed
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.passed else "fail"
 
 
 def _indicator(condition: bool) -> Fraction:
@@ -228,50 +224,3 @@ def build_reproduction_report() -> list[ReportEntry]:
     ]
     return entries
 
-
-def all_pass(entries: list[ReportEntry]) -> bool:
-    return all(entry.passed for entry in entries)
-
-
-def render_text(entries: list[ReportEntry]) -> str:
-    lines = []
-    for entry in entries:
-        mark = "PASS" if entry.passed else "FAIL"
-        lines.append(
-            f"[{mark}] {entry.label}: expected {format_rational(entry.expected)}, "
-            f"computed {format_rational(entry.computed)}  ({entry.source})"
-        )
-    passed = sum(entry.passed for entry in entries)
-    lines.append(f"{passed}/{len(entries)} historical figures reproduced exactly")
-    return "\n".join(lines)
-
-
-def render_json(entries: list[ReportEntry]) -> str:
-    payload = [
-        {
-            "label": entry.label,
-            "expected": format_rational(entry.expected),
-            "computed": format_rational(entry.computed),
-            "source": entry.source,
-            "verdict": entry.verdict,
-        }
-        for entry in entries
-    ]
-    return json.dumps(payload, indent=2)
-
-
-def render_csv(entries: list[ReportEntry]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["label", "expected", "computed", "source", "verdict"])
-    for entry in entries:
-        writer.writerow(
-            [
-                entry.label,
-                format_rational(entry.expected),
-                format_rational(entry.computed),
-                entry.source,
-                entry.verdict,
-            ]
-        )
-    return buffer.getvalue()

@@ -17,13 +17,12 @@ payoffs (the simplex runs on the entries rescaled onto [1, 2]).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
-from .rational import as_rational, format_rational, parse_rational
+from .rational import as_rational, format_rational
 
 
 @dataclass(frozen=True)
@@ -90,18 +89,6 @@ class GameMatrix:
             "cols": list(self.col_labels),
             "entries": [[format_rational(x) for x in row] for row in self.entries],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> GameMatrix:
-        rows = [[parse_rational(x) for x in row] for row in data["entries"]]
-        return cls.from_rows(rows, data["rows"], data["cols"])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> GameMatrix:
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -7,20 +7,14 @@ import pytest
 
 from montmort.cli import main
 from montmort.rational import parse_rational
-from montmort.report import (
-    all_pass,
-    build_reproduction_report,
-    render_csv,
-    render_json,
-    render_text,
-)
+from montmort.report import ReportEntry, build_reproduction_report
 
 
 class TestReport:
     def test_every_entry_passes(self):
         entries = build_reproduction_report()
         assert entries, "battery must not be empty"
-        assert all_pass(entries)
+        assert all(entry.passed for entry in entries)
         for entry in entries:
             assert entry.verdict == "pass"
 
@@ -30,20 +24,29 @@ class TestReport:
         assert len(set(labels)) == len(labels)
         assert all(entry.source for entry in entries)
 
-    def test_json_rationals_round_trip(self):
-        payload = json.loads(render_json(build_reproduction_report()))
+    def test_verdict_follows_passed(self):
+        hit = ReportEntry("figure", Fraction(1, 3), Fraction(1, 3), "source")
+        miss = ReportEntry("figure", Fraction(1, 3), Fraction(1, 4), "source")
+        assert (hit.passed, hit.verdict) == (True, "pass")
+        assert (miss.passed, miss.verdict) == (False, "fail")
+
+    def test_json_rationals_round_trip(self, capsys):
+        assert main(["reproduce", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert {"label", "expected", "computed", "source", "verdict"} == set(payload[0])
         for item in payload:
             assert parse_rational(item["expected"]) == parse_rational(item["computed"])
 
-    def test_csv_parses(self):
-        rows = list(csv.reader(io.StringIO(render_csv(build_reproduction_report()))))
+    def test_csv_parses(self, capsys):
+        assert main(["reproduce", "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows[0] == ["label", "expected", "computed", "source", "verdict"]
         assert all(row[4] == "pass" for row in rows[1:])
 
-    def test_text_rendering_counts(self):
+    def test_text_rendering_counts(self, capsys):
         entries = build_reproduction_report()
-        text = render_text(entries)
+        assert main(["reproduce"]) == 0
+        text = capsys.readouterr().out
         assert f"{len(entries)}/{len(entries)} historical figures reproduced exactly" in text
         assert "[FAIL]" not in text
 

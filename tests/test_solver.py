@@ -5,6 +5,7 @@ import pytest
 from oracles import support_enumeration_solve
 
 from montmort.leher import build_leher_matrix, threshold_matrix
+from montmort.rational import parse_rational
 from montmort.solver import (
     GameMatrix,
     MixedStrategy,
@@ -51,7 +52,10 @@ class TestGameMatrix:
         original = GameMatrix.from_rows(
             [[Fraction(1, 3), 2], [0, Fraction(-5, 7)]], ["x", "y"], ["u", "v"]
         )
-        assert GameMatrix.from_json(original.to_json()) == original
+        data = original.to_json_dict()
+        assert (data["rows"], data["cols"]) == (["x", "y"], ["u", "v"])
+        entries = tuple(tuple(parse_rational(x) for x in row) for row in data["entries"])
+        assert entries == original.entries
 
     def test_json_schema(self):
         data = matrix([[Fraction(1, 2)]]).to_json_dict()
