@@ -24,6 +24,10 @@ _PIERRE_8_DRAW = [
     "--paul", "threshold:6",
 ]
 _VALUE_3_5_5_3 = ["leher", "value", "--a", "3", "--b", "5", "--c", "5", "--d", "3"]
+_POOL_STREAK_1 = [
+    "pool", "solve", "--players", "4", "--p", "2/3", "--streak", "1",
+    "--ante", "3/2", "--fee", "1/4",
+]
 _POOL_SIM_3 = ["pool", "simulate", "--players", "3", "--seed", "42"]
 _SIM_LEHER_17 = [
     "simulate", "leher", "--a", "3", "--b", "5", "--c", "5", "--d", "3", "--seed", "17",
@@ -67,6 +71,10 @@ CASES = {
     "pool_solve_3_streak_4.json": (0, [
         "pool", "solve", "--players", "3", "--p", "3/4", "--streak", "4", *_JSON,
     ]),
+    # Game one decides the pool; two seats only watch.
+    "pool_solve_4_streak_1.txt": (0, _POOL_STREAK_1),
+    "pool_solve_4_streak_1.json": (0, [*_POOL_STREAK_1, *_JSON]),
+    "pool_solve_4_streak_1.csv": (0, [*_POOL_STREAK_1, *_CSV]),
     # Ten streak levels under the default streak.
     "pool_solve_12.json": (0, ["pool", "solve", "--players", "12", "--p", "1/3", *_JSON]),
     "pool_simulate_3_seed_42.txt": (0, [*_POOL_SIM_3, "--trials", "2000"]),

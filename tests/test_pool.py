@@ -20,6 +20,10 @@ from oracles import (
 )
 
 FAIR3 = PoolConfig(3)
+# Game one decides the pool; two seats only pay their antes.
+STREAK1_STAKES = PoolConfig(
+    4, Fraction(2, 3), ante=Fraction(3, 2), fee=Fraction(1, 4), streak_required=1
+)
 
 
 class TestConfig:
@@ -243,6 +247,7 @@ class TestPoolSolve:
             PoolConfig(6, Fraction(1, 2)),
             PoolConfig(12, Fraction(3, 5), streak_required=5),
             PoolConfig(20, Fraction(1, 3)),
+            STREAK1_STAKES,
         ],
     )
     def test_accounting_invariants(self, config):
@@ -274,6 +279,8 @@ class TestPoolSolve:
             (PoolConfig(4, Fraction(2, 3), streak_required=3), Fraction(6, 10**11)),
             (PoolConfig(3, Fraction(3, 4), streak_required=3), Fraction(6, 10**11)),
             (PoolConfig(3, Fraction(4, 5), streak_required=4), Fraction(1, 10**9)),
+            # Game one decides the pool, so nothing is left past depth 1.
+            (STREAK1_STAKES, Fraction(0)),
         ]
         for config, tail_bound in cases:
             oracle = enumerate_pool(config, depth=60)
