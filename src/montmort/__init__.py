@@ -33,7 +33,6 @@ from .pool import (
     pool_win_probabilities,
 )
 from .rational import (
-    Rational,
     as_rational,
     decimal_string,
     format_rational,
@@ -74,7 +73,6 @@ __all__ = [
     "PoolSimulation",
     "PoolSolution",
     "RandomStream",
-    "Rational",
     "ReportEntry",
     "as_rational",
     "best_response",

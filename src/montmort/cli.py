@@ -126,7 +126,9 @@ def _cmd_leher_table(args: argparse.Namespace) -> int:
     rows = [["row\\col", *payload["cols"]]]
     rows += [[label, *entries] for label, entries in zip(payload["rows"], payload["entries"])]
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    text = ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)) for row in rows]
+    text = [
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() for row in rows
+    ]
     _emit(args.format, payload, rows, text)
     return 0
 

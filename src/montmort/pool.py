@@ -17,15 +17,19 @@ trajectories to trajectories. A tracked player's winning chances, expected
 fee losses and games-weighted winnings therefore depend on the state only
 through the player's role: the champion's streak level and the player's
 place at that level (champion or queue position). A champion win moves one
-level up and every loss lands on level 1, so each quantity is one exact
-n x n system over the level-1 roles (the absorbing-chain argument of Kemeny
-and Snell): a level-1 role's row is read off its win path, the roles it
-holds on the levels above through consecutive champion wins, each of whose
-games either pays that level's reward or sends it back to level 1. The
-upper levels are never formed, and the expected duration has a closed
-form. The test suite cross-checks against the unlumped state-space solve,
-against truncated enumeration of game sequences and, under the default
-streak, against the historical pool's closed-form ratio.
+level up and every loss lands on level 1, so the pool is one exact n x n
+system over the level-1 roles (the absorbing-chain argument of Kemeny and
+Snell): a level-1 role's row is read off its win path, the roles it holds
+on the levels above through consecutive champion wins, each of whose games
+either pays a reward or sends it back to level 1. Win chances, fee losses
+and games-weighted wins are three right-hand sides of that one system.
+Only level-1 role 0 ever holds the top level's champion seat, so the pot
+enters as one constant there, and game one is one more step of the same
+law from streak 0. The upper levels are never formed, and the expected
+duration has a closed form. The test suite cross-checks against the
+unlumped state-space solve, against truncated enumeration of game sequences
+and, under the default streak, against the historical pool's closed-form
+ratio.
 
 Everything exact is a Fraction; the Monte Carlo cross-check reports exact
 empirical frequencies with floating-point standard errors.
@@ -33,7 +37,6 @@ empirical frequencies with floating-point standard errors.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -43,10 +46,6 @@ from .rational import as_rational
 from .solver import solve_linear_system
 
 DEFAULT_TRIAL_GAME_CAP = 1_000_000
-
-# A role's reward per game on level j + 1, as a function of (j, role).
-Reward = Callable[[int, int], Fraction]
-
 
 class PoolDivergenceError(ValueError):
     """The pool can never finish: with p = 0 no champion ever builds a streak."""
@@ -97,80 +96,77 @@ def _require_absorbing(config: PoolConfig) -> None:
         )
 
 
+def _moves(players: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Each role's next role after a champion win (won) and a loss (lost)."""
+    waiting = tuple(range(1, players - 1))
+    return (0, players - 1, *waiting), (players - 1, 0, *waiting)
+
+
 def _level_one(
-    config: PoolConfig, reward: Reward, win_chances: list[Fraction] | None = None
-) -> list[Fraction]:
-    """Each level-1 role's value, its row read off the role's win path.
+    config: PoolConfig,
+) -> tuple[list[list[Fraction]], list[list[tuple[int, Fraction]]]]:
+    """The level-1 system I - M and each level-1 role's win path, in one walk.
 
     Level s (streak 1..R-1) has n roles: role 0 is the champion on streak s
     and role i is queue position i. A champion win moves role r up a level
     as won[r] (0 -> 0, 1 -> n - 1, i -> i - 1; the pool ends from the top
     level) and a loss sends it to level 1 as lost[r] (0 -> n - 1, 1 -> 0,
     i -> i - 1). After j wins in a row (j = 0..R-2) level-1 role r is role
-    won^j(r) on level j + 1, with weight p^j; each game there pays
-    reward(j, role) and with probability q = 1 - p sends it to level 1, so
-    x1[r] = sum_j p^j (reward + q x1[lost[won^j r]]). Given the level-1 win
-    chances w1 it solves E[G 1{win}], whose reward is each level's win
-    chance: unrolled along the same path, its constant is
-    sum_j (j + 1) p^j (reward + q w1[lost[won^j r]]).
+    won^j(r) on level j + 1, with weight p^j; each game there pays a reward
+    and with probability q = 1 - p sends it to level 1, so every quantity
+    solves x1[r] = c[r] + sum_j p^j q x1[lost[won^j r]], with its own
+    constant c[r] read off the path [(won^j r, p^j) for j = 0..R-2].
     """
+    _require_absorbing(config)
     n, p = config.players, config.champion_win_prob
-    q = 1 - p
-    won = (0, n - 1, *range(1, n - 1))
-    lost = (n - 1, 0, *range(1, n - 1))
+    won, lost = _moves(n)
     system = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-    constants = [Fraction(0)] * n
+    paths = []
     for r in range(n):
-        role, weight = r, Fraction(1)
-        for j in range(config.streak_required - 1):
-            system[r][lost[role]] -= weight * q
-            gain = reward(j, role)
-            if win_chances is not None:
-                gain = (j + 1) * (gain + q * win_chances[lost[role]])
-            constants[r] += weight * gain
+        path, role, weight = [], r, Fraction(1)
+        for _ in range(config.streak_required - 1):
+            path.append((role, weight))
+            system[r][lost[role]] -= weight * (1 - p)
             role, weight = won[role], weight * p
+        paths.append(path)
+    return system, paths
+
+
+def _solve(system: list[list[Fraction]], constants: list[Fraction]) -> list[Fraction]:
     solution = solve_linear_system(system, constants)
     if solution is None:
         raise PoolDivergenceError("the pool's linear system is singular; no certain finish")
     return solution
 
 
-def _seat_values(
-    config: PoolConfig, level_one: list[Fraction], opener_extra: Fraction = Fraction(0)
-) -> list[Fraction]:
-    """Combine the level-1 role values from `_level_one` over game one's outcomes.
+def _win_constants(config: PoolConfig) -> list[Fraction]:
+    # The top-level champion takes the pot by winning once more. won fixes
+    # role 0 and sends no other role there, so only level-1 role 0 gets there.
+    top = config.champion_win_prob ** (config.streak_required - 1)
+    return [top] + [Fraction(0)] * (config.players - 1)
 
-    Seat 0 becomes the streak-1 champion with probability p and otherwise
-    lands at the back of the queue; seat 1 mirrors it; seat k >= 2 starts at
-    queue position k - 1 either way. `opener_extra` adds a reward the losing
-    opener collects immediately (used for fee losses).
+
+def _game_one(
+    config: PoolConfig, level_one: list[Fraction], reward: list[Fraction]
+) -> list[Fraction]:
+    """Each seat's value: game one is one more step of the level law.
+
+    Seat s holds role s at streak 0, collects reward[s] in game one and
+    lands on level 1 as won[s] or lost[s].
     """
     p = config.champion_win_prob
-    champion = level_one[0]
-    back = level_one[-1] + opener_extra
-    return [p * champion + (1 - p) * back, p * back + (1 - p) * champion, *level_one[1:-1]]
-
-
-def _pot_reward(config: PoolConfig) -> Reward:
-    """Only the top-level champion can take the pot, by winning once more."""
-    top, p = config.streak_required - 2, config.champion_win_prob
-    return lambda j, role: p if j == top and role == 0 else Fraction(0)
-
-
-def _win_chances(config: PoolConfig) -> tuple[list[Fraction], list[Fraction]]:
-    """Each seat's chance of taking the pot, and each level-1 role's."""
-    _require_absorbing(config)
-    n, p = config.players, config.champion_win_prob
-    if config.streak_required == 1:
-        # Game one decides the pool; there are no levels.
-        return [p, 1 - p] + [Fraction(0)] * (n - 2), []
-    level_one = _level_one(config, _pot_reward(config))
-    return _seat_values(config, level_one), level_one
+    won, lost = _moves(config.players)
+    return [
+        gain + p * level_one[won[s]] + (1 - p) * level_one[lost[s]]
+        for s, gain in enumerate(reward)
+    ]
 
 
 def pool_win_probabilities(config: PoolConfig) -> tuple[Fraction, ...]:
     """Exact probability that each seat eventually takes the pot."""
-    return tuple(_win_chances(config)[0])
+    system, _ = _level_one(config)
+    level_win = _solve(system, _win_constants(config))
+    return tuple(_game_one(config, level_win, [Fraction(0)] * config.players))
 
 
 def pool_expected_games(config: PoolConfig) -> Fraction:
@@ -200,33 +196,37 @@ def pool_solve(config: PoolConfig) -> PoolSolution:
 
     A seat's payment is its ante plus the fee times its expected losses. Its
     pot share is E[(n * ante + fee * G) 1{seat wins}]. Win chances, losses
-    and the coupled term E[G 1{seat wins}] are each one n x n system over
-    the level-1 roles, its rows read off the roles' win paths.
+    and the coupled term E[G 1{seat wins}] are three right-hand sides of the
+    one level-1 system, and game one is one more step of the same law.
     """
-    win, win_level_one = _win_chances(config)
+    system, paths = _level_one(config)
     n, p = config.players, config.champion_win_prob
+    q = 1 - p
+    _, lost = _moves(n)
+    win_constants = _win_constants(config)
+    level_win = _solve(system, win_constants)
+    win = _game_one(config, level_win, [Fraction(0)] * n)
+    # The champion pays when beaten; the challenger pays whenever the
+    # champion wins, the final game included.
+    loss = [q, p] + [Fraction(0)] * (n - 2)
+    loss_constants = [sum((w * loss[role] for role, w in path), Fraction(0)) for path in paths]
+    losses = _game_one(config, _solve(system, loss_constants), loss)
+    # E[(games from level 1 on) 1{wins}]: a path that takes the pot has
+    # played R - 1 games; one cut by a loss at step j has played j + 1 and
+    # restarts on level 1. Game one adds one game to every winning history.
+    coupled_constants = [
+        (config.streak_required - 1) * constant
+        + sum((j + 1) * w * q * level_win[lost[role]] for j, (role, w) in enumerate(path))
+        for constant, path in zip(win_constants, paths)
+    ]
+    games_won = _game_one(config, _solve(system, coupled_constants), win)
+
     ante, fee = config.ante, config.fee
-    expected_games = pool_expected_games(config)
-    loss = [1 - p, p] + [Fraction(0)] * (n - 2)
-
-    if config.streak_required == 1:
-        # Game one decides the pool: its loser pays once, nobody else does.
-        losses = loss
-        games_won = list(win)
-    else:
-        # The champion pays when beaten; the challenger pays whenever the
-        # champion wins, the final game included.
-        losses = _seat_values(config, _level_one(config, lambda j, role: loss[role]), Fraction(1))
-        # E[(games after game one) 1{wins}] per role, then add the win
-        # probability itself so game one is counted.
-        coupled = _seat_values(config, _level_one(config, _pot_reward(config), win_level_one))
-        games_won = [seat_win + seat_coupled for seat_win, seat_coupled in zip(win, coupled)]
-
     pot_base = n * ante
     payments = [ante + fee * seat_losses for seat_losses in losses]
     receipts = [pot_base * w + fee * g for w, g in zip(win, games_won)]
     nets = [receipt - payment for receipt, payment in zip(receipts, payments)]
-    return PoolSolution(tuple(win), expected_games, tuple(payments), tuple(nets))
+    return PoolSolution(tuple(win), pool_expected_games(config), tuple(payments), tuple(nets))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ import re
 import string
 from fractions import Fraction
 
-Rational = Fraction
-
 DEFAULT_DECIMAL_DIGITS = 6
 
 _NUMERATOR_RE = re.compile(r"[+-]?[0-9]+")

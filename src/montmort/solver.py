@@ -70,9 +70,6 @@ class GameMatrix:
     def n_cols(self) -> int:
         return len(self.entries[0])
 
-    def payoff(self, row: int, col: int) -> Fraction:
-        return self.entries[row][col]
-
     def column(self, col: int) -> tuple[Fraction, ...]:
         return tuple(row[col] for row in self.entries)
 
