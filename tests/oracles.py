@@ -19,6 +19,8 @@ triples of one strategy pair, restricted to chosen first and second ranks,
 and shares none of the production weight table's indexing. Support enumeration
 solves a matrix game by trying every pair of square supports with exact
 equalisation solves, sharing nothing with the production simplex tableau.
+The strict-elimination reference is the engine's former one-at-a-time
+dominance loop, against which the whole-pass elimination is checked.
 """
 
 from __future__ import annotations
@@ -487,3 +489,36 @@ def support_enumeration_solve(
                     continue
                 return value - shift, tuple(x), tuple(y)
     raise RuntimeError("support enumeration found no equilibrium; this cannot happen")
+
+
+def strict_elimination_reference(
+    matrix: GameMatrix,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Surviving (row, column) indices of iterated strict elimination.
+
+    The engine's former loop: remove one strictly dominated strategy at a
+    time, the lowest-index dominated row first, then (when no row is
+    dominated) the lowest-index dominated column, and rescan from the start
+    after every removal. Strict dominance is transitive, so any elimination
+    order reaches the same reduced game (Gilboa, Kalai & Zemel 1990).
+    """
+    entries = matrix.entries
+    rows = list(range(matrix.n_rows))
+    cols = list(range(matrix.n_cols))
+
+    def row_dominated(i: int) -> bool:
+        return any(all(entries[h][j] > entries[i][j] for j in cols) for h in rows if h != i)
+
+    def col_dominated(j: int) -> bool:
+        # The column player pays out the entries, so smaller dominates.
+        return any(all(entries[i][g] < entries[i][j] for i in rows) for g in cols if g != j)
+
+    while True:
+        victim = next((i for i in rows if row_dominated(i)), None)
+        if victim is not None:
+            rows.remove(victim)
+            continue
+        victim = next((j for j in cols if col_dominated(j)), None)
+        if victim is None:
+            return tuple(rows), tuple(cols)
+        cols.remove(victim)

@@ -1,11 +1,13 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from oracles import support_enumeration_solve
+from oracles import strict_elimination_reference, support_enumeration_solve
 
 from montmort.leher import build_leher_matrix, threshold_matrix
-from montmort.rational import parse_rational
+from montmort.rational import format_rational, parse_rational
 from montmort.solver import (
     GameMatrix,
     MixedStrategy,
@@ -26,6 +28,45 @@ def random_matrix(rng, max_size=5, low=-9, high=9):
     m = rng.randint(1, max_size)
     n = rng.randint(1, max_size)
     return matrix([[rng.randint(low, high) for _ in range(n)] for _ in range(m)])
+
+
+GOLDEN_SOLVER = Path(__file__).resolve().parent / "golden_solver.json"
+
+
+def _golden_games():
+    """The pinned games: 300 seeded games up to 6x6 with entries in -2..2.
+
+    So narrow a range gives many ties: constant matrices, duplicate rows,
+    pure saddles with several optimal columns and non-unique optimal mixes.
+    """
+    rng = random.Random(1713)
+    return [random_matrix(rng, max_size=6, low=-2, high=2) for _ in range(300)]
+
+
+def _solution_record(game):
+    solution = solve_zero_sum(game)
+    return {
+        "value": format_rational(solution.value),
+        "row_weights": [format_rational(w) for w in solution.row_mix.weights],
+        "col_weights": [format_rational(w) for w in solution.col_mix.weights],
+    }
+
+
+def _entries_record(game):
+    return [[format_rational(x) for x in row] for row in game.entries]
+
+
+def write_solver_golden():
+    """Rewrite golden_solver.json from the current solver, one game a line."""
+    games = [
+        json.dumps({"entries": _entries_record(game), **_solution_record(game)})
+        for game in _golden_games()
+    ]
+    GOLDEN_SOLVER.write_text(
+        "{\n"
+        f' "threshold_matrix": {json.dumps(_solution_record(threshold_matrix()))},\n'
+        ' "games": [\n  ' + ",\n  ".join(games) + "\n ]\n}\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +416,51 @@ class TestSolverProperties:
                 assert payoff >= solution.value
 
 
+class TestSolverGolden:
+    """Value and both returned mixes, pinned as "p/q" strings.
+
+    Regenerate with `PYTHONPATH=src python tests/test_solver.py`, only for a
+    deliberate change of the returned mixes.
+    """
+
+    def test_seeded_games(self):
+        golden = json.loads(GOLDEN_SOLVER.read_text())["games"]
+        games = _golden_games()
+        assert len(golden) == len(games)
+        for index, (game, pinned) in enumerate(zip(games, golden)):
+            assert pinned["entries"] == _entries_record(game), index
+            pinned_solution = {k: v for k, v in pinned.items() if k != "entries"}
+            assert _solution_record(game) == pinned_solution, index
+
+    def test_threshold_matrix(self):
+        golden = json.loads(GOLDEN_SOLVER.read_text())["threshold_matrix"]
+        assert _solution_record(threshold_matrix()) == golden
+
+
+class TestStrictEliminationOracle:
+    """Whole-pass elimination against the one-at-a-time reference loop."""
+
+    @staticmethod
+    def _check(game):
+        rows, cols = strict_elimination_reference(game)
+        result = eliminate_dominated(game)
+        assert (result.row_indices, result.col_indices) == (rows, cols)
+        assert result.matrix.entries == tuple(
+            tuple(game.entries[i][j] for j in cols) for i in rows
+        )
+        assert result.matrix.row_labels == tuple(game.row_labels[i] for i in rows)
+        assert result.matrix.col_labels == tuple(game.col_labels[j] for j in cols)
+
+    @pytest.mark.parametrize("low, high, seed", [(-1, 1, 301), (0, 2, 302)])
+    def test_seeded_games_with_ties(self, low, high, seed):
+        rng = random.Random(seed)
+        for _ in range(250):
+            self._check(random_matrix(rng, max_size=6, low=low, high=high))
+
+    def test_threshold_matrix(self):
+        self._check(threshold_matrix())
+
+
 class TestSupportEnumerationOracle:
     """The simplex tableau against the old exponential search, kept as an oracle."""
 
@@ -399,3 +485,7 @@ class TestSupportEnumerationOracle:
         ok, value, _ = verify_equilibrium(game, solution.row_mix, solution.col_mix)
         assert ok and value == solution.value
         assert len(solution.row_mix.support()) > 1
+
+
+if __name__ == "__main__":
+    write_solver_golden()
