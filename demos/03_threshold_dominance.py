@@ -2,9 +2,10 @@
 
 Neither player's threshold was assumed: sweep Paul's switch-up-to-t against
 Pierre's draw-up-to-t for every pair (t_paul, t_pierre) in 0..13 squared,
-then let iterated dominance chew on the 14 x 14 matrix. Everything collapses
-onto Paul's thresholds {6, 7} and Pierre's {7, 8}: exactly the two disputed
-cards. Solving the full game head-on lands on the same 3:5 / 5:3 equilibrium
+then let iterated strict dominance chew on the 14 x 14 matrix. Everything
+collapses onto Paul's thresholds {6, 7} and Pierre's {7, 8}: exactly the two
+disputed cards. Strict elimination never changes the value, so the reduced
+2 x 2 game is the whole fight. Solving the full game head-on lands on the same 3:5 / 5:3 equilibrium
 as the reduced table.
 """
 
@@ -24,12 +25,10 @@ for t_paul in (5, 6, 7, 8):
     row = "  ".join(decimal_string(game.entries[t_paul][t], 4) for t in (6, 7, 8, 9))
     print(f"  paul t={t_paul}:  {row}")
 
-for mode in ("strict", "weak"):
-    result = eliminate_dominated(game, mode)
-    rows = [game.row_labels[i] for i in result.row_indices]
-    cols = [game.col_labels[j] for j in result.col_indices]
-    print(f"\n{mode} dominance leaves Paul {rows} vs Pierre {cols}"
-          f" (value preserving: {result.value_preserving})")
+result = eliminate_dominated(game)
+rows = [game.row_labels[i] for i in result.row_indices]
+cols = [game.col_labels[j] for j in result.col_indices]
+print(f"\nstrict dominance leaves Paul {rows} vs Pierre {cols}")
 
 solution = solve_zero_sum(game)
 print(f"\nfull-game solve: value {approx_string(solution.value)}")

@@ -46,9 +46,7 @@ from .solver import (
     GameMatrix,
     GameSolution,
     MixedStrategy,
-    best_response,
     eliminate_dominated,
-    expected_payoff,
     solve_zero_sum,
     verify_equilibrium,
 )
@@ -75,7 +73,6 @@ __all__ = [
     "RandomStream",
     "ReportEntry",
     "as_rational",
-    "best_response",
     "build_leher_matrix",
     "build_reproduction_report",
     "conditional_lot_paul",
@@ -85,7 +82,6 @@ __all__ = [
     "eliminate_dominated",
     "etrennes_matrix",
     "etrennes_solve",
-    "expected_payoff",
     "format_rational",
     "leher_simulate",
     "mixed_value",

@@ -111,6 +111,7 @@ class _RankTable:
         return getattr(self, self._FIELD)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, self._FIELD, tuple(self._flags))
         if len(self._flags) != RANK_COUNT or not all(isinstance(f, bool) for f in self._flags):
             raise ValueError("strategy needs one boolean per rank 1..13")
 

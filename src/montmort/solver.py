@@ -1,11 +1,13 @@
 """Exact solving of two-player zero-sum matrix games.
 
-Entries are Fractions and everything stays exact: a pure saddle-point check
-first, then iterated elimination of strictly dominated pure strategies, then
-one rational simplex tableau for the column player's LP (Dantzig's matrix-game
-LP, with Bland's anti-cycling rule) over the reduced matrix. The final
-solution is certified against the original, unreduced matrix before being
-returned.
+Entries are Fractions and everything stays exact. There is one solving path:
+a pure saddle-point check first; failing that, iterated elimination of
+strictly dominated pure strategies in whole passes, then one rational simplex
+tableau for the column player's LP (Dantzig's matrix-game LP, with Bland's
+anti-cycling rule) over the reduced matrix. Either step yields a pair of
+probability vectors, which are zero-extended to the original strategies,
+stored as whole-number weights and certified against the original,
+unreduced matrix before being returned.
 
 The row player maximises; column payoffs are what the row player receives.
 Mixed strategies carry raw nonnegative weights (token counts, in the spirit
@@ -20,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple
+from operator import gt, lt
+from typing import Callable, Iterable, NamedTuple
 
 from .rational import as_rational, format_rational
 
@@ -36,6 +39,8 @@ class GameMatrix:
     def __post_init__(self) -> None:
         entries = tuple(tuple(as_rational(x) for x in row) for row in self.entries)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "row_labels", tuple(self.row_labels))
+        object.__setattr__(self, "col_labels", tuple(self.col_labels))
         if not entries or not entries[0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(entries[0])
@@ -54,13 +59,11 @@ class GameMatrix:
         entries = tuple(tuple(row) for row in rows)
         if not entries or not entries[0]:
             raise ValueError("matrix needs at least one row and one column")
-        rl = tuple(row_labels) if row_labels is not None else tuple(
-            f"row{i}" for i in range(len(entries))
-        )
-        cl = tuple(col_labels) if col_labels is not None else tuple(
-            f"col{j}" for j in range(len(entries[0]))
-        )
-        return cls(entries, rl, cl)
+        if row_labels is None:
+            row_labels = (f"row{i}" for i in range(len(entries)))
+        if col_labels is None:
+            col_labels = (f"col{j}" for j in range(len(entries[0])))
+        return cls(entries, row_labels, col_labels)
 
     @property
     def n_rows(self) -> int:
@@ -69,16 +72,6 @@ class GameMatrix:
     @property
     def n_cols(self) -> int:
         return len(self.entries[0])
-
-    def column(self, col: int) -> tuple[Fraction, ...]:
-        return tuple(row[col] for row in self.entries)
-
-    def negated_transpose(self) -> GameMatrix:
-        """The same game seen from the column player's side."""
-        rows = [
-            [-self.entries[i][j] for i in range(self.n_rows)] for j in range(self.n_cols)
-        ]
-        return GameMatrix.from_rows(rows, self.col_labels, self.row_labels)
 
     def to_json_dict(self) -> dict:
         return {
@@ -100,16 +93,6 @@ class MixedStrategy:
             raise ValueError("mixed-strategy weights must be nonnegative")
         if not any(w > 0 for w in self.weights):
             raise ValueError("mixed strategy needs at least one positive weight")
-
-    @classmethod
-    def from_weights(cls, weights: Iterable[Fraction | int | str]) -> MixedStrategy:
-        return cls(tuple(weights))
-
-    @classmethod
-    def pure(cls, size: int, index: int) -> MixedStrategy:
-        if not 0 <= index < size:
-            raise ValueError(f"pure-strategy index {index} outside 0..{size - 1}")
-        return cls(tuple(Fraction(int(i == index)) for i in range(size)))
 
     @classmethod
     def from_probabilities(cls, probabilities: Iterable[Fraction]) -> MixedStrategy:
@@ -169,9 +152,6 @@ class EliminationResult:
     matrix: GameMatrix
     row_indices: tuple[int, ...]
     col_indices: tuple[int, ...]
-    mode: str
-    #: Strict elimination never changes the game value; weak elimination may.
-    value_preserving: bool
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +198,7 @@ def solve_linear_system(
 
 
 # ---------------------------------------------------------------------------
-# Payoffs, best responses, certificates
+# Payoffs and certificates
 # ---------------------------------------------------------------------------
 
 
@@ -233,31 +213,6 @@ def _col_payoffs(matrix: GameMatrix, row_probs: tuple[Fraction, ...]) -> list[Fr
         sum(row_probs[i] * matrix.entries[i][j] for i in range(matrix.n_rows))
         for j in range(matrix.n_cols)
     ]
-
-
-def expected_payoff(
-    matrix: GameMatrix, row_mix: MixedStrategy, col_mix: MixedStrategy
-) -> Fraction:
-    """The row player's exact expected payoff under the two mixes."""
-    if len(row_mix) != matrix.n_rows or len(col_mix) != matrix.n_cols:
-        raise ValueError("mix lengths must match the matrix shape")
-    x = row_mix.probabilities()
-    payoffs = _row_payoffs(matrix, col_mix.probabilities())
-    return sum(x[i] * payoffs[i] for i in range(matrix.n_rows))
-
-
-def best_response(matrix: GameMatrix, col_mix: MixedStrategy) -> tuple[set[int], Fraction]:
-    """All rows maximising the payoff against the column mix, and that payoff.
-
-    Ties are returned as a set, never broken arbitrarily.
-    """
-    if len(col_mix) != matrix.n_cols:
-        raise ValueError(
-            f"column mix has {len(col_mix)} weights for a {matrix.n_cols}-column matrix"
-        )
-    payoffs = _row_payoffs(matrix, col_mix.probabilities())
-    top = max(payoffs)
-    return {i for i, p in enumerate(payoffs) if p == top}, top
 
 
 def verify_equilibrium(
@@ -283,60 +238,43 @@ def verify_equilibrium(
 # ---------------------------------------------------------------------------
 
 
-def _dominates(better: list[Fraction], worse: list[Fraction], mode: str) -> bool:
-    if mode == "strict":
-        return all(x > y for x, y in zip(better, worse))
-    return all(x >= y for x, y in zip(better, worse)) and any(
-        x > y for x, y in zip(better, worse)
-    )
+def _undominated(
+    vectors: list[list[Fraction]], better: Callable[[Fraction, Fraction], bool]
+) -> list[int]:
+    """Positions of the vectors that no other vector beats in every entry."""
+    return [
+        k for k, v in enumerate(vectors) if not any(all(map(better, w, v)) for w in vectors)
+    ]
 
 
-def eliminate_dominated(matrix: GameMatrix, mode: str = "strict") -> EliminationResult:
-    """Iteratively remove rows/columns dominated by another pure strategy.
+def eliminate_dominated(matrix: GameMatrix) -> EliminationResult:
+    """Iteratively remove strictly dominated pure strategies, in whole passes.
 
-    Rows are dominated when another row pays the row player at least as much
-    everywhere (strictly more, in strict mode); columns when another column
-    concedes at most as much everywhere. One strategy is removed at a time,
-    lowest index first, until nothing is dominated. Strict elimination is
-    order independent and value preserving; weak elimination is neither,
-    which the result flags.
+    A row is dominated when another row pays the row player strictly more in
+    every surviving column; a column when another column concedes strictly
+    less in every surviving row. Each pass drops every dominated row, then
+    every dominated column, and passes repeat until one removes nothing.
+    Strict dominance is transitive, so every elimination order reaches this
+    same reduced game (Gilboa, Kalai & Zemel 1990), and it keeps the value
+    and every equilibrium of the original.
     """
-    if mode not in ("strict", "weak"):
-        raise ValueError(f"mode must be 'strict' or 'weak', got {mode!r}")
-    rows = list(range(matrix.n_rows))
-    cols = list(range(matrix.n_cols))
     entries = matrix.entries
-
-    def row_vector(i: int) -> list[Fraction]:
-        return [entries[i][j] for j in cols]
-
-    def col_vector(j: int) -> list[Fraction]:
-        return [entries[i][j] for i in rows]
-
-    changed = True
-    while changed:
-        changed = False
-        for i in rows:
-            victim = row_vector(i)
-            if any(h != i and _dominates(row_vector(h), victim, mode) for h in rows):
-                rows.remove(i)
-                changed = True
-                break
-        if changed:
-            continue
-        for j in cols:
-            victim = col_vector(j)
-            # The column player pays out the entries, so smaller dominates.
-            if any(g != j and _dominates(victim, col_vector(g), mode) for g in cols):
-                cols.remove(j)
-                changed = True
-                break
-    reduced = GameMatrix.from_rows(
+    rows, cols = list(range(matrix.n_rows)), list(range(matrix.n_cols))
+    while True:
+        row_vectors = [[entries[i][j] for j in cols] for i in rows]
+        kept_rows = [rows[k] for k in _undominated(row_vectors, gt)]
+        # The column player pays out the entries, so smaller dominates.
+        col_vectors = [[entries[i][j] for i in kept_rows] for j in cols]
+        kept_cols = [cols[k] for k in _undominated(col_vectors, lt)]
+        if (kept_rows, kept_cols) == (rows, cols):
+            break
+        rows, cols = kept_rows, kept_cols
+    reduced = GameMatrix(
         [[entries[i][j] for j in cols] for i in rows],
         [matrix.row_labels[i] for i in rows],
         [matrix.col_labels[j] for j in cols],
     )
-    return EliminationResult(reduced, tuple(rows), tuple(cols), mode, mode == "strict")
+    return EliminationResult(reduced, tuple(rows), tuple(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -344,16 +282,23 @@ def eliminate_dominated(matrix: GameMatrix, mode: str = "strict") -> Elimination
 # ---------------------------------------------------------------------------
 
 
-def _pure_saddle(matrix: GameMatrix) -> tuple[int, int] | None:
+def _pure_saddle(matrix: GameMatrix) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None:
+    """Unit probability vectors on the first maximin row and minimax column.
+
+    None when maximin and minimax differ: the game has no pure saddle point.
+    """
     row_mins = [min(row) for row in matrix.entries]
-    col_maxs = [max(matrix.column(j)) for j in range(matrix.n_cols)]
+    col_maxs = [max(col) for col in zip(*matrix.entries)]
     maximin = max(row_mins)
     minimax = min(col_maxs)
     if maximin != minimax:
         return None
     i = row_mins.index(maximin)
     j = col_maxs.index(minimax)
-    return i, j
+    return (
+        tuple(Fraction(k == i) for k in range(matrix.n_rows)),
+        tuple(Fraction(k == j) for k in range(matrix.n_cols)),
+    )
 
 
 def _simplex(matrix: GameMatrix) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -406,32 +351,37 @@ def _simplex(matrix: GameMatrix) -> tuple[tuple[Fraction, ...], tuple[Fraction, 
     return tuple(y / total for y in objective[n:n + m]), tuple(x / total for x in t)
 
 
+def _zero_extend(
+    size: int, indices: Iterable[int], probabilities: Iterable[Fraction]
+) -> list[Fraction]:
+    """Place probabilities at their original indices; every other one is 0."""
+    full = [Fraction(0)] * size
+    for index, p in zip(indices, probabilities):
+        full[index] = p
+    return full
+
+
 def solve_zero_sum(matrix: GameMatrix) -> GameSolution:
     """Exact minimax value and optimal mixes for a zero-sum matrix game.
 
-    Pure saddle points are returned directly. Otherwise strictly dominated
-    strategies are eliminated (which preserves the value and every
-    equilibrium), the reduced game is solved by one exact simplex tableau,
-    and the zero-extended mixes are certified against the original matrix.
+    A pure saddle point gives unit probability vectors directly. Otherwise
+    strictly dominated strategies are eliminated (which preserves the value
+    and every equilibrium) and the reduced game is solved by one exact
+    simplex tableau. Either way the probabilities are zero-extended to the
+    original strategies, stored as whole-number weights, and the mixes are
+    certified against the original matrix.
     Where optimal mixes are not unique, the one returned is deterministic
     and unchanged by any positive affine map of the payoffs.
     """
-    saddle = _pure_saddle(matrix)
-    if saddle is not None:
-        i, j = saddle
-        row_mix = MixedStrategy.pure(matrix.n_rows, i)
-        col_mix = MixedStrategy.pure(matrix.n_cols, j)
-    else:
-        reduced = eliminate_dominated(matrix, "strict")
-        x_red, y_red = _simplex(reduced.matrix)
-        x = [Fraction(0)] * matrix.n_rows
-        for index, weight in zip(reduced.row_indices, x_red):
-            x[index] = weight
-        y = [Fraction(0)] * matrix.n_cols
-        for index, weight in zip(reduced.col_indices, y_red):
-            y[index] = weight
-        row_mix = MixedStrategy.from_probabilities(x)
-        col_mix = MixedStrategy.from_probabilities(y)
+    rows, cols = range(matrix.n_rows), range(matrix.n_cols)
+    probabilities = _pure_saddle(matrix)
+    if probabilities is None:
+        reduced = eliminate_dominated(matrix)
+        rows, cols = reduced.row_indices, reduced.col_indices
+        probabilities = _simplex(reduced.matrix)
+    x, y = probabilities
+    row_mix = MixedStrategy.from_probabilities(_zero_extend(matrix.n_rows, rows, x))
+    col_mix = MixedStrategy.from_probabilities(_zero_extend(matrix.n_cols, cols, y))
     check = verify_equilibrium(matrix, row_mix, col_mix)
     if not check.is_equilibrium:
         raise RuntimeError("computed solution failed certification against the original matrix")

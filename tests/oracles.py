@@ -522,3 +522,15 @@ def strict_elimination_reference(
         if victim is None:
             return tuple(rows), tuple(cols)
         cols.remove(victim)
+
+
+def negated_transpose(matrix: GameMatrix) -> GameMatrix:
+    """The same game seen from the column player's side: -A transposed.
+
+    Its value is minus the original's (the duality property tests).
+    """
+    return GameMatrix(
+        [[-x for x in column] for column in zip(*matrix.entries)],
+        matrix.col_labels,
+        matrix.row_labels,
+    )

@@ -34,7 +34,7 @@ from montmort.solver import (
     solve_zero_sum,
     verify_equilibrium,
 )
-from oracles import enumerate_pool
+from oracles import enumerate_pool, negated_transpose
 
 T7 = PaulStrategy.threshold(7)
 T6 = PaulStrategy.threshold(6)
@@ -113,8 +113,8 @@ def test_criterion_4_minimax_solution():
     col_weights[8], col_weights[7] = Fraction(5), Fraction(3)
     extended_ok, extended_value, _ = verify_equilibrium(
         threshold_matrix(),
-        MixedStrategy.from_weights(row_weights),
-        MixedStrategy.from_weights(col_weights),
+        MixedStrategy(row_weights),
+        MixedStrategy(col_weights),
     )
     _verdict(
         4,
@@ -266,7 +266,7 @@ def test_criterion_11_property_suites():
             [[Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(n)] for _ in range(m)]
         )
         solution = solve_zero_sum(game)
-        dual = solve_zero_sum(game.negated_transpose())
+        dual = solve_zero_sum(negated_transpose(game))
         certified, value, _ = verify_equilibrium(game, solution.row_mix, solution.col_mix)
         solver_ok = (
             solver_ok

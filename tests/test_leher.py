@@ -45,6 +45,11 @@ class TestStrategies:
     def test_threshold_zero_never_acts(self):
         assert not any(PaulStrategy.threshold(0).switch)
         assert not any(PierreStrategy.threshold(0).draw)
+        # A list of flags is stored as a tuple: equal to the threshold form and hashable.
+        for strategy_type in (PaulStrategy, PierreStrategy):
+            listed = strategy_type([False] * 13)
+            assert listed == strategy_type.threshold(0)
+            assert hash(listed) == hash(strategy_type.threshold(0))
 
     def test_threshold_thirteen_always_acts(self):
         assert all(PaulStrategy.threshold(13).switch)
@@ -90,6 +95,7 @@ class TestStrategies:
         flags[4] = True
         strategy = PaulStrategy(tuple(flags))
         assert strategy.serialize() == "HHHHSHHHHHHHH"
+        assert PaulStrategy(flags) == strategy
         assert PaulStrategy.parse(strategy.serialize()) == strategy
 
     def test_strategy_requires_thirteen_flags(self):

@@ -4,16 +4,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from oracles import strict_elimination_reference, support_enumeration_solve
+from oracles import negated_transpose, strict_elimination_reference, support_enumeration_solve
 
 from montmort.leher import build_leher_matrix, threshold_matrix
 from montmort.rational import format_rational, parse_rational
 from montmort.solver import (
     GameMatrix,
     MixedStrategy,
-    best_response,
     eliminate_dominated,
-    expected_payoff,
     solve_linear_system,
     solve_zero_sum,
     verify_equilibrium,
@@ -112,42 +110,45 @@ class TestGameMatrix:
         game = GameMatrix(((1, "1/2"), (Fraction(3, 4), 0)), ("r0", "r1"), ("c0", "c1"))
         assert game.entries == ((Fraction(1), Fraction(1, 2)), (Fraction(3, 4), Fraction(0)))
         assert all(type(x) is Fraction for row in game.entries for x in row)
-
-    def test_negated_transpose(self):
-        game = GameMatrix.from_rows([[1, 2], [3, 4]], ["r0", "r1"], ["c0", "c1"])
-        flipped = game.negated_transpose()
-        assert flipped.entries == ((Fraction(-1), Fraction(-3)), (Fraction(-2), Fraction(-4)))
-        assert flipped.row_labels == ("c0", "c1")
+        # List rows and labels are stored as tuples, so the matrix hashes.
+        listed = GameMatrix([[1, 2]], ["r"], ["a", "b"])
+        assert (listed.entries, listed.row_labels, listed.col_labels) == (
+            ((Fraction(1), Fraction(2)),), ("r",), ("a", "b"),
+        )
+        assert listed == GameMatrix(((1, 2),), ("r",), ("a", "b"))
+        assert hash(listed) == hash(GameMatrix(((1, 2),), ("r",), ("a", "b")))
 
 
 class TestMixedStrategy:
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
-            MixedStrategy.from_weights([1, -1])
+            MixedStrategy([1, -1])
 
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError):
-            MixedStrategy.from_weights([0, 0])
+            MixedStrategy([0, 0])
 
     def test_probabilities_normalise(self):
-        assert MixedStrategy.from_weights([3, 5]).probabilities() == (
+        assert MixedStrategy([3, 5]).probabilities() == (
             Fraction(3, 8),
             Fraction(5, 8),
         )
 
     def test_support(self):
-        assert MixedStrategy.from_weights([0, 2, 0, 1]).support() == (1, 3)
+        assert MixedStrategy([0, 2, 0, 1]).support() == (1, 3)
 
     def test_from_probabilities_integerises(self):
         mix = MixedStrategy.from_probabilities((Fraction(3, 8), Fraction(5, 8)))
         assert mix.weights == (Fraction(3), Fraction(5))
 
     def test_pure(self):
-        assert MixedStrategy.pure(3, 1).weights == (0, 1, 0)
+        # A pure saddle's unit probability vector keeps its 0/1 weights.
+        unit = (Fraction(0), Fraction(1), Fraction(0))
+        assert MixedStrategy.from_probabilities(unit).weights == (0, 1, 0)
 
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
-            MixedStrategy.from_weights([0.5, 0.5])
+            MixedStrategy([0.5, 0.5])
         with pytest.raises(TypeError):
             MixedStrategy((0.5, 0.5))
 
@@ -155,7 +156,7 @@ class TestMixedStrategy:
         mix = MixedStrategy((1, "1/2"))
         assert mix.weights == (Fraction(1), Fraction(1, 2))
         assert all(type(w) is Fraction for w in mix.weights)
-        assert expected_payoff(matrix([[1, 0], [0, 1]]), mix, mix) == Fraction(5, 9)
+        assert verify_equilibrium(matrix([[1, 0], [0, 1]]), mix, mix).value == Fraction(5, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -190,43 +191,54 @@ class TestLinearSystem:
 
 
 # ---------------------------------------------------------------------------
-# Best response and verification
+# Best responses and verification
 # ---------------------------------------------------------------------------
+
+
+def best_rows(game, col_weights):
+    """Every row maximising the payoff against the column mix, and that payoff.
+
+    Read off the certificate: row_payoffs[i] is what pure row i earns.
+    """
+    any_row = MixedStrategy([1] * game.n_rows)
+    payoffs = verify_equilibrium(game, any_row, MixedStrategy(col_weights)).certificate.row_payoffs
+    top = max(payoffs)
+    return {i for i, p in enumerate(payoffs) if p == top}, top
 
 
 class TestBestResponse:
     def test_against_pure_switching_pierre(self):
-        rows, value = best_response(build_leher_matrix(), MixedStrategy.from_weights([1, 0]))
+        rows, value = best_rows(build_leher_matrix(), [1, 0])
         assert rows == {1}  # holding the 7 dominates against a switching Pierre
         assert value == Fraction(2834, 5525)
 
     def test_optimal_mix_equalises_both_rows(self):
-        rows, value = best_response(build_leher_matrix(), MixedStrategy.from_weights([5, 3]))
+        rows, value = best_rows(build_leher_matrix(), [5, 3])
         assert rows == {0, 1}
         assert value == Fraction(11327, 22100)
 
     def test_degenerate_single_column(self):
         game = matrix([[1, 9], [5, 0], [5, 2]])
-        rows, value = best_response(game, MixedStrategy.pure(2, 0))
+        rows, value = best_rows(game, [1, 0])
         assert rows == {1, 2}
         assert value == 5
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            best_response(matrix([[1, 2]]), MixedStrategy.from_weights([1, 1, 1]))
+            best_rows(matrix([[1, 2]]), [1, 1, 1])
 
 
 class TestVerifyEquilibrium:
     def test_trivial_one_by_one(self):
         ok, value, certificate = verify_equilibrium(
-            matrix([[Fraction(5, 9)]]), MixedStrategy.pure(1, 0), MixedStrategy.pure(1, 0)
+            matrix([[Fraction(5, 9)]]), MixedStrategy([1]), MixedStrategy([1])
         )
         assert ok and value == Fraction(5, 9)
         assert certificate.row_payoffs == (Fraction(5, 9),)
 
     def test_pure_table_profile_is_not_an_equilibrium(self):
         ok, value, certificate = verify_equilibrium(
-            build_leher_matrix(), MixedStrategy.pure(2, 0), MixedStrategy.pure(2, 0)
+            build_leher_matrix(), MixedStrategy([1, 0]), MixedStrategy([1, 0])
         )
         assert not ok
         assert value == Fraction(2828, 5525)
@@ -241,8 +253,8 @@ class TestVerifyEquilibrium:
         col_weights[8], col_weights[7] = Fraction(5), Fraction(3)
         ok, value, _ = verify_equilibrium(
             game,
-            MixedStrategy.from_weights(row_weights),
-            MixedStrategy.from_weights(col_weights),
+            MixedStrategy(row_weights),
+            MixedStrategy(col_weights),
         )
         assert ok
         assert value == Fraction(11327, 22100)
@@ -250,7 +262,7 @@ class TestVerifyEquilibrium:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             verify_equilibrium(
-                matrix([[1, 2]]), MixedStrategy.pure(2, 0), MixedStrategy.pure(2, 0)
+                matrix([[1, 2]]), MixedStrategy([1, 0]), MixedStrategy([1, 0])
             )
 
 
@@ -261,34 +273,24 @@ class TestVerifyEquilibrium:
 
 class TestEliminateDominated:
     def test_strict_collapse_to_saddle(self):
-        result = eliminate_dominated(matrix([[1, 2], [3, 4]]), "strict")
+        result = eliminate_dominated(matrix([[1, 2], [3, 4]]))
         assert result.matrix.entries == ((Fraction(3),),)
         assert result.row_indices == (1,)
         assert result.col_indices == (0,)
-        assert result.value_preserving
 
-    def test_identical_rows_survive_both_modes(self):
-        game = matrix([[1, 2], [1, 2]])
-        for mode in ("strict", "weak"):
-            result = eliminate_dominated(game, mode)
-            assert result.row_indices == (0, 1)
+    def test_identical_rows_survive(self):
+        result = eliminate_dominated(matrix([[1, 2], [1, 2]]))
+        assert result.row_indices == (0, 1)
 
-    def test_weak_mode_prunes_ties_with_an_edge(self):
-        game = matrix([[0, 1], [0, 0]])
-        strict = eliminate_dominated(game, "strict")
-        assert strict.row_indices == (0, 1)
-        weak = eliminate_dominated(game, "weak")
-        assert weak.row_indices == (0,)
-        assert not weak.value_preserving
+    def test_weakly_dominated_row_survives(self):
+        # Row 0 ties row 1 in column 0, so it does not strictly dominate it.
+        result = eliminate_dominated(matrix([[0, 1], [0, 0]]))
+        assert result.row_indices == (0, 1)
 
     def test_le_her_thresholds_collapse_to_the_historical_pairs(self):
-        weak = eliminate_dominated(threshold_matrix(), "weak")
-        assert weak.row_indices == (6, 7)
-        assert weak.col_indices == (7, 8)
-
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            eliminate_dominated(matrix([[1]]), "loose")
+        result = eliminate_dominated(threshold_matrix())
+        assert result.row_indices == (6, 7)
+        assert result.col_indices == (7, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +355,7 @@ class TestSolverProperties:
         rng = random.Random(101)
         for _ in range(40):
             game = random_matrix(rng)
-            assert solve_zero_sum(game).value == -solve_zero_sum(game.negated_transpose()).value
+            assert solve_zero_sum(game).value == -solve_zero_sum(negated_transpose(game)).value
 
     def test_certificate_soundness(self):
         rng = random.Random(102)
@@ -369,7 +371,7 @@ class TestSolverProperties:
             game = random_matrix(rng)
             value = solve_zero_sum(game).value
             maximin = max(min(row) for row in game.entries)
-            minimax = min(max(game.column(j)) for j in range(game.n_cols))
+            minimax = min(max(column) for column in zip(*game.entries))
             assert maximin <= value <= minimax
 
     def test_scale_and_shift_equivariance(self):
@@ -393,13 +395,15 @@ class TestSolverProperties:
         rng = random.Random(105)
         for _ in range(30):
             game = random_matrix(rng, max_size=4)
-            reduced = eliminate_dominated(game, "strict").matrix
+            reduced = eliminate_dominated(game).matrix
             assert solve_zero_sum(game).value == solve_zero_sum(reduced).value
 
     def test_expected_payoff_matches_certificate(self):
         game = build_leher_matrix()
         solution = solve_zero_sum(game)
-        assert expected_payoff(game, solution.row_mix, solution.col_mix) == solution.value
+        x = solution.row_mix.probabilities()
+        expected = sum(p * payoff for p, payoff in zip(x, solution.certificate.row_payoffs))
+        assert expected == solution.value
 
     def test_certificate_equalises_on_the_supports(self):
         rng = random.Random(106)
