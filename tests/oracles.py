@@ -16,7 +16,10 @@ one by one through the game law (`paul_wins_deal`), with none of the
 rank-multiplicity weights the exact enumeration uses. The rank-subset
 enumerator is the engine's former lot computation: it walks the rank
 triples of one strategy pair, restricted to chosen first and second ranks,
-and shares none of the production weight table's indexing. Support enumeration
+and shares none of the production weight table's indexing. The weight-table
+and threshold-matrix references are the engine's former builds: every deal
+class walks all 13 third cards, and the 14 x 14 threshold game is 196
+separate full lots. Support enumeration
 solves a matrix game by trying every pair of square supports with exact
 equalisation solves, sharing nothing with the production simplex tableau.
 The strict-elimination reference is the engine's former one-at-a-time
@@ -38,6 +41,7 @@ from montmort.leher import (
     PierreStrategy,
     _before_draw,
     _token_weights,
+    paul_win_probability,
     paul_wins_deal,
 )
 from montmort.montecarlo import RandomStream
@@ -409,6 +413,42 @@ def rank_subset_win_weights(
                 if pierre_final >= paul_final:
                     pierre_weight += weight_ab * weight_c
     return paul_weight, pierre_weight, total
+
+
+def weight_table_reference() -> tuple[tuple[int, int], ...]:
+    """The engine's former `_weight_table()` body, indexed the same way.
+
+    Every one of the 676 deal classes walks all 13 third-card ranks, settled
+    or not, and tests each player's predicate separately.
+    """
+    table = []
+    for a in _ALL_RANKS:
+        for b in _ALL_RANKS:
+            weight_ab = COPIES_PER_RANK * (COPIES_PER_RANK - (b == a))
+            for switch, draw in ((False, False), (False, True), (True, False), (True, True)):
+                paul_final, pierre_current, draws = _before_draw(a, b, switch, draw)
+                paul_weight = pierre_weight = 0
+                for c in _ALL_RANKS:
+                    weight_c = COPIES_PER_RANK - (c == a) - (c == b)
+                    pierre_final = c if draws and c != KING else pierre_current
+                    if paul_final > pierre_final:
+                        paul_weight += weight_c
+                    if pierre_final >= paul_final:
+                        pierre_weight += weight_c
+                table.append((weight_ab * paul_weight, weight_ab * pierre_weight))
+    return tuple(table)
+
+
+def threshold_matrix_reference() -> GameMatrix:
+    """The engine's former `threshold_matrix()`: 196 full lots, one per threshold pair."""
+    paul_strategies = [PaulStrategy.threshold(t) for t in range(RANK_COUNT + 1)]
+    pierre_strategies = [PierreStrategy.threshold(t) for t in range(RANK_COUNT + 1)]
+    rows = [
+        [paul_win_probability(paul, pierre) for pierre in pierre_strategies]
+        for paul in paul_strategies
+    ]
+    labels = tuple(f"threshold:{t}" for t in range(RANK_COUNT + 1))
+    return GameMatrix.from_rows(rows, labels, labels)
 
 
 def _equalisation_mix(

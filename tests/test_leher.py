@@ -23,7 +23,12 @@ from montmort.leher import (
     _cell,
     _weight_table,
 )
-from oracles import physical_deal_tallies, rank_subset_win_weights
+from oracles import (
+    physical_deal_tallies,
+    rank_subset_win_weights,
+    threshold_matrix_reference,
+    weight_table_reference,
+)
 
 T7 = PaulStrategy.threshold(7)
 T6 = PaulStrategy.threshold(6)
@@ -360,6 +365,28 @@ class TestWeightTable:
                     for draw in (False, True):
                         assert sum(table[_cell(a, b, switch, draw)]) == deals
                 assert table[_cell(a, b, True, False)] == table[_cell(a, b, True, True)]
+
+    def test_table_matches_third_card_reference(self):
+        table, reference = _weight_table(), weight_table_reference()
+        assert len(table) == len(reference) == 676
+        for index, (cell, expected) in enumerate(zip(table, reference)):
+            assert cell == expected, index
+
+    def test_threshold_matrix_matches_196_lot_reference(self):
+        threshold_matrix.cache_clear()
+        matrix, reference = threshold_matrix(), threshold_matrix_reference()
+        assert matrix.entries == reference.entries
+        assert matrix.row_labels == reference.row_labels
+        assert matrix.col_labels == reference.col_labels
+
+    @pytest.mark.parametrize("threshold", range(14))
+    def test_conditional_lot_paul_against_pierre_thresholds(self, threshold):
+        pierre = PierreStrategy.threshold(threshold)
+        paul_plans = ((PaulAction.SWITCH, ALWAYS_SWITCH), (PaulAction.HOLD, NEVER_SWITCH))
+        for card in range(1, 14):
+            for action, plan in paul_plans:
+                win, _, total = rank_subset_win_weights(plan, pierre, (card,))
+                assert conditional_lot_paul(card, action, pierre) == Fraction(win, total)
 
     @pytest.mark.parametrize(
         "pairs", [THRESHOLD_PAIRS, _random_tables(41, 200)], ids=["thresholds", "tables"]
