@@ -23,15 +23,21 @@ A deal's outcome depends only on its first two ranks and the players' flags
 at them, so one table of 13 * 13 * 2 * 2 = 676 integer cells counts both
 players' wins over the 52 * 51 * 50 = 132,600 ordered deals, and every full
 and conditional lot is an exact Fraction summed from it; no floats anywhere.
+Only the deal classes that reach Pierre's redraw look at the third card; a
+settled class counts all 50 third cards at once. The 14 x 14 threshold game
+is read from per-rank row sums of the table: Paul's weight at each dealt rank,
+holding and switching, against each Pierre threshold.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 import string
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import ClassVar, TypeVar
 
 from .rational import as_rational
@@ -251,7 +257,9 @@ def _weight_table() -> tuple[tuple[int, int], ...]:
     ranks (a, b) and any third card, 4 * (4 - [a = b]) * 50 of them, that each
     player wins, each by its own predicate (strictly higher for Paul, at least
     as high for Pierre), so the complementarity law checked in the tests is a
-    real property of the table, not an accounting identity.
+    real property of the table, not an accounting identity. Only the classes
+    that reach Pierre's redraw walk the 13 third-card ranks; in a settled
+    class all 50 third cards give the same outcome.
     """
     ranks = range(1, RANK_COUNT + 1)
     table = []
@@ -260,20 +268,42 @@ def _weight_table() -> tuple[tuple[int, int], ...]:
             weight_ab = COPIES_PER_RANK * (COPIES_PER_RANK - (b == a))
             for switch, draw in ((False, False), (False, True), (True, False), (True, True)):
                 paul_final, pierre_current, draws = _before_draw(a, b, switch, draw)
-                paul_weight = pierre_weight = 0
-                for c in ranks:
-                    weight_c = COPIES_PER_RANK - (c == a) - (c == b)
-                    pierre_final = c if draws and c != KING else pierre_current
-                    if paul_final > pierre_final:
-                        paul_weight += weight_c
-                    if pierre_final >= paul_final:
-                        pierre_weight += weight_c
+                if not draws:
+                    paul_weight = (DECK_SIZE - 2) * (paul_final > pierre_current)
+                    pierre_weight = (DECK_SIZE - 2) * (pierre_current >= paul_final)
+                else:
+                    paul_weight = pierre_weight = 0
+                    for c in ranks:
+                        weight_c = COPIES_PER_RANK - (c == a) - (c == b)
+                        pierre_final = pierre_current if c == KING else c
+                        if paul_final > pierre_final:
+                            paul_weight += weight_c
+                        if pierre_final >= paul_final:
+                            pierre_weight += weight_c
                 table.append((weight_ab * paul_weight, weight_ab * pierre_weight))
     return tuple(table)
 
 
+def _paul_row_weight(a: int, switch: bool, draw: tuple[bool, ...]) -> int:
+    """Paul's win weight over the deals that give him rank `a`, summed over Pierre's 13 ranks.
+
+    `switch` is Paul's flag at `a` and `draw` Pierre's per-rank draw flags.
+    Paul's full win weight against `draw` under any table is the sum of these
+    terms over his 13 ranks, each at his flag there.
+    """
+    table = _weight_table()
+    return sum(table[_cell(a, b, switch, flag)][0] for b, flag in enumerate(draw, 1))
+
+
+def _check_strategy(strategy: object, kind: type[_RankTable]) -> None:
+    if not isinstance(strategy, kind):
+        raise ValueError(f"expected a {kind.__name__}, got {type(strategy).__name__}")
+
+
 def _full_weight(paul: PaulStrategy, pierre: PierreStrategy, side: int) -> int:
     """Paul's (side 0) or Pierre's (side 1) win weight over all ordered deals."""
+    _check_strategy(paul, PaulStrategy)
+    _check_strategy(pierre, PierreStrategy)
     table = _weight_table()
     return sum(
         table[_cell(a, b, switch, draw)][side]
@@ -303,9 +333,8 @@ def conditional_lot_paul(card: int, action: PaulAction, pierre: PierreStrategy) 
     _check_rank(card)
     if not isinstance(action, PaulAction):
         raise ValueError(f"expected a PaulAction, got {action!r}")
-    table = _weight_table()
-    switch = action is PaulAction.SWITCH
-    win = sum(table[_cell(card, b, switch, draw)][0] for b, draw in enumerate(pierre.draw, 1))
+    _check_strategy(pierre, PierreStrategy)
+    win = _paul_row_weight(card, action is PaulAction.SWITCH, pierre.draw)
     return Fraction(win, COPIES_PER_RANK * (DECK_SIZE - 1) * (DECK_SIZE - 2))
 
 
@@ -321,6 +350,7 @@ def conditional_lot_pierre(card: int, action: PierreAction, paul: PaulStrategy) 
     _check_rank(card)
     if not isinstance(action, PierreAction):
         raise ValueError(f"expected a PierreAction, got {action!r}")
+    _check_strategy(paul, PaulStrategy)
     stand_ranks = [a for a, switch in enumerate(paul.switch, 1) if not switch]
     if not stand_ranks:
         raise ValueError("conditioning event impossible: Paul never stands under this strategy")
@@ -361,15 +391,23 @@ def build_leher_matrix() -> GameMatrix:
 
 @lru_cache(maxsize=None)
 def threshold_matrix() -> GameMatrix:
-    """Paul's lot for every threshold pair (t_paul, t_pierre) in 0..13 squared."""
-    paul_strategies = [PaulStrategy.threshold(t) for t in range(RANK_COUNT + 1)]
-    pierre_strategies = [PierreStrategy.threshold(t) for t in range(RANK_COUNT + 1)]
-    rows = [
-        [paul_win_probability(paul, pierre) for pierre in pierre_strategies]
-        for paul in paul_strategies
-    ]
+    """Paul's lot for every threshold pair (t_paul, t_pierre) in 0..13 squared.
+
+    Read from per-rank row sums: against each Pierre threshold, Paul's hold
+    and switch weights at each of the 13 ranks are summed once, and moving
+    Paul's threshold from s - 1 to s trades rank s's hold weight for its
+    switch weight.
+    """
+    ranks = range(1, RANK_COUNT + 1)
+    columns = []
+    for t in range(RANK_COUNT + 1):
+        draw = _threshold_flags(t)
+        hold = [_paul_row_weight(a, False, draw) for a in ranks]
+        switch = [_paul_row_weight(a, True, draw) for a in ranks]
+        weights = accumulate(map(operator.sub, switch, hold), initial=sum(hold))
+        columns.append([Fraction(weight, ORDERED_DEALS) for weight in weights])
     labels = tuple(f"threshold:{t}" for t in range(RANK_COUNT + 1))
-    return GameMatrix.from_rows(rows, labels, labels)
+    return GameMatrix.from_rows(zip(*columns), labels, labels)
 
 
 def _check_probability(name: str, value: Fraction) -> Fraction:

@@ -77,8 +77,8 @@ def decimal_string(value: Fraction, digits: int = DEFAULT_DECIMAL_DIGITS) -> str
     >>> decimal_string(Fraction(2828, 5525))
     '0.511855'
     """
-    if digits < 0:
-        raise ValueError("digits must be nonnegative")
+    if not isinstance(digits, int) or isinstance(digits, bool) or digits < 0:
+        raise ValueError(f"digits must be a nonnegative integer, got {digits!r}")
     sign = "-" if value < 0 else ""
     magnitude = abs(value)
     whole, remainder = divmod(magnitude.numerator, magnitude.denominator)

@@ -265,6 +265,23 @@ class TestConditionalLots:
         with pytest.raises(ValueError):
             conditional_lot_pierre(8, PaulAction.HOLD, T7)
 
+    @pytest.mark.parametrize(
+        "lot,args,message",
+        [
+            (conditional_lot_paul, (7, PaulAction.HOLD, T7), "PierreStrategy, got PaulStrategy"),
+            (conditional_lot_paul, (7, PaulAction.HOLD, "threshold:8"), "PierreStrategy, got str"),
+            (conditional_lot_pierre, (8, PierreAction.HOLD, P8), "PaulStrategy, got PierreStrat"),
+            (conditional_lot_pierre, (8, PierreAction.DRAW, None), "PaulStrategy, got NoneType"),
+            (paul_win_probability, (P8, T7), "PaulStrategy, got PierreStrategy"),
+            (paul_win_probability, (T7, "threshold:8"), "PierreStrategy, got str"),
+            (pierre_win_probability, (P8, T7), "PaulStrategy, got PierreStrategy"),
+            (pierre_win_probability, (T7, T6), "PierreStrategy, got PaulStrategy"),
+        ],
+    )
+    def test_wrong_strategy_type(self, lot, args, message):
+        with pytest.raises(ValueError, match=f"expected a {message}"):
+            lot(*args)
+
     def test_total_probability_law_spot_checks(self):
         # The marginal lot is the deal-weighted sum of the conditional ones.
         for paul, pierre in [(T7, P8), (T6, P7), (PaulStrategy.threshold(13), P8)]:

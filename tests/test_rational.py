@@ -118,6 +118,11 @@ class TestDecimalString:
         with pytest.raises(ValueError):
             decimal_string(Fraction(1, 2), -1)
 
+    @pytest.mark.parametrize("digits", [True, False, 2.5, 3.0, "6", None])
+    def test_digit_count_must_be_a_non_bool_int(self, digits):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            decimal_string(Fraction(1, 3), digits)
+
 
 @given(rationals, rationals)
 def test_addition_and_multiplication_commute(x, y):
