@@ -24,6 +24,10 @@ solves a matrix game by trying every pair of square supports with exact
 equalisation solves, sharing nothing with the production simplex tableau.
 The strict-elimination reference is the engine's former one-at-a-time
 dominance loop, against which the whole-pass elimination is checked.
+The linear-system reference is the engine's former Gaussian elimination
+over Fractions; the unlumped pool solve and the support-equalising solves
+run on it, so the engine's fraction-free kernel is never checked against
+itself.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from montmort.leher import (
 )
 from montmort.montecarlo import RandomStream
 from montmort.pool import PoolConfig
-from montmort.solver import GameMatrix, solve_linear_system
+from montmort.solver import GameMatrix
 
 
 @dataclass(frozen=True)
@@ -194,6 +198,44 @@ def enumerate_pool(config: PoolConfig, depth: int) -> TruncatedPoolEnumeration:
     )
 
 
+def solve_linear_system_reference(
+    coefficients: list[list[Fraction]], constants: list[Fraction]
+) -> list[Fraction] | None:
+    """Solve a square system exactly; None when the matrix is singular.
+
+    Gaussian elimination over Fractions with partial pivoting on exact
+    magnitude. Exact arithmetic means pivoting is about determinism, not
+    numerical stability.
+    """
+    size = len(coefficients)
+    if any(len(row) != size for row in coefficients) or len(constants) != size:
+        raise ValueError("system must be square with a matching constant vector")
+    a = [list(row) for row in coefficients]
+    b = list(constants)
+    for col in range(size):
+        pivot = max(range(col, size), key=lambda r: abs(a[r][col]))
+        if a[pivot][col] == 0:
+            return None
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            b[col], b[pivot] = b[pivot], b[col]
+        inverse = 1 / a[col][col]
+        for r in range(col + 1, size):
+            factor = a[r][col] * inverse
+            if factor == 0:
+                continue
+            for k in range(col, size):
+                a[r][k] -= factor * a[col][k]
+            b[r] -= factor * b[col]
+    solution = [Fraction(0)] * size
+    for row in range(size - 1, -1, -1):
+        acc = b[row]
+        for k in range(row + 1, size):
+            acc -= a[row][k] * solution[k]
+        solution[row] = acc / a[row][row]
+    return solution
+
+
 def unlumped_win_probabilities(config: PoolConfig) -> tuple[Fraction, ...]:
     """Win probabilities from the raw (champion, streak, queue) state space.
 
@@ -243,7 +285,7 @@ def unlumped_win_probabilities(config: PoolConfig) -> tuple[Fraction, ...]:
 
     per_state_win: list[list[Fraction]] = [[Fraction(0)] * n for _ in range(size)]
     for seat in range(n):
-        solution = solve_linear_system(rows, [absorb[i][seat] for i in range(size)])
+        solution = solve_linear_system_reference(rows, [absorb[i][seat] for i in range(size)])
         assert solution is not None
         for i in range(size):
             per_state_win[i][seat] = solution[i]
@@ -469,7 +511,7 @@ def _equalisation_mix(
         constants.append(Fraction(0))
     coefficients.append([Fraction(1)] * k + [Fraction(0)])
     constants.append(Fraction(1))
-    solution = solve_linear_system(coefficients, constants)
+    solution = solve_linear_system_reference(coefficients, constants)
     if solution is None:
         return None
     weights = solution[:k]

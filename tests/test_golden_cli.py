@@ -77,6 +77,16 @@ CASES = {
     "pool_solve_4_streak_1.csv": (0, [*_POOL_STREAK_1, *_CSV]),
     # Ten streak levels under the default streak.
     "pool_solve_12.json": (0, ["pool", "solve", "--players", "12", "--p", "1/3", *_JSON]),
+    # The largest pools: the coupled right-hand side carries the biggest
+    # denominators the linear solve meets.
+    "pool_solve_30_stakes.json": (0, [
+        "pool", "solve", "--players", "30", "--p", "1/3", "--ante", "3/2", "--fee", "5/7",
+        *_JSON,
+    ]),
+    "pool_solve_20_streak_10.json": (0, [
+        "pool", "solve", "--players", "20", "--p", "2/5", "--streak", "10",
+        "--ante", "3/2", "--fee", "1/4", *_JSON,
+    ]),
     "pool_simulate_3_seed_42.txt": (0, [*_POOL_SIM_3, "--trials", "2000"]),
     "pool_simulate_3_seed_42.json": (0, [*_POOL_SIM_3, "--trials", "2000", *_JSON]),
     "pool_simulate_3_seed_42.csv": (0, [*_POOL_SIM_3, "--trials", "2000", *_CSV]),

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from montmort import pool
 from montmort.pool import (
     PoolConfig,
     PoolDivergenceError,
@@ -16,6 +17,7 @@ from oracles import (
     enumerate_pool,
     opening_state,
     simulate_pool_reference,
+    solve_linear_system_reference,
     unlumped_win_probabilities,
 )
 
@@ -293,6 +295,34 @@ class TestPoolSolve:
             assert abs(oracle.expected_games - solution.expected_games) <= (
                 oracle.residual_games_bound
             )
+
+
+_REFERENCE_PS = tuple(
+    Fraction(x) for x in ("0", "1/7", "1/3", "1/2", "2/3", "3/4", "1")
+)
+
+
+def _solve_or_error(config):
+    try:
+        return pool_solve(config)
+    except Exception as error:  # compared by type only
+        return type(error)
+
+
+class TestPoolSolveAgainstReferenceKernel:
+    """pool_solve with its linear solves done by the former Fraction elimination."""
+
+    @pytest.mark.parametrize("players", range(2, 13))
+    def test_same_solution(self, players, monkeypatch):
+        configs = [
+            PoolConfig(players, p, ante=Fraction(3, 2), fee=Fraction(5, 7), streak_required=r)
+            for r in range(1, players + 2)
+            for p in _REFERENCE_PS
+        ]
+        produced = [_solve_or_error(config) for config in configs]
+        monkeypatch.setattr(pool, "solve_linear_system", solve_linear_system_reference)
+        for config, result in zip(configs, produced):
+            assert _solve_or_error(config) == result, config
 
 
 class TestPoolSimulate:

@@ -4,7 +4,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from oracles import negated_transpose, strict_elimination_reference, support_enumeration_solve
+from oracles import (
+    negated_transpose,
+    solve_linear_system_reference,
+    strict_elimination_reference,
+    support_enumeration_solve,
+)
 
 from montmort.leher import build_leher_matrix, threshold_matrix
 from montmort.rational import format_rational, parse_rational
@@ -188,6 +193,96 @@ class TestLinearSystem:
             solved = solve_linear_system(a, b)
             if solved is not None:
                 assert solved == x
+
+
+# Denominators of the kind the engine meets: 5525 = 5^2 * 13 * 17 is the
+# Le Her deal count's, and its divisors share factors with one another.
+_DENOMINATORS = (1, 1, 1, 2, 3, 4, 5, 7, 12, 13, 17, 25, 65, 221, 425, 1105, 5525)
+
+
+def _random_entry(rng, zero_share=0.3):
+    """An int or Fraction, zero about zero_share of the time."""
+    if rng.random() < zero_share:
+        return rng.choice((0, Fraction(0)))
+    numerator = rng.choice((-1, 1)) * rng.randint(1, 40)
+    denominator = rng.choice(_DENOMINATORS)
+    if denominator == 1 and rng.random() < 0.5:
+        return numerator
+    return Fraction(numerator, denominator)
+
+
+def _random_system(rng, case):
+    """One seeded square system; `case` picks the shape the kernel must meet.
+
+    0: general, about 30% zeros; 1: one row a combination of two others
+    (singular); 2: a product of n x r and r x n factors with r < n (rank
+    deficient); 3: zero leading entries in the first rows, so the first
+    column's pivot sits lower down; 4: a negative diagonal.
+    """
+    size = rng.randint(1, 10)
+    a = [[_random_entry(rng) for _ in range(size)] for _ in range(size)]
+    if case == 1 and size >= 2:
+        i, j, k = (rng.randrange(size) for _ in range(3))
+        c1, c2 = _random_entry(rng, 0), _random_entry(rng, 0.5)
+        a[k] = [c1 * x + c2 * y for x, y in zip(a[i], a[j])]
+    elif case == 2 and size >= 2:
+        rank = rng.randint(1, size - 1)
+        left = [[_random_entry(rng, 0.1) for _ in range(rank)] for _ in range(size)]
+        right = [[_random_entry(rng, 0.1) for _ in range(size)] for _ in range(rank)]
+        a = [
+            [sum(left[i][t] * right[t][j] for t in range(rank)) for j in range(size)]
+            for i in range(size)
+        ]
+    elif case == 3:
+        for i in range(rng.randint(1, size)):
+            if i < size - 1:
+                a[i][0] = 0
+    elif case == 4:
+        for i in range(size):
+            a[i][i] = -abs(_random_entry(rng, 0)) - rng.randint(0, 3)
+    b = [_random_entry(rng) for _ in range(size)]
+    return a, b
+
+
+def _fractions(a, b):
+    return [[Fraction(x) for x in row] for row in a], [Fraction(x) for x in b]
+
+
+def _reference(a, b):
+    """The former elimination, fed Fractions: on ints its `1 / pivot` is a float."""
+    return solve_linear_system_reference(*_fractions(a, b))
+
+
+class TestLinearSystemAgainstReference:
+    """The fraction-free kernel against the former Fraction elimination."""
+
+    def test_seeded_systems_match(self):
+        rng = random.Random(20260412)
+        outcomes = {"solved": 0, "singular": 0}
+        for index in range(2500):
+            a, b = _random_system(rng, index % 5)
+            before = ([list(row) for row in a], list(b))
+            expected = _reference(a, b)
+            assert solve_linear_system(*_fractions(a, b)) == expected, (a, b)
+            assert (a, b) == before
+            outcomes["singular" if expected is None else "solved"] += 1
+        assert min(outcomes.values()) >= 400
+
+    def test_results_are_fractions(self):
+        solved = solve_linear_system([[2, 0], [0, Fraction(1, 3)]], [4, 1])
+        assert solved == [2, 3]
+        assert all(type(x) is Fraction for x in solved)
+
+    def test_row_swap_on_zero_leading_entry(self):
+        a = [[0, 1, 2], [0, 3, 1], [-4, 0, 1]]
+        b = [Fraction(1, 5525), 2, Fraction(-3, 13)]
+        assert solve_linear_system(*_fractions(a, b)) == _reference(a, b)
+
+    def test_zero_column_is_singular(self):
+        assert solve_linear_system([[1, 0], [2, 0]], [1, 1]) is None
+
+    def test_empty_system(self):
+        assert solve_linear_system([], []) == []
 
 
 # ---------------------------------------------------------------------------
