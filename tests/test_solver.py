@@ -263,20 +263,40 @@ class TestLinearSystemAgainstReference:
             a, b = _random_system(rng, index % 5)
             before = ([list(row) for row in a], list(b))
             expected = _reference(a, b)
-            assert solve_linear_system(*_fractions(a, b)) == expected, (a, b)
+            assert solve_linear_system(a, b) == expected, (a, b)
             assert (a, b) == before
             outcomes["singular" if expected is None else "solved"] += 1
         assert min(outcomes.values()) >= 400
 
-    def test_results_are_fractions(self):
-        solved = solve_linear_system([[2, 0], [0, Fraction(1, 3)]], [4, 1])
-        assert solved == [2, 3]
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            ([[2, 0], [0, Fraction(1, 3)]], [4, 1], [2, 3]),
+            # The former elimination divided int by int here and returned 0.5.
+            ([[2]], [1], [Fraction(1, 2)]),
+        ],
+    )
+    def test_results_are_fractions(self, a, b, expected):
+        solved = solve_linear_system(a, b)
+        assert solved == expected
         assert all(type(x) is Fraction for x in solved)
+
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            ([[0.5]], [1], "exact rational expected, got float 0.5"),
+            ([[1]], [1.0], "exact rational expected, got float 1.0"),
+            ([[1, True], [0, 1]], [1, 2], "exact rational expected, got bool True"),
+        ],
+    )
+    def test_rejects_floats_and_bools(self, a, b, message):
+        with pytest.raises(TypeError, match=message):
+            solve_linear_system(a, b)
 
     def test_row_swap_on_zero_leading_entry(self):
         a = [[0, 1, 2], [0, 3, 1], [-4, 0, 1]]
         b = [Fraction(1, 5525), 2, Fraction(-3, 13)]
-        assert solve_linear_system(*_fractions(a, b)) == _reference(a, b)
+        assert solve_linear_system(a, b) == _reference(a, b)
 
     def test_zero_column_is_singular(self):
         assert solve_linear_system([[1, 0], [2, 0]], [1, 1]) is None
