@@ -196,7 +196,7 @@ class TestLinearSystem:
 
 
 # Denominators of the kind the engine meets: 5525 = 5^2 * 13 * 17 is the
-# Le Her deal count's, and its divisors share factors with one another.
+# Le Her lots' denominator, and its divisors share factors with one another.
 _DENOMINATORS = (1, 1, 1, 2, 3, 4, 5, 7, 12, 13, 17, 25, 65, 221, 425, 1105, 5525)
 
 
@@ -244,13 +244,11 @@ def _random_system(rng, case):
     return a, b
 
 
-def _fractions(a, b):
-    return [[Fraction(x) for x in row] for row in a], [Fraction(x) for x in b]
-
-
 def _reference(a, b):
     """The former elimination, fed Fractions: on ints its `1 / pivot` is a float."""
-    return solve_linear_system_reference(*_fractions(a, b))
+    return solve_linear_system_reference(
+        [[Fraction(x) for x in row] for row in a], [Fraction(x) for x in b]
+    )
 
 
 class TestLinearSystemAgainstReference:
@@ -293,16 +291,20 @@ class TestLinearSystemAgainstReference:
         with pytest.raises(TypeError, match=message):
             solve_linear_system(a, b)
 
-    def test_row_swap_on_zero_leading_entry(self):
-        a = [[0, 1, 2], [0, 3, 1], [-4, 0, 1]]
-        b = [Fraction(1, 5525), 2, Fraction(-3, 13)]
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # Two zero leading entries: the first pivot is the third row.
+            ([[0, 1, 2], [0, 3, 1], [-4, 0, 1]], [Fraction(1, 5525), 2, Fraction(-3, 13)]),
+            # A zero column: no pivot is ever found there.
+            ([[1, 0], [2, 0]], [1, 1]),
+            # A nonzero first column, then nothing left in the second.
+            ([[2, 4], [1, 2]], [Fraction(1, 3), 5]),
+            ([], []),
+        ],
+    )
+    def test_named_shapes_match(self, a, b):
         assert solve_linear_system(a, b) == _reference(a, b)
-
-    def test_zero_column_is_singular(self):
-        assert solve_linear_system([[1, 0], [2, 0]], [1, 1]) is None
-
-    def test_empty_system(self):
-        assert solve_linear_system([], []) == []
 
 
 # ---------------------------------------------------------------------------
