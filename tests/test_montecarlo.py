@@ -42,6 +42,20 @@ GOLDEN_POOL = [
     (PoolConfig(3), 3, 500, 2, [120, 130, 0], 1000, 250),
 ]
 
+# The same cases' standard errors, keyed by seed: (per-seat win standard
+# errors, games standard error). Exact floats, frozen with the counts above.
+GOLDEN_POOL_SE = {
+    17: ((0.0033973919408864205, 0.003380692809913376, 0.003191139588767624),
+         0.009882307264753509),
+    4: ((0.007361639813298443, 0.007419004625260024, 0.007361639813298443,
+         0.007224215964123463, 0.007138251160447469),
+        0.41462221086278134),
+    99: ((0.007062081279622884, 0.005620470442943367, 0.005411926828773649,
+          0.005055291089541729),
+         0.024392268283208104),
+    3: ((0.019099738218101316, 0.019616319736382767, 0.0), 0.0),
+}
+
 
 class TestRandomStream:
     def test_golden_first_outputs(self):
@@ -112,6 +126,7 @@ class TestGoldenSimulations:
         assert result.win_prob == tuple(Fraction(w, trials) for w in wins)
         assert result.expected_games == Fraction(total_games, trials)
         assert result.truncated_trials == truncated
+        assert (result.win_prob_se, result.expected_games_se) == GOLDEN_POOL_SE[seed]
 
 
 def _reference_cases(count: int) -> list[tuple]:
