@@ -16,30 +16,17 @@ import argparse
 import csv
 import io
 import json
-import re
-import string
 import sys
 from collections.abc import Callable
 from fractions import Fraction
 from typing import TypeVar
 
 from . import __version__, etrennes, leher, montecarlo, pool, report, solver
-from .rational import decimal_string, format_rational, parse_rational
+from .rational import decimal_string, format_rational, parse_integer, parse_rational
 
 SIGMA_BAND = 4  # simulation verdicts: estimate within 4 standard errors
 
 _T = TypeVar("_T")
-
-
-_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
-
-
-def _parse_integer(text: str) -> int:
-    """An ASCII integer: int() alone would also read "٣" and "1_0"."""
-    body = text.strip(string.whitespace)
-    if not _INTEGER_RE.fullmatch(body):
-        raise ValueError(f"invalid int value: {text!r}")
-    return int(body)
 
 
 def _argument_type(parse: Callable[[str], _T]) -> Callable[[str], _T]:
@@ -54,7 +41,7 @@ def _argument_type(parse: Callable[[str], _T]) -> Callable[[str], _T]:
     return convert
 
 
-_integer = _argument_type(_parse_integer)
+_integer = _argument_type(parse_integer)
 _rational = _argument_type(parse_rational)
 _paul_strategy = _argument_type(leher.PaulStrategy.parse)
 _pierre_strategy = _argument_type(leher.PierreStrategy.parse)

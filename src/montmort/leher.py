@@ -40,7 +40,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import ClassVar, TypeVar
 
-from .rational import as_rational
+from .rational import as_rational, parse_integer
 from .solver import GameMatrix
 
 KING = 13
@@ -87,16 +87,6 @@ def _threshold_flags(threshold: int) -> tuple[bool, ...]:
     return tuple(rank <= threshold for rank in range(1, RANK_COUNT + 1))
 
 
-def _threshold_of(flags: tuple[bool, ...]) -> int | None:
-    """The threshold t when flags act on exactly the ranks 1..t, else None."""
-    t = 0
-    while t < RANK_COUNT and flags[t]:
-        t += 1
-    if any(flags[t:]):
-        return None
-    return t
-
-
 _Table = TypeVar("_Table", bound="_RankTable")
 
 
@@ -105,20 +95,16 @@ class _RankTable:
 
     A subclass is a frozen dataclass with one tuple of flags, named by
     `_FIELD`; a True flag at index r - 1 means the player acts on rank r.
-    In the 13-letter table form any of `_LETTERS` reads as acting and H as
-    holding; the first of `_LETTERS` is the one written.
+    In the 13-letter table form H holds and any of `_LETTERS` acts.
     """
 
     _FIELD: ClassVar[str]
     _LETTERS: ClassVar[str]
 
-    @property
-    def _flags(self) -> tuple[bool, ...]:
-        return getattr(self, self._FIELD)
-
     def __post_init__(self) -> None:
-        object.__setattr__(self, self._FIELD, tuple(self._flags))
-        if len(self._flags) != RANK_COUNT or not all(isinstance(f, bool) for f in self._flags):
+        flags = tuple(getattr(self, self._FIELD))
+        object.__setattr__(self, self._FIELD, flags)
+        if len(flags) != RANK_COUNT or not all(isinstance(f, bool) for f in flags):
             raise ValueError("strategy needs one boolean per rank 1..13")
 
     @classmethod
@@ -132,20 +118,12 @@ class _RankTable:
         body = text.strip(string.whitespace)
         if body.lower().startswith("threshold:"):
             value = body.split(":", 1)[1]
-            if not value.isascii() or "_" in value:  # int() reads "٧" and "1_0" too
-                raise ValueError(f"threshold must be an integer in 0..13, got {value!r}")
-            return cls.threshold(int(value))
+            try:
+                threshold = parse_integer(value)
+            except ValueError:
+                raise ValueError(f"threshold must be an integer in 0..13, got {value!r}") from None
+            return cls.threshold(threshold)
         return cls(_parse_action_string(body, cls._LETTERS))
-
-    @property
-    def threshold_value(self) -> int | None:
-        return _threshold_of(self._flags)
-
-    def serialize(self) -> str:
-        t = self.threshold_value
-        if t is not None:
-            return f"threshold:{t}"
-        return "".join(self._LETTERS[0] if f else "H" for f in self._flags)
 
 
 @dataclass(frozen=True)
@@ -160,9 +138,6 @@ class PaulStrategy(_RankTable):
     _FIELD = "switch"
     _LETTERS = "S"
 
-    def action(self, rank: int) -> PaulAction:
-        return PaulAction.SWITCH if self.switch[_check_rank(rank) - 1] else PaulAction.HOLD
-
 
 @dataclass(frozen=True)
 class PierreStrategy(_RankTable):
@@ -175,9 +150,6 @@ class PierreStrategy(_RankTable):
 
     _FIELD = "draw"
     _LETTERS = "DS"
-
-    def action(self, rank: int) -> PierreAction:
-        return PierreAction.DRAW if self.draw[_check_rank(rank) - 1] else PierreAction.HOLD
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +400,10 @@ def conditional_mixed_lot_paul7(
     """
     p_switch = _check_probability("p_switch", as_rational(p_switch))
     p_draw = _check_probability("p_pierre_draw8", as_rational(p_pierre_draw8))
-    lot_switch = conditional_lot_paul(7, PaulAction.SWITCH, PierreStrategy.threshold(8))
-    lot_hold_vs_draw = conditional_lot_paul(7, PaulAction.HOLD, PierreStrategy.threshold(8))
-    lot_hold_vs_hold = conditional_lot_paul(7, PaulAction.HOLD, PierreStrategy.threshold(7))
+    switch8, hold8 = PIERRE_TABLE_STRATEGIES
+    lot_switch = conditional_lot_paul(7, PaulAction.SWITCH, switch8)
+    lot_hold_vs_draw = conditional_lot_paul(7, PaulAction.HOLD, switch8)
+    lot_hold_vs_hold = conditional_lot_paul(7, PaulAction.HOLD, hold8)
     lot_hold = p_draw * lot_hold_vs_draw + (1 - p_draw) * lot_hold_vs_hold
     return p_switch * lot_switch + (1 - p_switch) * lot_hold
 

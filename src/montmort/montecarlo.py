@@ -117,17 +117,16 @@ def leher_simulate(
     pierre_switch = c / (c + d)
     paul_num, paul_den = paul_switch.numerator, paul_switch.denominator
     pierre_num, pierre_den = pierre_switch.numerator, pierre_switch.denominator
-    paul_choices = (leher.PaulStrategy.threshold(6), leher.PaulStrategy.threshold(7))
-    pierre_choices = (leher.PierreStrategy.threshold(7), leher.PierreStrategy.threshold(8))
     # settled[paul token][pierre token][paul rank - 1][pierre rank - 1]
-    # is (paul_final, pierre_current, pierre_draws).
+    # is (paul_final, pierre_current, pierre_draws). A true token means
+    # "switch", the first of each table pair, so the pairs are read reversed.
     settled = [
         [
             [[leher._before_draw(x, y, s, d) for y, d in enumerate(pierre.draw, 1)]
              for x, s in enumerate(paul.switch, 1)]
-            for pierre in pierre_choices
+            for pierre in leher.PIERRE_TABLE_STRATEGIES[::-1]
         ]
-        for paul in paul_choices
+        for paul in leher.PAUL_TABLE_STRATEGIES[::-1]
     ]
 
     king = leher.KING

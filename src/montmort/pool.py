@@ -46,6 +46,8 @@ from .rational import as_rational
 from .solver import solve_linear_system
 
 DEFAULT_TRIAL_GAME_CAP = 1_000_000
+#: Largest players * max(players, streak_required - 1) the exact solve takes on.
+MAX_EXACT_POOL_SIZE = 10_000
 
 class PoolDivergenceError(ValueError):
     """The pool can never finish: with p = 0 no champion ever builds a streak."""
@@ -96,6 +98,17 @@ def _require_absorbing(config: PoolConfig) -> None:
         )
 
 
+def _require_within_reach(config: PoolConfig) -> None:
+    """Refuse, before any Fraction work, an n x n system or win paths beyond the cap."""
+    _require_absorbing(config)
+    size = config.players * max(config.players, config.streak_required - 1)
+    if size > MAX_EXACT_POOL_SIZE:
+        raise ValueError(
+            f"pool beyond the exact solve's reach: players * max(players, streak - 1)"
+            f" = {size} exceeds {MAX_EXACT_POOL_SIZE}"
+        )
+
+
 def _moves(players: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Each role's next role after a champion win (won) and a loss (lost)."""
     waiting = tuple(range(1, players - 1))
@@ -117,7 +130,7 @@ def _level_one(
     solves x1[r] = c[r] + sum_j p^j q x1[lost[won^j r]], with its own
     constant c[r] read off the path [(won^j r, p^j) for j = 0..R-2].
     """
-    _require_absorbing(config)
+    _require_within_reach(config)
     n, p = config.players, config.champion_win_prob
     won, lost = _moves(n)
     system = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
@@ -176,7 +189,7 @@ def pool_expected_games(config: PoolConfig) -> Fraction:
     of the pool is the wait for R - 1 champion wins in a row, whose mean is
     the sum of p^-j for j = 1..R-1.
     """
-    _require_absorbing(config)
+    _require_within_reach(config)
     p = config.champion_win_prob
     return 1 + sum((1 / p**j for j in range(1, config.streak_required)), Fraction(0))
 
@@ -222,9 +235,8 @@ def pool_solve(config: PoolConfig) -> PoolSolution:
     games_won = _game_one(config, _solve(system, coupled_constants), win)
 
     ante, fee = config.ante, config.fee
-    pot_base = n * ante
     payments = [ante + fee * seat_losses for seat_losses in losses]
-    receipts = [pot_base * w + fee * g for w, g in zip(win, games_won)]
+    receipts = [config.pot * w + fee * g for w, g in zip(win, games_won)]
     nets = [receipt - payment for receipt, payment in zip(receipts, payments)]
     return PoolSolution(tuple(win), pool_expected_games(config), tuple(payments), tuple(nets))
 
@@ -243,8 +255,6 @@ class PoolSimulation:
     win_prob_se: tuple[float, ...]
     expected_games: Fraction
     expected_games_se: float
-    expected_payment: tuple[Fraction, ...]
-    expected_net: tuple[Fraction, ...]
     truncated_trials: int
 
 
@@ -258,9 +268,9 @@ def pool_simulate(
 
     Identical (config, seed, trials) always reproduces identical output.
     A trial that reaches `max_games` games is abandoned and counted in
-    `truncated_trials`: its fees are kept in the books but nobody collects
-    the pot. The trial loop is the pool's transition law in plain integers;
-    the test suite pins it against the oracle `advance` in `tests/oracles.py`.
+    `truncated_trials`; nobody collects its pot. The trial loop is the pool's
+    transition law in plain integers; the test suite pins it against the
+    oracle `advance` in `tests/oracles.py`.
     """
     require_count("trials", trials)
     require_count("max_games", max_games)
@@ -273,8 +283,6 @@ def pool_simulate(
     next_below = stream.next_below
 
     wins = [0] * n
-    losses = [0] * n
-    games_when_won = [0] * n
     total_games = 0
     total_games_sq = 0
     truncated = 0
@@ -289,10 +297,8 @@ def pool_simulate(
             challenger = queue.pop(0)
             if next_below(den) < num:
                 streak += 1
-                losses[challenger] += 1
                 queue.append(challenger)
             else:
-                losses[champion] += 1
                 queue.append(champion)
                 champion = challenger
                 streak = 1
@@ -300,7 +306,6 @@ def pool_simulate(
                 break
         if streak >= required:
             wins[champion] += 1
-            games_when_won[champion] += games
         else:
             truncated += 1
         total_games += games
@@ -311,22 +316,11 @@ def pool_simulate(
     mean_games = Fraction(total_games, trials)
     games_variance = Fraction(total_games_sq, trials) - mean_games * mean_games
     games_se = sqrt(float(games_variance) / trials)
-
-    ante, fee = config.ante, config.fee
-    pot_base = n * ante
-    payments = tuple(ante + fee * Fraction(s, trials) for s in losses)
-    receipts = [
-        pot_base * Fraction(w, trials) + fee * Fraction(g, trials)
-        for w, g in zip(wins, games_when_won)
-    ]
-    nets = tuple(receipt - payment for receipt, payment in zip(receipts, payments))
     return PoolSimulation(
         trials=trials,
         win_prob=win_prob,
         win_prob_se=win_se,
         expected_games=mean_games,
         expected_games_se=games_se,
-        expected_payment=payments,
-        expected_net=nets,
         truncated_trials=truncated,
     )

@@ -23,6 +23,14 @@ _NUMERATOR_RE = re.compile(r"[+-]?[0-9]+")
 _DENOMINATOR_RE = re.compile(r"[0-9]+")
 
 
+def parse_integer(text: str) -> int:
+    """An optionally signed ASCII integer: int() alone would also read "٣" and "1_0"."""
+    body = text.strip(string.whitespace)
+    if not _NUMERATOR_RE.fullmatch(body):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(body)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse the "p/q" wire form, or a bare integer "p" meaning p/1.
 

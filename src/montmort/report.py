@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .leher import (
+    PAUL_TABLE_STRATEGIES,
+    PIERRE_TABLE_STRATEGIES,
     PaulAction,
-    PaulStrategy,
     PierreAction,
-    PierreStrategy,
     build_leher_matrix,
     conditional_lot_paul,
     conditional_lot_pierre,
@@ -66,8 +66,8 @@ def _indicator(condition: bool) -> Fraction:
 
 def build_reproduction_report() -> list[ReportEntry]:
     """Recompute the full battery; order is stable across runs."""
-    t7, t6 = PaulStrategy.threshold(7), PaulStrategy.threshold(6)
-    p8, p7 = PierreStrategy.threshold(8), PierreStrategy.threshold(7)
+    t7, t6 = PAUL_TABLE_STRATEGIES
+    p8, p7 = PIERRE_TABLE_STRATEGIES
 
     entries = [
         ReportEntry(

@@ -301,8 +301,8 @@ def unlumped_win_probabilities(config: PoolConfig) -> tuple[Fraction, ...]:
 def simulate_pool_reference(config: PoolConfig, seed: int, trials: int, max_games: int):
     """Replay pool_simulate's stream consumption through PoolState/advance.
 
-    Returns (wins, losses, games_when_won, total_games, truncated) so the
-    production simulator's inlined loop can be pinned against the law.
+    Returns (wins, total_games, truncated) so the production simulator's
+    inlined loop can be pinned against the law.
     """
     n = config.players
     required = config.streak_required
@@ -310,28 +310,20 @@ def simulate_pool_reference(config: PoolConfig, seed: int, trials: int, max_game
     den = config.champion_win_prob.denominator
     stream = RandomStream(seed)
     wins = [0] * n
-    losses = [0] * n
-    games_when_won = [0] * n
     total_games = 0
     truncated = 0
     for _ in range(trials):
-        incumbent_won = stream.next_below(den) < num
-        losses[1 if incumbent_won else 0] += 1
-        state = opening_state(config, incumbent_won)
+        state = opening_state(config, stream.next_below(den) < num)
         games = 1
         while state.streak < required and games < max_games:
-            champion_wins = stream.next_below(den) < num
-            loser = state.queue[0] if champion_wins else state.champion
-            losses[loser] += 1
-            state = advance(state, champion_wins)
+            state = advance(state, stream.next_below(den) < num)
             games += 1
         if state.streak >= required:
             wins[state.champion] += 1
-            games_when_won[state.champion] += games
         else:
             truncated += 1
         total_games += games
-    return wins, losses, games_when_won, total_games, truncated
+    return wins, total_games, truncated
 
 
 def _draw_three_ranks(stream: RandomStream) -> tuple[int, int, int]:

@@ -252,8 +252,10 @@ def test_criterion_11_property_suites():
             paul_lot = paul_win_probability(paul, pierre)
             laws_ok = laws_ok and paul_lot + pierre_win_probability(paul, pierre) == 1
             total = sum(
-                Fraction(4, 52) * conditional_lot_paul(card, paul.action(card), pierre)
-                for card in range(1, 14)
+                Fraction(4, 52) * conditional_lot_paul(
+                    card, PaulAction.SWITCH if switch else PaulAction.HOLD, pierre
+                )
+                for card, switch in enumerate(paul.switch, 1)
             )
             laws_ok = laws_ok and total == paul_lot
 

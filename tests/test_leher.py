@@ -44,8 +44,6 @@ P7 = PierreStrategy.threshold(7)
 class TestStrategies:
     def test_threshold_seven_switches_low_ranks(self):
         assert T7.switch == (True,) * 7 + (False,) * 6
-        assert T7.action(7) is PaulAction.SWITCH
-        assert T7.action(8) is PaulAction.HOLD
 
     def test_threshold_zero_never_acts(self):
         assert not any(PaulStrategy.threshold(0).switch)
@@ -91,17 +89,25 @@ class TestStrategies:
                 with pytest.raises(ValueError):
                     strategy_type.parse(bad)
 
-    def test_serialize_prefers_threshold_form(self):
-        assert T7.serialize() == "threshold:7"
-        assert P8.serialize() == "threshold:8"
-
-    def test_serialize_non_threshold_table(self):
+    def test_parse_non_threshold_table(self):
         flags = list((False,) * 13)
         flags[4] = True
         strategy = PaulStrategy(tuple(flags))
-        assert strategy.serialize() == "HHHHSHHHHHHHH"
         assert PaulStrategy(flags) == strategy
-        assert PaulStrategy.parse(strategy.serialize()) == strategy
+        assert PaulStrategy.parse("HHHHSHHHHHHHH") == strategy
+
+    @pytest.mark.parametrize("value", ["abc", "", "7.5", "٧", "1_0", "0x7"])
+    def test_parse_reports_a_malformed_threshold(self, value):
+        message = f"threshold must be an integer in 0..13, got {value!r}"
+        for strategy_type in (PaulStrategy, PierreStrategy):
+            with pytest.raises(ValueError) as excinfo:
+                strategy_type.parse(f"threshold:{value}")
+            assert str(excinfo.value) == message
+
+    def test_parse_accepts_signed_and_padded_thresholds(self):
+        for text in ("threshold:+7", "threshold: 7", "threshold:07", "THRESHOLD:7"):
+            assert PaulStrategy.parse(text) == T7
+        assert PierreStrategy.parse("threshold:-0") == PierreStrategy.threshold(0)
 
     def test_strategy_requires_thirteen_flags(self):
         with pytest.raises(ValueError):
@@ -286,8 +292,10 @@ class TestConditionalLots:
         # The marginal lot is the deal-weighted sum of the conditional ones.
         for paul, pierre in [(T7, P8), (T6, P7), (PaulStrategy.threshold(13), P8)]:
             total = sum(
-                Fraction(4, 52) * conditional_lot_paul(card, paul.action(card), pierre)
-                for card in range(1, 14)
+                Fraction(4, 52) * conditional_lot_paul(
+                    card, PaulAction.SWITCH if switch else PaulAction.HOLD, pierre
+                )
+                for card, switch in enumerate(paul.switch, 1)
             )
             assert total == paul_win_probability(paul, pierre)
 
@@ -321,6 +329,14 @@ ALWAYS_DRAW = PierreStrategy.threshold(13)
 NEVER_DRAW = PierreStrategy.threshold(0)
 
 
+def _wire_form(flags, letter):
+    """A strategy's command-line form, "threshold:t" when it is one: the oracle test ids."""
+    t = flags.count(True)
+    if flags == (True,) * t + (False,) * (13 - t):
+        return f"threshold:{t}"
+    return "".join(letter if flag else "H" for flag in flags)
+
+
 def _counted_lot(tallies, paul_ranks, pierre_ranks, side):
     """Wins of `side` (1 = Paul, 2 = Pierre) over the deals with those first two ranks."""
     selected = [
@@ -333,7 +349,10 @@ def _counted_lot(tallies, paul_ranks, pierre_ranks, side):
 @pytest.mark.parametrize(
     "paul,pierre",
     ORACLE_PAIRS,
-    ids=[f"{paul.serialize()}-{pierre.serialize()}" for paul, pierre in ORACLE_PAIRS],
+    ids=[
+        f"{_wire_form(paul.switch, 'S')}-{_wire_form(pierre.draw, 'D')}"
+        for paul, pierre in ORACLE_PAIRS
+    ],
 )
 class TestPhysicalDealOracle:
     def test_full_lots(self, paul, pierre):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -218,6 +219,29 @@ class TestExpectedGames:
         assert pool_expected_games(PoolConfig(3, Fraction(1))) == 2
 
 
+class TestExactReach:
+    @pytest.mark.parametrize(
+        "config", [PoolConfig(101), PoolConfig(3, streak_required=10**6)], ids=["n101", "streak1e6"]
+    )
+    def test_beyond_reach_fails_fast(self, config):
+        for solve in (pool_win_probabilities, pool_expected_games, pool_solve):
+            started = time.perf_counter()
+            with pytest.raises(ValueError, match="beyond the exact solve's reach"):
+                solve(config)
+            assert time.perf_counter() - started < 0.1
+
+    def test_cap_is_inclusive(self):
+        # players * max(players, streak - 1) = 10,000 exactly is still solved.
+        assert pool_expected_games(PoolConfig(100)) == 2**99 - 1
+        assert pool_expected_games(PoolConfig(10, streak_required=1001)) == 2**1001 - 1
+        with pytest.raises(ValueError, match="= 10010 exceeds 10000"):
+            pool_expected_games(PoolConfig(10, streak_required=1002))
+
+    def test_simulation_is_not_capped(self):
+        result = pool_simulate(PoolConfig(101, Fraction(1)), seed=1, trials=2)
+        assert result.win_prob[0] == 1 and result.expected_games == 100
+
+
 class TestPoolSolve:
     def test_three_fair_players_money(self):
         solution = pool_solve(FAIR3)
@@ -338,17 +362,13 @@ class TestPoolSimulate:
 
     def test_matches_state_law_reference(self):
         config = PoolConfig(4, Fraction(2, 5))
-        wins, losses, games_won, total_games, truncated = simulate_pool_reference(
+        wins, total_games, truncated = simulate_pool_reference(
             config, seed=13, trials=3000, max_games=1_000_000
         )
         result = pool_simulate(config, seed=13, trials=3000)
         assert result.win_prob == tuple(Fraction(w, 3000) for w in wins)
         assert result.expected_games == Fraction(total_games, 3000)
         assert result.truncated_trials == truncated
-        ante, fee = config.ante, config.fee
-        assert result.expected_payment == tuple(
-            ante + fee * Fraction(value, 3000) for value in losses
-        )
 
     def test_statistics_near_exact_values(self):
         result = pool_simulate(FAIR3, seed=2026, trials=50_000)

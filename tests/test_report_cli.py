@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,25 @@ class TestCli:
         code = main(["pool", "solve", "--players", "3", "--p", "0"])
         assert code == 2
         assert "never finishes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra", [["--players", "101"], ["--players", "3", "--streak", "1000000"]]
+    )
+    def test_pool_beyond_reach_exits_2_fast(self, extra, capsys):
+        started = time.perf_counter()
+        code = main(["pool", "solve", *extra])
+        assert time.perf_counter() - started < 0.1
+        assert code == 2
+        assert "beyond the exact solve's reach" in capsys.readouterr().err
+
+    def test_malformed_threshold_is_a_usage_error(self, capsys):
+        argv = ["leher", "conditional", "--player", "pierre", "--card", "8", "--action", "draw"]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--paul", "threshold:abc"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "threshold must be an integer in 0..13, got 'abc'" in err
+        assert "invalid literal" not in err
 
     def test_pool_simulate_small(self, capsys):
         code = main(
