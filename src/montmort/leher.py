@@ -40,7 +40,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import ClassVar, TypeVar
 
-from .rational import as_rational, parse_integer
+from .rational import parse_integer, require_integer, require_rational
 from .solver import GameMatrix
 
 KING = 13
@@ -59,12 +59,6 @@ class PierreAction(enum.Enum):
     DRAW = "draw"
 
 
-def _check_rank(rank: int) -> int:
-    if not isinstance(rank, int) or isinstance(rank, bool) or not 1 <= rank <= RANK_COUNT:
-        raise ValueError(f"rank must be an integer in 1..13, got {rank!r}")
-    return rank
-
-
 def _parse_action_string(text: str, yes_letters: str) -> tuple[bool, ...]:
     if len(text) != RANK_COUNT:
         raise ValueError(f"action string must be {RANK_COUNT} characters, got {text!r}")
@@ -78,12 +72,7 @@ def _parse_action_string(text: str, yes_letters: str) -> tuple[bool, ...]:
 
 
 def _threshold_flags(threshold: int) -> tuple[bool, ...]:
-    if (
-        not isinstance(threshold, int)
-        or isinstance(threshold, bool)
-        or not 0 <= threshold <= RANK_COUNT
-    ):
-        raise ValueError(f"threshold must be an integer in 0..13, got {threshold!r}")
+    require_integer("threshold", threshold, 0, RANK_COUNT)
     return tuple(rank <= threshold for rank in range(1, RANK_COUNT + 1))
 
 
@@ -189,7 +178,7 @@ def resolve_deal(
     reaches Pierre's redraw, and a replacement king is thrown back.
     """
     for card in (paul_card, pierre_card, replacement):
-        _check_rank(card)
+        require_integer("rank", card, 1, RANK_COUNT)
     paul_final, pierre_current, draws = _before_draw(
         paul_card, pierre_card, paul.switch[paul_card - 1], pierre.draw[pierre_card - 1]
     )
@@ -267,9 +256,9 @@ def _paul_row_weight(a: int, switch: bool, draw: tuple[bool, ...]) -> int:
     return sum(table[_cell(a, b, switch, flag)][0] for b, flag in enumerate(draw, 1))
 
 
-def _check_strategy(strategy: object, kind: type[_RankTable]) -> None:
-    if not isinstance(strategy, kind):
-        raise ValueError(f"expected a {kind.__name__}, got {type(strategy).__name__}")
+def _check_strategy(value: object, kind: type) -> None:
+    if not isinstance(value, kind):
+        raise ValueError(f"expected a {kind.__name__}, got {type(value).__name__}")
 
 
 def _full_weight(paul: PaulStrategy, pierre: PierreStrategy, side: int) -> int:
@@ -302,9 +291,8 @@ def conditional_lot_paul(card: int, action: PaulAction, pierre: PierreStrategy) 
     When the action is SWITCH the answer does not depend on `pierre`, since
     Pierre's post-swap response is forced by the rules.
     """
-    _check_rank(card)
-    if not isinstance(action, PaulAction):
-        raise ValueError(f"expected a PaulAction, got {action!r}")
+    require_integer("rank", card, 1, RANK_COUNT)
+    _check_strategy(action, PaulAction)
     _check_strategy(pierre, PierreStrategy)
     win = _paul_row_weight(card, action is PaulAction.SWITCH, pierre.draw)
     return Fraction(win, COPIES_PER_RANK * (DECK_SIZE - 1) * (DECK_SIZE - 2))
@@ -319,9 +307,8 @@ def conditional_lot_pierre(card: int, action: PierreAction, paul: PaulStrategy) 
     stand rank). That count times 50 is the denominator before reduction,
     which is how the historical 23 * 50 and 27 * 50 totals arise.
     """
-    _check_rank(card)
-    if not isinstance(action, PierreAction):
-        raise ValueError(f"expected a PierreAction, got {action!r}")
+    require_integer("rank", card, 1, RANK_COUNT)
+    _check_strategy(action, PierreAction)
     _check_strategy(paul, PaulStrategy)
     stand_ranks = [a for a, switch in enumerate(paul.switch, 1) if not switch]
     if not stand_ranks:
@@ -382,12 +369,6 @@ def threshold_matrix() -> GameMatrix:
     return GameMatrix.from_rows(zip(*columns), labels, labels)
 
 
-def _check_probability(name: str, value: Fraction) -> Fraction:
-    if not 0 <= value <= 1:
-        raise ValueError(f"{name} must be a probability in [0, 1], got {value}")
-    return value
-
-
 def conditional_mixed_lot_paul7(
     p_switch: Fraction | int | str,
     p_pierre_draw8: Fraction | int | str,
@@ -398,8 +379,8 @@ def conditional_mixed_lot_paul7(
     redraws his eight with probability `p_pierre_draw8`. Composed from the
     conditional lots, not from stored constants.
     """
-    p_switch = _check_probability("p_switch", as_rational(p_switch))
-    p_draw = _check_probability("p_pierre_draw8", as_rational(p_pierre_draw8))
+    p_switch = require_rational("p_switch", p_switch, 0, 1)
+    p_draw = require_rational("p_pierre_draw8", p_pierre_draw8, 0, 1)
     switch8, hold8 = PIERRE_TABLE_STRATEGIES
     lot_switch = conditional_lot_paul(7, PaulAction.SWITCH, switch8)
     lot_hold_vs_draw = conditional_lot_paul(7, PaulAction.HOLD, switch8)
@@ -415,10 +396,7 @@ def _token_weights(
     d: Fraction | int | str,
 ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Token weights as exact rationals: all nonnegative, a + b and c + d positive."""
-    a, b, c, d = (as_rational(x) for x in (a, b, c, d))
-    for name, weight in zip("abcd", (a, b, c, d)):
-        if weight < 0:
-            raise ValueError(f"weight {name} must be nonnegative, got {weight}")
+    a, b, c, d = (require_rational(f"weight {n}", x, 0) for n, x in zip("abcd", (a, b, c, d)))
     if a + b == 0:
         raise ValueError("Paul's weights a + b must be positive")
     if c + d == 0:

@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import sqrt
 
 from . import leher
+from .rational import require_integer
 
 MASK64 = (1 << 64) - 1
 XORSHIFT_MULTIPLIER = 2685821657736338717  # 0x2545F4914F6CDD1D
@@ -35,21 +36,13 @@ ZERO_SEED_REPLACEMENT = 0x9E3779B97F4A7C15
 _TWO64 = 1 << 64
 
 
-def require_count(name: str, value: object) -> None:
-    """Reject anything but an int >= 1 (a bool is not a count)."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 class RandomStream:
     """A single-owner xorshift-star stream; same seed, same sequence, anywhere."""
 
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
-        state = seed & MASK64
+        state = require_integer("seed", seed) & MASK64
         self.state = state if state else ZERO_SEED_REPLACEMENT
 
     def next_u64(self) -> int:
@@ -61,8 +54,9 @@ class RandomStream:
         Each step is one xorshift-star output. A bound above 2**64 is out of
         a 64-bit draw's reach and is rejected.
         """
-        if not 1 <= bound <= _TWO64:
-            raise ValueError(f"bound must lie in 1..2**64, got {bound}")
+        # Inline, not require_integer: this runs on every draw, five per Le Her trial.
+        if type(bound) is not int or not 1 <= bound <= _TWO64:
+            raise ValueError(f"bound must lie in 1..2**64, got {bound!r}")
         limit = _TWO64 - (_TWO64 % bound)
         x = self.state
         while True:
@@ -109,7 +103,7 @@ def leher_simulate(
     every pair of first two ranks under each of the four token pairs, and a
     trial only applies Pierre's redraw, in which a drawn king is thrown back.
     """
-    require_count("trials", trials)
+    require_integer("trials", trials, 1)
     a, b, c, d = leher._token_weights(a, b, c, d)
     stream = RandomStream(seed)
 

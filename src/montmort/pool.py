@@ -41,8 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
-from .montecarlo import RandomStream, require_count
-from .rational import as_rational
+from .montecarlo import RandomStream
+from .rational import require_integer, require_rational
 from .solver import solve_linear_system
 
 DEFAULT_TRIAL_GAME_CAP = 1_000_000
@@ -64,21 +64,11 @@ class PoolConfig:
     streak_required: int | None = None
 
     def __post_init__(self) -> None:
-        # A bool is an int, but both bools already fall below 2.
-        if not isinstance(self.players, int) or self.players < 2:
-            raise ValueError(f"players must be an integer >= 2, got {self.players!r}")
-        object.__setattr__(self, "champion_win_prob", as_rational(self.champion_win_prob))
-        object.__setattr__(self, "ante", as_rational(self.ante))
-        object.__setattr__(self, "fee", as_rational(self.fee))
-        if not 0 <= self.champion_win_prob <= 1:
-            raise ValueError("champion_win_prob must lie in [0, 1]")
-        if self.ante < 0 or self.fee < 0:
-            raise ValueError("ante and fee must be nonnegative")
-        if self.streak_required is None:
-            object.__setattr__(self, "streak_required", self.players - 1)
-        required = self.streak_required
-        if not isinstance(required, int) or isinstance(required, bool) or required < 1:
-            raise ValueError("streak_required must be an integer >= 1")
+        require_integer("players", self.players, 2)
+        for name, high in (("champion_win_prob", 1), ("ante", None), ("fee", None)):
+            object.__setattr__(self, name, require_rational(name, getattr(self, name), 0, high))
+        streak = self.players - 1 if self.streak_required is None else self.streak_required
+        object.__setattr__(self, "streak_required", require_integer("streak_required", streak, 1))
 
     @property
     def pot(self) -> Fraction:
@@ -272,8 +262,8 @@ def pool_simulate(
     transition law in plain integers; the test suite pins it against the
     oracle `advance` in `tests/oracles.py`.
     """
-    require_count("trials", trials)
-    require_count("max_games", max_games)
+    require_integer("trials", trials, 1)
+    require_integer("max_games", max_games, 1)
     _require_absorbing(config)
     n = config.players
     required = config.streak_required

@@ -21,6 +21,7 @@ DEFAULT_DECIMAL_DIGITS = 6
 
 _NUMERATOR_RE = re.compile(r"[+-]?[0-9]+")
 _DENOMINATOR_RE = re.compile(r"[0-9]+")
+_Bound = int | None  # one side of an argument's range; None leaves it open
 
 
 def parse_integer(text: str) -> int:
@@ -60,6 +61,32 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _outside(value: int | Fraction, low: _Bound, high: _Bound) -> bool:
+    return (low is not None and value < low) or (high is not None and value > high)
+
+
+def _bounds(low: _Bound, high: _Bound, between: str) -> str:
+    """The range phrase of an argument error; `between` is its form for two bounds."""
+    if low is None or high is None:
+        return f" >= {low}" if low is not None else f" <= {high}" if high is not None else ""
+    return " in " + between.format(low, high)
+
+
+def require_integer(name: str, value: object, low: _Bound = None, high: _Bound = None) -> int:
+    """`value` itself if it is an int, not a bool, in [low, high]; a None bound is open."""
+    if not isinstance(value, int) or isinstance(value, bool) or _outside(value, low, high):
+        raise ValueError(f"{name} must be an integer{_bounds(low, high, '{}..{}')}, got {value!r}")
+    return value
+
+
+def require_rational(name: str, value: object, low: _Bound = None, high: _Bound = None) -> Fraction:
+    """`as_rational(value)` if it lies in [low, high]; a None bound is open."""
+    rational = as_rational(value)
+    if _outside(rational, low, high):
+        raise ValueError(f"{name} must be{_bounds(low, high, '[{}, {}]')}, got {rational}")
+    return rational
+
+
 def as_rational(value: Fraction | int | str) -> Fraction:
     """Coerce an int, a "p/q" string or a Fraction to an exact Fraction.
 
@@ -85,8 +112,7 @@ def decimal_string(value: Fraction, digits: int = DEFAULT_DECIMAL_DIGITS) -> str
     >>> decimal_string(Fraction(2828, 5525))
     '0.511855'
     """
-    if not isinstance(digits, int) or isinstance(digits, bool) or digits < 0:
-        raise ValueError(f"digits must be a nonnegative integer, got {digits!r}")
+    require_integer("digits", digits, 0)
     sign = "-" if value < 0 else ""
     magnitude = abs(value)
     whole, remainder = divmod(magnitude.numerator, magnitude.denominator)

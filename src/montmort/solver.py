@@ -28,7 +28,7 @@ from math import gcd, lcm
 from operator import gt, lt
 from typing import Callable, Iterable, NamedTuple
 
-from .rational import as_rational, format_rational
+from .rational import as_rational, format_rational, require_rational
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,9 @@ class MixedStrategy:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(as_rational(w) for w in self.weights))
-        if any(w < 0 for w in self.weights):
-            raise ValueError("mixed-strategy weights must be nonnegative")
-        if not any(w > 0 for w in self.weights):
+        weights = tuple(require_rational("mixed-strategy weight", w, 0) for w in self.weights)
+        object.__setattr__(self, "weights", weights)
+        if not any(w > 0 for w in weights):
             raise ValueError("mixed strategy needs at least one positive weight")
 
     @classmethod

@@ -85,8 +85,8 @@ class TestRandomStream:
             assert all(0 <= stream.next_below(bound) < bound for _ in range(200))
 
     def test_bound_zero_rejected(self):
-        for bound in (0, 2**64 + 1):
-            with pytest.raises(ValueError):
+        for bound in (0, 2**64 + 1, 2.5, True, "3"):
+            with pytest.raises(ValueError, match="bound must lie in 1..2"):
                 RandomStream(1).next_below(bound)
         assert 0 <= RandomStream(1).next_below(2**64) < 2**64
 

@@ -10,6 +10,8 @@ from montmort.rational import (
     decimal_string,
     format_rational,
     parse_rational,
+    require_integer,
+    require_rational,
 )
 
 rationals = st.fractions(
@@ -120,8 +122,71 @@ class TestDecimalString:
 
     @pytest.mark.parametrize("digits", [True, False, 2.5, 3.0, "6", None])
     def test_digit_count_must_be_a_non_bool_int(self, digits):
-        with pytest.raises(ValueError, match="nonnegative integer"):
+        with pytest.raises(ValueError, match="digits must be an integer >= 0"):
             decimal_string(Fraction(1, 3), digits)
+
+
+class TestRequire:
+    """The one argument rule: a refusal names the argument, its range and the value."""
+
+    @staticmethod
+    def check(require, args, outcome):
+        if isinstance(outcome, str):
+            with pytest.raises(ValueError) as refused:
+                require(*args)
+            assert str(refused.value) == outcome
+        elif isinstance(outcome, type):
+            with pytest.raises(outcome):
+                require(*args)
+        else:
+            assert require(*args) == outcome
+            assert type(require(*args)) is type(outcome)
+
+    @pytest.mark.parametrize(
+        "args, outcome",
+        [
+            (("trials", True, 1), "trials must be an integer >= 1, got True"),
+            (("digits", False, 0), "digits must be an integer >= 0, got False"),
+            (("trials", 2.5, 1), "trials must be an integer >= 1, got 2.5"),
+            (("seed", 3.0), "seed must be an integer, got 3.0"),
+            (("trials", "3", 1), "trials must be an integer >= 1, got '3'"),
+            (("seed", None), "seed must be an integer, got None"),
+            (("trials", 0, 1), "trials must be an integer >= 1, got 0"),
+            (("players", 1, 2), "players must be an integer >= 2, got 1"),
+            (("rank", 0, 1, 13), "rank must be an integer in 1..13, got 0"),
+            (("rank", 14, 1, 13), "rank must be an integer in 1..13, got 14"),
+            (("cap", 6, None, 5), "cap must be an integer <= 5, got 6"),
+            (("trials", 1, 1), 1),
+            (("rank", 13, 1, 13), 13),
+            (("cap", -(2**70), None, 5), -(2**70)),
+            (("seed", -5), -5),
+        ],
+    )
+    def test_require_integer(self, args, outcome):
+        self.check(require_integer, args, outcome)
+        if not isinstance(outcome, str):
+            assert require_integer(*args) is args[1]
+
+    @pytest.mark.parametrize(
+        "args, outcome",
+        [
+            (("p", "3/2", 0, 1), "p must be in [0, 1], got 3/2"),
+            (("p", Fraction(-1, 10**9), 0, 1), "p must be in [0, 1], got -1/1000000000"),
+            (("p", 2, 0, 1), "p must be in [0, 1], got 2"),
+            (("ante", -1, 0), "ante must be >= 0, got -1"),
+            (("cap", Fraction(11, 10), None, 1), "cap must be <= 1, got 11/10"),
+            (("p", "abc", 0, 1), "malformed rational 'abc': expected 'p' or 'p/q'"),
+            (("p", 0.5, 0, 1), TypeError),
+            (("p", True, 0, 1), TypeError),
+            (("p", "1/2", 0, 1), Fraction(1, 2)),
+            (("p", 0, 0, 1), Fraction(0)),
+            (("p", Fraction(1), 0, 1), Fraction(1)),
+            (("ante", "7", 0), Fraction(7)),
+            (("x", "-7/3"), Fraction(-7, 3)),
+        ],
+    )
+    def test_require_rational(self, args, outcome):
+        self.check(require_rational, args, outcome)
 
 
 @given(rationals, rationals)

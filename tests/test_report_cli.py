@@ -179,6 +179,27 @@ class TestCli:
         )
         assert code == 2
 
+    def test_pierre_action_switch_rejected(self, capsys):
+        code = main(
+            ["leher", "conditional", "--player", "pierre", "--card", "8", "--action", "switch"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "montmort: error: Pierre's action must be hold or draw\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("pool solve --players 3 --streak 0", "streak_required must be an integer >= 1, got 0"),
+            ("pool solve --players 3 --p 3/2", "champion_win_prob must be in [0, 1], got 3/2"),
+            ("pool solve --players 3 --ante -1", "ante must be >= 0, got -1"),
+            ("leher value --a -1 --b 1 --c 1 --d 1", "weight a must be >= 0, got -1"),
+        ],
+    )
+    def test_argument_errors_name_the_value(self, capsys, argv, message):
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"montmort: error: {message}\n")
+
     def test_etrennes_solve_text(self, capsys):
         assert main(["etrennes", "solve"]) == 0
         out = capsys.readouterr().out

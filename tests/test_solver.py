@@ -87,6 +87,9 @@ class TestGameMatrix:
             matrix([])
         with pytest.raises(ValueError):
             matrix([[]])
+        # The constructor's own check, which `from_rows` never reaches.
+        with pytest.raises(ValueError, match="at least one row and one column"):
+            GameMatrix((), (), ())
 
     def test_label_counts_checked(self):
         with pytest.raises(ValueError):
@@ -145,6 +148,8 @@ class TestMixedStrategy:
     def test_from_probabilities_integerises(self):
         mix = MixedStrategy.from_probabilities((Fraction(3, 8), Fraction(5, 8)))
         assert mix.weights == (Fraction(3), Fraction(5))
+        # Unnormalised input is reduced by the gcd of its token counts.
+        assert MixedStrategy.from_probabilities((2, 4)).weights == (1, 2)
 
     def test_pure(self):
         # A pure saddle's unit probability vector keeps its 0/1 weights.
