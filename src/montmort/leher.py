@@ -24,9 +24,10 @@ at them, so one table of 13 * 13 * 2 * 2 = 676 integer cells counts both
 players' wins over the 52 * 51 * 50 = 132,600 ordered deals, and every full
 and conditional lot is an exact Fraction summed from it; no floats anywhere.
 Only the deal classes that reach Pierre's redraw look at the third card; a
-settled class counts all 50 third cards at once. The 14 x 14 threshold game
-is read from per-rank row sums of the table: Paul's weight at each dealt rank,
-holding and switching, against each Pierre threshold.
+settled class counts all 50 third cards at once. Full lots and Paul's
+conditional lots are sums of per-rank row sums of the table, and one threshold
+builder over those row sums makes both strategy matrices: the historical
+2 x 2 and the 14 x 14 threshold game.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import ClassVar, TypeVar
+from typing import ClassVar, Iterator, TypeVar
 
 from .rational import parse_integer, require_integer, require_rational
 from .solver import GameMatrix
@@ -245,15 +246,14 @@ def _weight_table() -> tuple[tuple[int, int], ...]:
     return tuple(table)
 
 
-def _paul_row_weight(a: int, switch: bool, draw: tuple[bool, ...]) -> int:
-    """Paul's win weight over the deals that give him rank `a`, summed over Pierre's 13 ranks.
+def _row_weight(a: int, switch: bool, draw: tuple[bool, ...], side: int = 0) -> int:
+    """Paul's (side 0) or Pierre's (side 1) win weight over the deals that give Paul rank `a`.
 
-    `switch` is Paul's flag at `a` and `draw` Pierre's per-rank draw flags.
-    Paul's full win weight against `draw` under any table is the sum of these
-    terms over his 13 ranks, each at his flag there.
+    `switch` is Paul's flag at `a` and `draw` Pierre's per-rank draw flags. A
+    full win weight is the sum of these over Paul's ranks, each at his flag.
     """
     table = _weight_table()
-    return sum(table[_cell(a, b, switch, flag)][0] for b, flag in enumerate(draw, 1))
+    return sum(table[_cell(a, b, switch, flag)][side] for b, flag in enumerate(draw, 1))
 
 
 def _check_strategy(value: object, kind: type) -> None:
@@ -265,12 +265,7 @@ def _full_weight(paul: PaulStrategy, pierre: PierreStrategy, side: int) -> int:
     """Paul's (side 0) or Pierre's (side 1) win weight over all ordered deals."""
     _check_strategy(paul, PaulStrategy)
     _check_strategy(pierre, PierreStrategy)
-    table = _weight_table()
-    return sum(
-        table[_cell(a, b, switch, draw)][side]
-        for a, switch in enumerate(paul.switch, 1)
-        for b, draw in enumerate(pierre.draw, 1)
-    )
+    return sum(_row_weight(a, switch, pierre.draw, side) for a, switch in enumerate(paul.switch, 1))
 
 
 def paul_win_probability(paul: PaulStrategy, pierre: PierreStrategy) -> Fraction:
@@ -294,7 +289,7 @@ def conditional_lot_paul(card: int, action: PaulAction, pierre: PierreStrategy) 
     require_integer("rank", card, 1, RANK_COUNT)
     _check_strategy(action, PaulAction)
     _check_strategy(pierre, PierreStrategy)
-    win = _paul_row_weight(card, action is PaulAction.SWITCH, pierre.draw)
+    win = _row_weight(card, action is PaulAction.SWITCH, pierre.draw)
     return Fraction(win, COPIES_PER_RANK * (DECK_SIZE - 1) * (DECK_SIZE - 2))
 
 
@@ -333,40 +328,44 @@ PAUL_TABLE_LABELS = ("switch the 7", "hold the 7")
 PIERRE_TABLE_LABELS = ("switch the 8", "hold the 8")
 
 
+def _threshold_lots(
+    paul_thresholds: tuple[int, ...], pierre_thresholds: tuple[int, ...]
+) -> Iterator[tuple[Fraction, ...]]:
+    """Rows of Paul's lots, one per Paul threshold, against each Pierre threshold.
+
+    Against each Pierre threshold, Paul's hold and switch row weights at each
+    of the 13 ranks are summed once, and moving Paul's threshold from s - 1
+    to s trades rank s's hold weight for its switch weight.
+    """
+    ranks = range(1, RANK_COUNT + 1)
+    columns = []
+    for t in pierre_thresholds:
+        draw = _threshold_flags(t)
+        hold = [_row_weight(a, False, draw) for a in ranks]
+        switch = [_row_weight(a, True, draw) for a in ranks]
+        weights = list(accumulate(map(operator.sub, switch, hold), initial=sum(hold)))
+        columns.append([Fraction(weights[s], ORDERED_DEALS) for s in paul_thresholds])
+    return zip(*columns)
+
+
 @lru_cache(maxsize=None)
 def build_leher_matrix() -> GameMatrix:
     """The 2x2 table of Paul's lots over the four crucial strategy pairs.
 
-    Rows are Paul's "switch the 7" then "hold the 7"; columns are Pierre's
-    "switch the 8" then "hold the 8"; entries come straight from the exact
-    enumeration.
+    Rows are Paul's "switch the 7" then "hold the 7" (thresholds 7 and 6);
+    columns are Pierre's "switch the 8" then "hold the 8" (thresholds 8 and
+    7); entries come straight from the exact enumeration.
     """
-    rows = [
-        [paul_win_probability(paul, pierre) for pierre in PIERRE_TABLE_STRATEGIES]
-        for paul in PAUL_TABLE_STRATEGIES
-    ]
+    rows = _threshold_lots((7, 6), (8, 7))
     return GameMatrix.from_rows(rows, PAUL_TABLE_LABELS, PIERRE_TABLE_LABELS)
 
 
 @lru_cache(maxsize=None)
 def threshold_matrix() -> GameMatrix:
-    """Paul's lot for every threshold pair (t_paul, t_pierre) in 0..13 squared.
-
-    Read from per-rank row sums: against each Pierre threshold, Paul's hold
-    and switch weights at each of the 13 ranks are summed once, and moving
-    Paul's threshold from s - 1 to s trades rank s's hold weight for its
-    switch weight.
-    """
-    ranks = range(1, RANK_COUNT + 1)
-    columns = []
-    for t in range(RANK_COUNT + 1):
-        draw = _threshold_flags(t)
-        hold = [_paul_row_weight(a, False, draw) for a in ranks]
-        switch = [_paul_row_weight(a, True, draw) for a in ranks]
-        weights = accumulate(map(operator.sub, switch, hold), initial=sum(hold))
-        columns.append([Fraction(weight, ORDERED_DEALS) for weight in weights])
-    labels = tuple(f"threshold:{t}" for t in range(RANK_COUNT + 1))
-    return GameMatrix.from_rows(zip(*columns), labels, labels)
+    """Paul's lot for every threshold pair (t_paul, t_pierre) in 0..13 squared."""
+    thresholds = tuple(range(RANK_COUNT + 1))
+    labels = tuple(f"threshold:{t}" for t in thresholds)
+    return GameMatrix.from_rows(_threshold_lots(thresholds, thresholds), labels, labels)
 
 
 def conditional_mixed_lot_paul7(

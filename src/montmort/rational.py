@@ -80,8 +80,11 @@ def require_integer(name: str, value: object, low: _Bound = None, high: _Bound =
 
 
 def require_rational(name: str, value: object, low: _Bound = None, high: _Bound = None) -> Fraction:
-    """`as_rational(value)` if it lies in [low, high]; a None bound is open."""
-    rational = as_rational(value)
+    """`as_rational(value)` if it lies in [low, high], a None bound open; refusals name `name`."""
+    try:
+        rational = as_rational(value)
+    except (TypeError, ValueError) as refused:
+        raise type(refused)(f"{name}: {refused}") from None
     if _outside(rational, low, high):
         raise ValueError(f"{name} must be{_bounds(low, high, '[{}, {}]')}, got {rational}")
     return rational
@@ -115,15 +118,11 @@ def decimal_string(value: Fraction, digits: int = DEFAULT_DECIMAL_DIGITS) -> str
     require_integer("digits", digits, 0)
     sign = "-" if value < 0 else ""
     magnitude = abs(value)
-    whole, remainder = divmod(magnitude.numerator, magnitude.denominator)
+    scale = 10**digits
+    whole, places = divmod(magnitude.numerator * scale // magnitude.denominator, scale)
     if digits == 0:
         return f"{sign}{whole}"
-    places = []
-    for _ in range(digits):
-        remainder *= 10
-        digit, remainder = divmod(remainder, magnitude.denominator)
-        places.append(str(digit))
-    return f"{sign}{whole}." + "".join(places)
+    return f"{sign}{whole}.{places:0{digits}d}"
 
 
 def approx_string(value: Fraction, digits: int = DEFAULT_DECIMAL_DIGITS) -> str:

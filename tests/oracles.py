@@ -10,10 +10,11 @@ validating the role-symmetry reduction used in production. The reference
 pool simulator replays `pool_simulate`'s stream usage through `advance`;
 the reference Le Her simulator draws tokens with the exact coin flip
 `bernoulli`, walks rank counts for every card and settles every deal
-through `paul_wins_deal`.
+through `settle_deal`, the oracles' own Le Her deal law written from the
+rules alone and checked against the engine's `resolve_deal` on every deal.
 The Le Her deal tally walks the 52 * 51 * 50 ordered deals of physical cards
-one by one through the game law (`paul_wins_deal`), with none of the
-rank-multiplicity weights the exact enumeration uses. The rank-subset
+one by one through `settle_deal`, with none of the rank-multiplicity weights
+the exact enumeration uses. The rank-subset
 enumerator is the engine's former lot computation: it walks the rank
 triples of one strategy pair, restricted to chosen first and second ranks,
 and shares none of the production weight table's indexing. The weight-table
@@ -27,7 +28,8 @@ dominance loop, against which the whole-pass elimination is checked.
 The linear-system reference is the engine's former Gaussian elimination
 over Fractions; the unlumped pool solve and the support-equalising solves
 run on it, so the engine's fraction-free kernel is never checked against
-itself.
+itself. The decimal-rendering reference is the engine's former
+digit-by-digit long division.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from montmort.leher import (
     _before_draw,
     _token_weights,
     paul_win_probability,
-    paul_wins_deal,
 )
 from montmort.montecarlo import RandomStream
 from montmort.pool import PoolConfig
@@ -350,6 +351,28 @@ def bernoulli(stream: RandomStream, probability: Fraction) -> bool:
     return stream.next_below(probability.denominator) < probability.numerator
 
 
+def settle_deal(
+    paul_card: int, pierre_card: int, replacement: int, paul: PaulStrategy, pierre: PierreStrategy
+) -> tuple[int, int]:
+    """Final (Paul's card, Pierre's card) of one three-card deal, from the rules alone.
+
+    Paul may force a swap unless Pierre holds a king, which Pierre then keeps.
+    After a completed swap Pierre draws exactly when he is behind (he takes
+    ties); otherwise his own flag at his card decides. A drawn king is thrown
+    back, leaving Pierre's card as it was.
+    """
+    if paul.switch[paul_card - 1]:
+        if pierre_card == KING:
+            return paul_card, pierre_card
+        paul_card, pierre_card = pierre_card, paul_card
+        draws = pierre_card < paul_card
+    else:
+        draws = pierre.draw[pierre_card - 1]
+    if draws and replacement != KING:
+        pierre_card = replacement
+    return paul_card, pierre_card
+
+
 def simulate_leher_reference(a, b, c, d, seed: int, trials: int) -> int:
     """Paul's wins over `trials` token-bag deals, one game-law call per deal.
 
@@ -369,8 +392,8 @@ def simulate_leher_reference(a, b, c, d, seed: int, trials: int) -> int:
         paul = paul_choices[bernoulli(stream, paul_switch)]
         pierre = pierre_choices[bernoulli(stream, pierre_switch)]
         paul_card, pierre_card, replacement = _draw_three_ranks(stream)
-        if paul_wins_deal(paul_card, pierre_card, replacement, paul, pierre):
-            wins += 1
+        paul_final, pierre_final = settle_deal(paul_card, pierre_card, replacement, paul, pierre)
+        wins += paul_final > pierre_final
     return wins
 
 
@@ -395,7 +418,8 @@ def physical_deal_tallies(
                 if third == first or third == second:
                     continue
                 deals += 1
-                paul_won += paul_wins_deal(a, b, rank_of[third], paul, pierre)
+                paul_final, pierre_final = settle_deal(a, b, rank_of[third], paul, pierre)
+                paul_won += paul_final > pierre_final
             before = tallies.get((a, b), (0, 0, 0))
             tallies[a, b] = (before[0] + deals, before[1] + paul_won, before[2] + deals - paul_won)
     return tallies
@@ -483,6 +507,21 @@ def threshold_matrix_reference() -> GameMatrix:
     ]
     labels = tuple(f"threshold:{t}" for t in range(RANK_COUNT + 1))
     return GameMatrix.from_rows(rows, labels, labels)
+
+
+def decimal_string_reference(value: Fraction, digits: int) -> str:
+    """The engine's former `decimal_string`: truncating long division, one digit at a time."""
+    sign = "-" if value < 0 else ""
+    magnitude = abs(value)
+    whole, remainder = divmod(magnitude.numerator, magnitude.denominator)
+    if digits == 0:
+        return f"{sign}{whole}"
+    places = []
+    for _ in range(digits):
+        remainder *= 10
+        digit, remainder = divmod(remainder, magnitude.denominator)
+        places.append(str(digit))
+    return f"{sign}{whole}." + "".join(places)
 
 
 def _equalisation_mix(

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -26,6 +27,7 @@ from montmort.leher import (
 from oracles import (
     physical_deal_tallies,
     rank_subset_win_weights,
+    settle_deal,
     threshold_matrix_reference,
     weight_table_reference,
 )
@@ -149,6 +151,14 @@ class TestGameLaw:
     def test_ties_go_to_pierre(self):
         assert not paul_wins_deal(9, 3, 9, T7, P8)
 
+    def test_oracle_law_agrees_on_every_deal(self):
+        # All 13^3 rank triples under each pair of flags at the dealt ranks.
+        ranks = range(1, 14)
+        for switch, draw in product((False, True), repeat=2):
+            paul, pierre = PaulStrategy((switch,) * 13), PierreStrategy((draw,) * 13)
+            for deal in product(ranks, repeat=3):
+                assert settle_deal(*deal, paul, pierre) == resolve_deal(*deal, paul, pierre)
+
     def test_rank_validation(self):
         with pytest.raises(ValueError):
             resolve_deal(0, 5, 5, T7, P8)
@@ -185,6 +195,8 @@ class TestTableOfLots:
             (Fraction(2828, 5525), Fraction(2838, 5525)),
             (Fraction(2834, 5525), Fraction(2828, 5525)),
         )
+        thresholds = threshold_matrix().entries
+        assert matrix.entries == tuple(tuple(thresholds[s][t] for t in (8, 7)) for s in (7, 6))
 
     def test_entries_are_probabilities(self):
         for row in build_leher_matrix().entries:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from montmort.montecarlo import leher_simulate
+from montmort.pool import PoolConfig
 from montmort.rational import (
     as_rational,
     decimal_string,
@@ -13,6 +16,7 @@ from montmort.rational import (
     require_integer,
     require_rational,
 )
+from oracles import decimal_string_reference
 
 rationals = st.fractions(
     min_value=Fraction(-10**9), max_value=Fraction(10**9), max_denominator=10**6
@@ -126,6 +130,11 @@ class TestDecimalString:
             decimal_string(Fraction(1, 3), digits)
 
 
+@given(st.fractions(), st.integers(0, 12))
+def test_decimal_string_matches_digit_by_digit_reference(value, digits):
+    assert decimal_string(value, digits) == decimal_string_reference(value, digits)
+
+
 class TestRequire:
     """The one argument rule: a refusal names the argument, its range and the value."""
 
@@ -135,8 +144,9 @@ class TestRequire:
             with pytest.raises(ValueError) as refused:
                 require(*args)
             assert str(refused.value) == outcome
-        elif isinstance(outcome, type):
-            with pytest.raises(outcome):
+        elif isinstance(outcome, tuple):
+            kind, message = outcome
+            with pytest.raises(kind, match=f"^{re.escape(message)}$"):
                 require(*args)
         else:
             assert require(*args) == outcome
@@ -175,9 +185,9 @@ class TestRequire:
             (("p", 2, 0, 1), "p must be in [0, 1], got 2"),
             (("ante", -1, 0), "ante must be >= 0, got -1"),
             (("cap", Fraction(11, 10), None, 1), "cap must be <= 1, got 11/10"),
-            (("p", "abc", 0, 1), "malformed rational 'abc': expected 'p' or 'p/q'"),
-            (("p", 0.5, 0, 1), TypeError),
-            (("p", True, 0, 1), TypeError),
+            (("p", "abc", 0, 1), "p: malformed rational 'abc': expected 'p' or 'p/q'"),
+            (("p", 0.5, 0, 1), (TypeError, "p: exact rational expected, got float 0.5")),
+            (("p", True, 0, 1), (TypeError, "p: exact rational expected, got bool True")),
             (("p", "1/2", 0, 1), Fraction(1, 2)),
             (("p", 0, 0, 1), Fraction(0)),
             (("p", Fraction(1), 0, 1), Fraction(1)),
@@ -187,6 +197,23 @@ class TestRequire:
     )
     def test_require_rational(self, args, outcome):
         self.check(require_rational, args, outcome)
+
+    @pytest.mark.parametrize(
+        "call, outcome",
+        [
+            (
+                lambda: PoolConfig(3, champion_win_prob=0.5),
+                (TypeError, "champion_win_prob: exact rational expected, got float 0.5"),
+            ),
+            (
+                lambda: leher_simulate(1, "x", 1, 1, seed=1, trials=10),
+                (ValueError, "weight b: malformed rational 'x': expected 'p' or 'p/q'"),
+            ),
+        ],
+        ids=["PoolConfig", "leher_simulate"],
+    )
+    def test_engine_refusals_name_the_argument(self, call, outcome):
+        self.check(call, (), outcome)
 
 
 @given(rationals, rationals)
