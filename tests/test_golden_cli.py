@@ -29,6 +29,7 @@ _POOL_STREAK_1 = [
     "--ante", "3/2", "--fee", "1/4",
 ]
 _POOL_SIM_3 = ["pool", "simulate", "--players", "3", "--seed", "42"]
+_POOL_SIM_3_CAP_2 = [*_POOL_SIM_3, "--trials", "50", "--max-games", "2"]
 _SIM_LEHER_17 = [
     "simulate", "leher", "--a", "3", "--b", "5", "--c", "5", "--d", "3", "--seed", "17",
 ]
@@ -94,6 +95,11 @@ CASES = {
     "pool_simulate_3_seed_42_trials_1.txt": (1, [*_POOL_SIM_3, "--trials", "1"]),
     "pool_simulate_3_seed_42_trials_1.json": (1, [*_POOL_SIM_3, "--trials", "1", *_JSON]),
     "pool_simulate_3_seed_42_trials_1.csv": (1, [*_POOL_SIM_3, "--trials", "1", *_CSV]),
+    # Two games cap every trial: seat 3 can never win, and the capped
+    # trials are counted as truncated.
+    "pool_simulate_3_seed_42_max_games_2.txt": (1, _POOL_SIM_3_CAP_2),
+    "pool_simulate_3_seed_42_max_games_2.json": (1, [*_POOL_SIM_3_CAP_2, *_JSON]),
+    "pool_simulate_3_seed_42_max_games_2.csv": (1, [*_POOL_SIM_3_CAP_2, *_CSV]),
     "etrennes_solve.txt": (0, ["etrennes", "solve"]),
     "etrennes_solve.json": (0, ["etrennes", "solve", *_JSON]),
     "etrennes_solve.csv": (0, ["etrennes", "solve", *_CSV]),
