@@ -7,7 +7,10 @@ Strategies are "threshold:t" or a 13-letter table, rank 1 (ace) through 13
 figure once and hands the JSON payload, CSV rows and text lines built from
 those same strings to `_emit`, which prints one. `montmort reproduce` recomputes
 the whole historical battery and exits 0 only when every figure matches,
-so it can gate CI directly. No environment variables are consulted.
+so it can gate CI directly. Every command's stdout, result and exit code
+ignore the environment. Only argparse's own text reads it: usage and errors
+on stderr, and `--help`, are wrapped to `COLUMNS` and translated through
+gettext, which reads the locale variables.
 """
 
 from __future__ import annotations
@@ -338,14 +341,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(conditional)
     conditional.set_defaults(handler=_cmd_leher_conditional)
 
+    def add_token_options(sub: argparse.ArgumentParser) -> None:
+        for name, description in (
+            ("--a", "Paul's weight on switching the 7"),
+            ("--b", "Paul's weight on holding the 7"),
+            ("--c", "Pierre's weight on switching the 8"),
+            ("--d", "Pierre's weight on holding the 8"),
+        ):
+            sub.add_argument(name, type=_rational, required=True, help=description)
+
     value = leher_commands.add_parser("value", help="Paul's lot under token weights")
-    for name, description in (
-        ("--a", "Paul's weight on switching the 7"),
-        ("--b", "Paul's weight on holding the 7"),
-        ("--c", "Pierre's weight on switching the 8"),
-        ("--d", "Pierre's weight on holding the 8"),
-    ):
-        value.add_argument(name, type=_rational, required=True, help=description)
+    add_token_options(value)
     _add_format(value)
     value.set_defaults(handler=_cmd_leher_value)
 
@@ -389,8 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate_parser = commands.add_parser("simulate", help="token-bag Monte Carlo")
     simulate_commands = simulate_parser.add_subparsers(dest="subcommand", required=True)
     sim_leher = simulate_commands.add_parser("leher", help="simulate mixed-strategy Le Her")
-    for name in ("--a", "--b", "--c", "--d"):
-        sim_leher.add_argument(name, type=_rational, required=True)
+    add_token_options(sim_leher)
     sim_leher.add_argument("--seed", type=_integer, required=True)
     sim_leher.add_argument("--trials", type=_integer, required=True)
     _add_format(sim_leher)

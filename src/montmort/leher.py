@@ -42,7 +42,7 @@ from itertools import accumulate
 from typing import ClassVar, Iterator, TypeVar
 
 from .rational import parse_integer, require_integer, require_rational
-from .solver import GameMatrix
+from .solver import GameMatrix, MixedStrategy, verify_equilibrium
 
 KING = 13
 RANK_COUNT = 13
@@ -375,17 +375,20 @@ def conditional_mixed_lot_paul7(
     """Paul's lot with a seven when both players randomise the disputed cards.
 
     Paul switches the seven with probability `p_switch`; if he stood, Pierre
-    redraws his eight with probability `p_pierre_draw8`. Composed from the
-    conditional lots, not from stored constants.
+    redraws his eight with probability `p_pierre_draw8`. The lot is the
+    profile payoff of the bags (p, 1 - p) and (q, 1 - q) over Paul's
+    conditional 2 x 2 with a seven: rows switch and hold, columns
+    `PIERRE_TABLE_STRATEGIES`. Both entries of the switch row are the same
+    lot, since Pierre's reply to a completed swap is forced.
     """
-    p_switch = require_rational("p_switch", p_switch, 0, 1)
-    p_draw = require_rational("p_pierre_draw8", p_pierre_draw8, 0, 1)
-    switch8, hold8 = PIERRE_TABLE_STRATEGIES
-    lot_switch = conditional_lot_paul(7, PaulAction.SWITCH, switch8)
-    lot_hold_vs_draw = conditional_lot_paul(7, PaulAction.HOLD, switch8)
-    lot_hold_vs_hold = conditional_lot_paul(7, PaulAction.HOLD, hold8)
-    lot_hold = p_draw * lot_hold_vs_draw + (1 - p_draw) * lot_hold_vs_hold
-    return p_switch * lot_switch + (1 - p_switch) * lot_hold
+    p = require_rational("p_switch", p_switch, 0, 1)
+    q = require_rational("p_pierre_draw8", p_pierre_draw8, 0, 1)
+    rows = [
+        [conditional_lot_paul(7, action, pierre) for pierre in PIERRE_TABLE_STRATEGIES]
+        for action in (PaulAction.SWITCH, PaulAction.HOLD)
+    ]
+    bags = MixedStrategy((p, 1 - p)), MixedStrategy((q, 1 - q))
+    return verify_equilibrium(GameMatrix.from_rows(rows), *bags).value
 
 
 def _token_weights(
@@ -413,17 +416,12 @@ def mixed_value(
 
     Paul plays "switch the 7" with weight a and "hold the 7" with weight b;
     Pierre plays "switch the 8" with weight c and "hold the 8" with weight d.
-    Weights need not be normalised; the value is invariant under positive
-    rescaling of (a, b) and of (c, d). The coefficients are read from the
-    computed table, and the normalisation is (a + b)(c + d), which is what
-    makes the constant-value claims of the correspondence come out.
+    (a, b) and (c, d) are token bags, so the weights need not be normalised
+    and the value is invariant under positive rescaling of either. The lot
+    is the bags' profile payoff over `build_leher_matrix()`, normalised by
+    (a + b)(c + d), which is what makes the constant-value claims of the
+    correspondence come out.
     """
     a, b, c, d = _token_weights(a, b, c, d)
-    table = build_leher_matrix()
-    numerator = (
-        a * c * table.entries[0][0]
-        + a * d * table.entries[0][1]
-        + b * c * table.entries[1][0]
-        + b * d * table.entries[1][1]
-    )
-    return numerator / ((a + b) * (c + d))
+    bags = MixedStrategy((a, b)), MixedStrategy((c, d))
+    return verify_equilibrium(build_leher_matrix(), *bags).value

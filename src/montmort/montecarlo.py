@@ -112,15 +112,14 @@ def leher_simulate(
     paul_num, paul_den = paul_switch.numerator, paul_switch.denominator
     pierre_num, pierre_den = pierre_switch.numerator, pierre_switch.denominator
     # settled[paul token][pierre token][paul rank - 1][pierre rank - 1]
-    # is (paul_final, pierre_current, pierre_draws). A true token means
-    # "switch", the first of each table pair, so the pairs are read reversed.
+    # is (paul_final, pierre_current, pierre_draws); token 0 is "switch".
     settled = [
         [
             [[leher._before_draw(x, y, s, d) for y, d in enumerate(pierre.draw, 1)]
              for x, s in enumerate(paul.switch, 1)]
-            for pierre in leher.PIERRE_TABLE_STRATEGIES[::-1]
+            for pierre in leher.PIERRE_TABLE_STRATEGIES
         ]
-        for paul in leher.PAUL_TABLE_STRATEGIES[::-1]
+        for paul in leher.PAUL_TABLE_STRATEGIES
     ]
 
     king = leher.KING
@@ -128,7 +127,7 @@ def leher_simulate(
     below = stream.next_below
     wins = 0
     for _ in range(trials):
-        law = settled[below(paul_den) < paul_num][below(pierre_den) < pierre_num]
+        law = settled[below(paul_den) >= paul_num][below(pierre_den) >= pierre_num]
         deck = list(_DECK)
         paul_card = deck.pop(below(deck_size))
         pierre_card = deck.pop(below(deck_size - 1))
