@@ -281,9 +281,7 @@ def pool_simulate(
         champion = 0
         streak = 0
         queue = list(range(1, n))
-        games = 0
-        while games < max_games:
-            games += 1
+        for games in range(1, max_games + 1):
             challenger = queue.pop(0)
             if next_below(den) < num:
                 streak += 1
@@ -293,9 +291,8 @@ def pool_simulate(
                 champion = challenger
                 streak = 1
             if streak >= required:
+                wins[champion] += 1
                 break
-        if streak >= required:
-            wins[champion] += 1
         else:
             truncated += 1
         total_games += games

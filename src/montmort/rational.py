@@ -96,10 +96,10 @@ def as_rational(value: Fraction | int | str) -> Fraction:
     Floats are rejected: a binary float is almost never the exact quantity
     the caller means, and silently accepting one would poison exact results.
     """
-    if isinstance(value, bool) or isinstance(value, float):
-        raise TypeError(f"exact rational expected, got {type(value).__name__} {value!r}")
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool) or isinstance(value, float):
+        raise TypeError(f"exact rational expected, got {type(value).__name__} {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):

@@ -161,11 +161,6 @@ class EliminationResult:
 # ---------------------------------------------------------------------------
 
 
-def _exact(value: Fraction | int) -> Fraction | int:
-    """An int or Fraction as it is; anything else through `as_rational`."""
-    return value if type(value) in (int, Fraction) else as_rational(value)
-
-
 def solve_linear_system(
     coefficients: list[list[Fraction]], constants: list[Fraction]
 ) -> list[Fraction] | None:
@@ -202,11 +197,11 @@ def solve_linear_system(
     size = len(coefficients)
     if any(len(row) != size for row in coefficients) or len(constants) != size:
         raise ValueError("system must be square with a matching constant vector")
-    constants = [_exact(b) for b in constants]
+    constants = [as_rational(b) for b in constants]
     rhs_scale = lcm(*(b.denominator for b in constants))
     rows = []
     for row, constant in zip(coefficients, constants):
-        row = [_exact(x) for x in row]
+        row = [as_rational(x) for x in row]
         scale = lcm(*(x.denominator for x in row))
         rows.append(
             [x.numerator * (scale // x.denominator) for x in row]
