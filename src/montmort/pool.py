@@ -276,12 +276,14 @@ def pool_simulate(
     total_games = 0
     total_games_sq = 0
     truncated = 0
+    # Built once, not per trial: most trials last only a few games.
+    game_numbers = range(1, max_games + 1)
 
     for _ in range(trials):
         champion = 0
         streak = 0
         queue = list(range(1, n))
-        for games in range(1, max_games + 1):
+        for games in game_numbers:
             challenger = queue.pop(0)
             if next_below(den) < num:
                 streak += 1
