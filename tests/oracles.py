@@ -14,13 +14,15 @@ through `settle_deal`, the oracles' own Le Her deal law written from the
 rules alone and checked against the engine's `resolve_deal` on every deal.
 The Le Her deal tally walks the 52 * 51 * 50 ordered deals of physical cards
 one by one through `settle_deal`, with none of the rank-multiplicity weights
-the exact enumeration uses. The rank-subset
-enumerator is the engine's former lot computation: it walks the rank
-triples of one strategy pair, restricted to chosen first and second ranks,
-and shares none of the production weight table's indexing. The weight-table
-and threshold-matrix references are the engine's former builds: every deal
-class walks all 13 third cards, and the 14 x 14 threshold game is 196
-separate full lots. Support enumeration
+the exact enumeration uses. The weight-table reference settles every rank
+triple of every deal class through `settle_deal` too, under constant-flag
+strategies, walking all 13 third cards whether the class is settled or not.
+Two Le Her references keep engine code on purpose, as the engine's former
+builds: the rank-subset enumerator, the former lot computation, walks the
+rank triples of one strategy pair through the engine's `_before_draw`,
+restricted to chosen first and second ranks, and shares none of the
+production weight table's indexing; the threshold-matrix reference makes
+the 14 x 14 threshold game from 196 separate full lots. Support enumeration
 solves a matrix game by trying every pair of square supports with exact
 equalisation solves, sharing nothing with the production simplex tableau.
 The strict-elimination reference is the engine's former one-at-a-time
@@ -474,21 +476,23 @@ def rank_subset_win_weights(
 
 
 def weight_table_reference() -> tuple[tuple[int, int], ...]:
-    """The engine's former `_weight_table()` body, indexed the same way.
+    """The engine's `_weight_table()`, indexed the same way, from `settle_deal`.
 
     Every one of the 676 deal classes walks all 13 third-card ranks, settled
-    or not, and tests each player's predicate separately.
+    or not, and plays each (a, b, c) out through `settle_deal` under
+    constant-flag strategies, testing each player's predicate separately.
     """
     table = []
     for a in _ALL_RANKS:
         for b in _ALL_RANKS:
             weight_ab = COPIES_PER_RANK * (COPIES_PER_RANK - (b == a))
             for switch, draw in ((False, False), (False, True), (True, False), (True, True)):
-                paul_final, pierre_current, draws = _before_draw(a, b, switch, draw)
+                paul = PaulStrategy((switch,) * RANK_COUNT)
+                pierre = PierreStrategy((draw,) * RANK_COUNT)
                 paul_weight = pierre_weight = 0
                 for c in _ALL_RANKS:
                     weight_c = COPIES_PER_RANK - (c == a) - (c == b)
-                    pierre_final = c if draws and c != KING else pierre_current
+                    paul_final, pierre_final = settle_deal(a, b, c, paul, pierre)
                     if paul_final > pierre_final:
                         paul_weight += weight_c
                     if pierre_final >= paul_final:
