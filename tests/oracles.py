@@ -26,7 +26,9 @@ the 14 x 14 threshold game from 196 separate full lots. Support enumeration
 solves a matrix game by trying every pair of square supports with exact
 equalisation solves, sharing nothing with the production simplex tableau.
 The strict-elimination reference is the engine's former one-at-a-time
-dominance loop, against which the whole-pass elimination is checked.
+dominance loop, against which the whole-pass elimination is checked. The
+certificate reference sums every entry against both whole mixes, zero
+probabilities included.
 The linear-system reference is the engine's former Gaussian elimination
 over Fractions; the unlumped pool solve and the support-equalising solves
 run on it, so the engine's fraction-free kernel is never checked against
@@ -639,6 +641,31 @@ def strict_elimination_reference(
         if victim is None:
             return tuple(rows), tuple(cols)
         cols.remove(victim)
+
+
+def certificate_reference(
+    matrix: GameMatrix, row_weights, col_weights
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], Fraction]:
+    """(row payoffs, column payoffs, value) of a mix profile: the full double sum.
+
+    Both token bags are normalised here, and every entry is weighted by every
+    probability of the opposing mix, zeros included; the value is the
+    bilinear form summed over all m * n entries, not read off the payoffs.
+    """
+    x = [Fraction(w) / sum(row_weights) for w in row_weights]
+    y = [Fraction(w) / sum(col_weights) for w in col_weights]
+    entries = matrix.entries
+    row_payoffs = tuple(
+        sum((entry * q for entry, q in zip(row, y)), Fraction(0)) for row in entries
+    )
+    col_payoffs = tuple(
+        sum((p * row[j] for p, row in zip(x, entries)), Fraction(0))
+        for j in range(matrix.n_cols)
+    )
+    value = sum(
+        (p * entry * q for p, row in zip(x, entries) for entry, q in zip(row, y)), Fraction(0)
+    )
+    return row_payoffs, col_payoffs, value
 
 
 def negated_transpose(matrix: GameMatrix) -> GameMatrix:

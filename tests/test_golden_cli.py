@@ -50,6 +50,7 @@ CASES = {
     "leher_solve.txt": (0, ["leher", "solve"]),
     "leher_solve.json": (0, ["leher", "solve", *_JSON]),
     "leher_solve.csv": (0, ["leher", "solve", *_CSV]),
+    "leher_solve_all_thresholds.txt": (0, ["leher", "solve", "--all-thresholds"]),
     "leher_solve_all_thresholds.json": (0, ["leher", "solve", "--all-thresholds", *_JSON]),
     "leher_solve_all_thresholds.csv": (0, ["leher", "solve", "--all-thresholds", *_CSV]),
     "leher_conditional_paul_7_hold.txt": (0, _PAUL_7_HOLD),

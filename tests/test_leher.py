@@ -22,6 +22,7 @@ from montmort.leher import (
     paul_wins_deal,
     threshold_matrix,
     _cell,
+    _row_weight,
     _weight_table,
 )
 from oracles import (
@@ -419,6 +420,21 @@ class TestWeightTable:
         assert len(table) == len(reference) == 676
         for index, (cell, expected) in enumerate(zip(table, reference)):
             assert cell == expected, index
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["paul", "pierre"])
+    def test_row_weights_match_reference_cells(self, side):
+        reference = weight_table_reference()
+        rng = random.Random(47)
+        tables = [PierreStrategy.threshold(t).draw for t in range(14)]
+        tables += [tuple(rng.random() < 0.5 for _ in range(13)) for _ in range(200)]
+        for draw in tables:
+            for a in range(1, 14):
+                for switch in (False, True):
+                    expected = sum(
+                        reference[_cell(a, b, switch, flag)][side]
+                        for b, flag in enumerate(draw, 1)
+                    )
+                    assert _row_weight(a, switch, draw, side) == expected, (a, switch, draw)
 
     def test_threshold_matrix_matches_196_lot_reference(self):
         threshold_matrix.cache_clear()

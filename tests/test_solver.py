@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 from oracles import (
+    certificate_reference,
     negated_transpose,
     solve_linear_system_reference,
     strict_elimination_reference,
@@ -386,6 +387,62 @@ class TestVerifyEquilibrium:
             verify_equilibrium(
                 matrix([[1, 2]]), MixedStrategy([1, 0]), MixedStrategy([1, 0])
             )
+
+
+def _seeded_weights(rng, size, kind):
+    """Token weights over `size` strategies: zeros mixed in, one strategy, or all."""
+    if kind == "one":
+        weights = [0] * size
+        weights[rng.randrange(size)] = rng.randint(1, 9)
+        return weights
+    if kind == "full":
+        return [rng.randint(1, 9) for _ in range(size)]
+    weights = [rng.choice((0, 0, rng.randint(1, 9))) for _ in range(size)]
+    weights[rng.randrange(size)] = rng.randint(1, 9)
+    return weights
+
+
+class TestCertificateAgainstReference:
+    """Row payoffs, column payoffs and value equal the full double sum, as Fractions."""
+
+    @staticmethod
+    def _check(game, row_weights, col_weights, context):
+        _, value, certificate = verify_equilibrium(
+            game, MixedStrategy(row_weights), MixedStrategy(col_weights)
+        )
+        rows, cols, expected = certificate_reference(game, row_weights, col_weights)
+        assert certificate.row_payoffs == rows, context
+        assert certificate.col_payoffs == cols, context
+        assert value == expected, context
+        for x in (value, *certificate.row_payoffs, *certificate.col_payoffs):
+            assert type(x) is Fraction, context
+
+    def test_golden_solver_games(self):
+        golden = json.loads(GOLDEN_SOLVER.read_text())["games"]
+        for index, pinned in enumerate(golden):
+            game = matrix([[parse_rational(x) for x in row] for row in pinned["entries"]])
+            row_weights = [parse_rational(w) for w in pinned["row_weights"]]
+            col_weights = [parse_rational(w) for w in pinned["col_weights"]]
+            self._check(game, row_weights, col_weights, index)
+
+    def test_threshold_game(self):
+        game = threshold_matrix()
+        solution = solve_zero_sum(game)
+        self._check(game, solution.row_mix.weights, solution.col_mix.weights, "optimal")
+        waldegrave_rows = [0] * 14
+        waldegrave_rows[7], waldegrave_rows[6] = 3, 5
+        waldegrave_cols = [0] * 14
+        waldegrave_cols[8], waldegrave_cols[7] = 5, 3
+        self._check(game, waldegrave_rows, waldegrave_cols, "3:5 / 5:3")
+
+    @pytest.mark.parametrize("kind", ["zeros", "one", "full"])
+    def test_seeded_mixes(self, kind):
+        rng = random.Random(f"certificate-{kind}")
+        for index in range(60):
+            game = random_matrix(rng, max_size=6)
+            row_weights = _seeded_weights(rng, game.n_rows, kind)
+            col_weights = _seeded_weights(rng, game.n_cols, kind)
+            self._check(game, row_weights, col_weights, index)
 
 
 # ---------------------------------------------------------------------------
