@@ -23,11 +23,13 @@ A deal's outcome depends only on its first two ranks and the players' flags
 at them, so one table of 13 * 13 * 2 * 2 = 676 integer cells counts both
 players' wins over the 52 * 51 * 50 = 132,600 ordered deals, and every full
 and conditional lot is an exact Fraction summed from it; no floats anywhere.
-Only the deal classes that reach Pierre's redraw look at the third card; a
-settled class counts all 50 third cards at once. Full lots and Paul's
-conditional lots are sums of per-rank row sums of the table, and one threshold
-builder over those row sums makes both strategy matrices: the historical
-2 x 2 and the 14 x 14 threshold game.
+A settled class counts all 50 third cards at once, and a class that reaches
+Pierre's redraw counts each player's winning third cards in closed form,
+with no walk over the 13 ranks. Full lots and Paul's conditional lots are
+sums of per-rank row sums of the table, read from one cached view of it: for
+each Paul rank, flag and side, the total over Pierre holding and Pierre's 13
+per-rank draw increments. One threshold builder over those row sums makes
+both strategy matrices: the historical 2 x 2 and the 14 x 14 threshold game.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import ClassVar, Iterator, TypeVar
 
 from .rational import parse_integer, require_integer, require_rational
@@ -219,31 +221,61 @@ def _weight_table() -> tuple[tuple[int, int], ...]:
     ranks (a, b) and any third card, 4 * (4 - [a = b]) * 50 of them, that each
     player wins, each by its own predicate (strictly higher for Paul, at least
     as high for Pierre), so the complementarity law checked in the tests is a
-    real property of the table, not an accounting identity. Only the classes
-    that reach Pierre's redraw walk the 13 third-card ranks; in a settled
-    class all 50 third cards give the same outcome.
+    real property of the table, not an accounting identity. In a settled
+    class all 50 third cards give the same outcome. In a class that reaches
+    Pierre's redraw, with Paul's final card P and Pierre's current card C,
+    each side counts its third cards in closed form: a third card below the
+    king becomes Pierre's, and any of the kings = 4 - [a = 13] - [b = 13]
+    left is thrown back, so Paul wins on 4(P - 1) - [a < P] - [b < P] cards
+    plus the kings when P > C, and Pierre on 4(13 - P) - [P <= a < 13] -
+    [P <= b < 13] cards plus the kings when C >= P.
     """
     ranks = range(1, RANK_COUNT + 1)
     table = []
     for a in ranks:
         for b in ranks:
             weight_ab = COPIES_PER_RANK * (COPIES_PER_RANK - (b == a))
+            kings = COPIES_PER_RANK - (a == KING) - (b == KING)
             for switch, draw in ((False, False), (False, True), (True, False), (True, True)):
                 paul_final, pierre_current, draws = _before_draw(a, b, switch, draw)
                 if not draws:
                     paul_weight = (DECK_SIZE - 2) * (paul_final > pierre_current)
                     pierre_weight = (DECK_SIZE - 2) * (pierre_current >= paul_final)
                 else:
-                    paul_weight = pierre_weight = 0
-                    for c in ranks:
-                        weight_c = COPIES_PER_RANK - (c == a) - (c == b)
-                        pierre_final = pierre_current if c == KING else c
-                        if paul_final > pierre_final:
-                            paul_weight += weight_c
-                        if pierre_final >= paul_final:
-                            pierre_weight += weight_c
+                    paul_weight = (
+                        COPIES_PER_RANK * (paul_final - 1)
+                        - (a < paul_final)
+                        - (b < paul_final)
+                        + kings * (paul_final > pierre_current)
+                    )
+                    pierre_weight = (
+                        COPIES_PER_RANK * (KING - paul_final)
+                        - (paul_final <= a < KING)
+                        - (paul_final <= b < KING)
+                        + kings * (pierre_current >= paul_final)
+                    )
                 table.append((weight_ab * paul_weight, weight_ab * pierre_weight))
     return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def _rank_rows() -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The table's rows per (Paul's rank a, Paul's flag at a, side), as `_row_weight` reads them.
+
+    Entry ((a - 1) * 2 + switch) * 2 + side holds that side's total over
+    the 13 cells where Pierre holds, and the 13 amounts by which drawing on
+    Pierre's rank b changes it, both sliced from `_weight_table()`.
+    """
+    table = _weight_table()
+    rows = []
+    for a in range(1, RANK_COUNT + 1):
+        for switch in (False, True):
+            start, stop = _cell(a, 1, switch, False), _cell(a + 1, 1, False, False)
+            hold, draw = table[start:stop:4], table[start + 1:stop:4]
+            for side in (0, 1):
+                increments = tuple(d[side] - h[side] for h, d in zip(hold, draw))
+                rows.append((sum(h[side] for h in hold), increments))
+    return tuple(rows)
 
 
 def _row_weight(a: int, switch: bool, draw: tuple[bool, ...], side: int = 0) -> int:
@@ -252,8 +284,8 @@ def _row_weight(a: int, switch: bool, draw: tuple[bool, ...], side: int = 0) -> 
     `switch` is Paul's flag at `a` and `draw` Pierre's per-rank draw flags. A
     full win weight is the sum of these over Paul's ranks, each at his flag.
     """
-    table = _weight_table()
-    return sum(table[_cell(a, b, switch, flag)][side] for b, flag in enumerate(draw, 1))
+    total, increments = _rank_rows()[((a - 1) * 2 + switch) * 2 + side]
+    return total + sum(compress(increments, draw))
 
 
 def _check_strategy(value: object, kind: type) -> None:

@@ -237,16 +237,13 @@ def solve_linear_system(
 
 
 def _row_payoffs(matrix: GameMatrix, col_probs: tuple[Fraction, ...]) -> list[Fraction]:
-    return [
-        sum(row[j] * col_probs[j] for j in range(matrix.n_cols)) for row in matrix.entries
-    ]
+    support = [j for j, q in enumerate(col_probs) if q]
+    return [sum(row[j] * col_probs[j] for j in support) for row in matrix.entries]
 
 
 def _col_payoffs(matrix: GameMatrix, row_probs: tuple[Fraction, ...]) -> list[Fraction]:
-    return [
-        sum(row_probs[i] * matrix.entries[i][j] for i in range(matrix.n_rows))
-        for j in range(matrix.n_cols)
-    ]
+    support = [(p, row) for p, row in zip(row_probs, matrix.entries) if p]
+    return [sum(p * row[j] for p, row in support) for j in range(matrix.n_cols)]
 
 
 def verify_equilibrium(
@@ -255,14 +252,16 @@ def verify_equilibrium(
     """Check that no pure deviation improves either player.
 
     Returns the profile value and the full deviation-payoff certificate
-    whether or not the profile is an equilibrium.
+    whether or not the profile is an equilibrium. Each payoff is summed over
+    the opposing mix's support and the value over the row mix's, since a
+    strategy played with probability 0 adds exactly 0.
     """
     if len(row_mix) != matrix.n_rows or len(col_mix) != matrix.n_cols:
         raise ValueError("mix lengths must match the matrix shape")
     x = row_mix.probabilities()
     row_payoffs = _row_payoffs(matrix, col_mix.probabilities())
     col_payoffs = _col_payoffs(matrix, x)
-    value = sum(x[i] * row_payoffs[i] for i in range(matrix.n_rows))
+    value = sum(x[i] * row_payoffs[i] for i in row_mix.support())
     ok = max(row_payoffs) <= value and min(col_payoffs) >= value
     return EquilibriumCheck(ok, value, Certificate(tuple(row_payoffs), tuple(col_payoffs)))
 
