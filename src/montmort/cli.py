@@ -196,13 +196,16 @@ def _cmd_pool_simulate(args: argparse.Namespace) -> int:
     targets = pool.pool_win_probabilities(config)
     result = pool.pool_simulate(config, seed=args.seed, trials=args.trials, max_games=args.max_games)
     games = _value_payload(result.expected_games)
+    # An abandoned trial pays no seat, so a capped run estimates another game
+    # than the targets describe: no seat's frequency can pass against them.
+    truncated = result.truncated_trials
     seats = [
         {
             "seat": index + 1,
             "win_freq": format_rational(estimate),
             "sigma": sigma,
             "target": format_rational(target),
-            "verdict": _verdict(estimate, target, sigma),
+            "verdict": "fail" if truncated else _verdict(estimate, target, sigma),
         }
         for index, (estimate, sigma, target) in enumerate(
             zip(result.win_prob, result.win_prob_se, targets)
@@ -212,13 +215,13 @@ def _cmd_pool_simulate(args: argparse.Namespace) -> int:
         "trials": result.trials,
         "seed": args.seed,
         "expected_games": games["exact"],
-        "truncated_trials": result.truncated_trials,
+        "truncated_trials": truncated,
         "seats": seats,
     }
     rows = [["seat", "win_freq", "sigma", "target", "verdict"]]
     rows += [[str(x) for x in seat.values()] for seat in seats]
     text = [
-        f"{result.trials} pools, seed {args.seed}, truncated {result.truncated_trials}",
+        f"{result.trials} pools, seed {args.seed}, truncated {truncated}",
         f"mean games: {_approx(games)}",
     ] + [
         f"seat {seat['seat']}: win freq {seat['win_freq']} "
@@ -378,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     pool_sim.add_argument("--seed", type=_integer, required=True)
     pool_sim.add_argument("--trials", type=_integer, required=True)
     pool_sim.add_argument("--max-games", type=_integer, default=pool.DEFAULT_TRIAL_GAME_CAP,
-                          help="abandon a trial after this many games")
+                          help="abandon a trial after this many games; any abandoned "
+                          "trial fails every seat")
     _add_format(pool_sim)
     pool_sim.set_defaults(handler=_cmd_pool_simulate)
 

@@ -96,8 +96,8 @@ CASES = {
     "pool_simulate_3_seed_42_trials_1.txt": (1, [*_POOL_SIM_3, "--trials", "1"]),
     "pool_simulate_3_seed_42_trials_1.json": (1, [*_POOL_SIM_3, "--trials", "1", *_JSON]),
     "pool_simulate_3_seed_42_trials_1.csv": (1, [*_POOL_SIM_3, "--trials", "1", *_CSV]),
-    # Two games cap every trial: seat 3 can never win, and the capped
-    # trials are counted as truncated.
+    # Two games cap every trial: seat 3 can never win, the capped trials
+    # are counted as truncated, and any truncated trial fails every seat.
     "pool_simulate_3_seed_42_max_games_2.txt": (1, _POOL_SIM_3_CAP_2),
     "pool_simulate_3_seed_42_max_games_2.json": (1, [*_POOL_SIM_3_CAP_2, *_JSON]),
     "pool_simulate_3_seed_42_max_games_2.csv": (1, [*_POOL_SIM_3_CAP_2, *_CSV]),

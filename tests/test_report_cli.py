@@ -267,6 +267,15 @@ class TestCli:
         assert payload["trials"] == 20000
         assert all(seat["verdict"] == "pass" for seat in payload["seats"])
 
+    def test_pool_simulate_truncated_trials_fail_every_seat(self, capsys):
+        # Unfailed, every seat's frequency here lies inside its 4-sigma band.
+        argv = ["pool", "simulate", "--players", "3", "--seed", "42", "--trials", "200",
+                "--max-games", "3", "--format", "json"]
+        assert main(argv) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["truncated_trials"] == 49
+        assert [seat["verdict"] for seat in payload["seats"]] == ["fail"] * 3
+
     def test_simulate_leher_small(self, capsys):
         code = main(
             [
