@@ -271,6 +271,7 @@ def _rank_rows() -> tuple[tuple[int, tuple[int, ...]], ...]:
     for a in range(1, RANK_COUNT + 1):
         for switch in (False, True):
             start, stop = _cell(a, 1, switch, False), _cell(a + 1, 1, False, False)
+            # Each (a, b) has four cells, so stepping by 4 walks Pierre's ranks.
             hold, draw = table[start:stop:4], table[start + 1:stop:4]
             for side in (0, 1):
                 increments = tuple(d[side] - h[side] for h, d in zip(hold, draw))
