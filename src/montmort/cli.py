@@ -11,6 +11,11 @@ so it can gate CI directly. Every command's stdout, result and exit code
 ignore the environment. Only argparse's own text reads it: usage and errors
 on stderr, and `--help`, are wrapped to `COLUMNS` and translated through
 gettext, which reads the locale variables.
+
+`main` builds only the parsers on the argv's command path (top, group,
+leaf), from the same command table as the full `build_parser()`. Help,
+`--version` and every argv the path's parsers cannot take whole go to the
+full parser, so their text is unchanged.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ import csv
 import io
 import json
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from fractions import Fraction
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from . import __version__, etrennes, leher, montecarlo, pool, report, solver
 from .rational import decimal_string, format_rational, parse_integer, parse_rational
@@ -71,9 +76,16 @@ def _approx(value: dict) -> str:
     return f"{value['exact']} ≈ {value['decimal']}"
 
 
-def _verdict(estimate: Fraction, target: Fraction, sigma: float) -> str:
-    """A simulated estimate passes within SIGMA_BAND standard errors of its exact target."""
-    return "pass" if abs(float(estimate) - float(target)) <= SIGMA_BAND * sigma else "fail"
+def _verdict(estimate: Fraction, target: Fraction, trials: int) -> str:
+    """A simulated frequency passes within SIGMA_BAND standard errors of its exact target.
+
+    The standard error is sqrt(e(1 - e)/N) for a frequency e over N trials, so
+    the band |e - t| <= SIGMA_BAND * sigma is squared and compared exactly:
+    (e - t)^2 * N <= SIGMA_BAND^2 * e(1 - e). The float sigma is only printed.
+    """
+    miss = estimate - target
+    passed = miss * miss * trials <= SIGMA_BAND**2 * estimate * (1 - estimate)
+    return "pass" if passed else "fail"
 
 
 def _rank_name(rank: int) -> str:
@@ -205,7 +217,7 @@ def _cmd_pool_simulate(args: argparse.Namespace) -> int:
             "win_freq": format_rational(estimate),
             "sigma": sigma,
             "target": format_rational(target),
-            "verdict": "fail" if truncated else _verdict(estimate, target, sigma),
+            "verdict": "fail" if truncated else _verdict(estimate, target, result.trials),
         }
         for index, (estimate, sigma, target) in enumerate(
             zip(result.win_prob, result.win_prob_se, targets)
@@ -245,7 +257,7 @@ def _cmd_simulate_leher(args: argparse.Namespace) -> int:
         args.a, args.b, args.c, args.d, seed=args.seed, trials=args.trials
     )
     estimate, target = _value_payload(result.frequency), _value_payload(exact)
-    verdict = _verdict(result.frequency, exact, result.std_error)
+    verdict = _verdict(result.frequency, exact, result.trials)
     payload = {
         "estimate": estimate["exact"],
         "target": target["exact"],
@@ -299,124 +311,159 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _table_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--all-thresholds",
+        action="store_true",
+        help="the full 14x14 matrix over every threshold pair instead of the 2x2 table",
+    )
+
+
+def _solve_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--all-thresholds", action="store_true", help="solve the 14x14 game")
+
+
+def _conditional_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--player", choices=("paul", "pierre"), required=True)
+    parser.add_argument("--card", type=_integer, required=True, help="dealt rank, 1..13")
+    parser.add_argument(
+        "--action", choices=("hold", "switch", "draw"), required=True,
+        help="hold/switch for Paul, hold/draw for Pierre",
+    )
+    parser.add_argument(
+        "--pierre", type=_pierre_strategy, default=leher.PierreStrategy.threshold(8),
+        help="Pierre's strategy when Paul is conditioned (default threshold:8)",
+    )
+    parser.add_argument(
+        "--paul", type=_paul_strategy, default=leher.PaulStrategy.threshold(7),
+        help="Paul's strategy when Pierre is conditioned (default threshold:7)",
+    )
+
+
+def _token_options(parser: argparse.ArgumentParser) -> None:
+    for name, description in (
+        ("--a", "Paul's weight on switching the 7"),
+        ("--b", "Paul's weight on holding the 7"),
+        ("--c", "Pierre's weight on switching the 8"),
+        ("--d", "Pierre's weight on holding the 8"),
+    ):
+        parser.add_argument(name, type=_rational, required=True, help=description)
+
+
+def _pool_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--players", type=_integer, required=True, help="number of seats, >= 2")
+    parser.add_argument("--p", type=_rational, default=Fraction(1, 2),
+                        help="incumbent's win probability each game (default 1/2)")
+    parser.add_argument("--ante", type=_rational, default=Fraction(1), help="ante (default 1)")
+    parser.add_argument("--fee", type=_rational, default=Fraction(1),
+                        help="fee each loser pays (default 1)")
+    parser.add_argument("--streak", type=_integer, default=None,
+                        help="consecutive wins required (default players - 1)")
+
+
+def _run_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=_integer, required=True)
+    parser.add_argument("--trials", type=_integer, required=True)
+
+
+def _max_games_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--max-games", type=_integer, default=pool.DEFAULT_TRIAL_GAME_CAP,
+                        help="abandon a trial after this many games; any abandoned "
+                        "trial fails every seat")
+
+
+def _etrennes_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--even", type=_rational, default=Fraction(4),
+                        help="prize for a correct even guess (default 4)")
+    parser.add_argument("--odd", type=_rational, default=Fraction(1),
+                        help="prize for a correct odd guess (default 1)")
+
+
+_GROUP_HELP = {
+    "leher": "the card game Le Her",
+    "pool": "the problem of the pool",
+    "etrennes": "the parity-guessing gift game",
+    "simulate": "token-bag Monte Carlo",
+}
+
+
+class _Command(NamedTuple):
+    path: tuple[str, ...]
+    help: str
+    handler: Callable[[argparse.Namespace], int]
+    options: tuple[Callable[[argparse.ArgumentParser], None], ...]
+
+
+# Every leaf command in help order: its path, help, handler and option groups
+# (each leaf then takes --format last). The full parser and a single path's
+# parser are both built from these rows, so each option is defined once.
+_COMMANDS = (
+    _Command(("leher", "table"), "print the table of Paul's lots", _cmd_leher_table,
+             (_table_options,)),
+    _Command(("leher", "solve"), "value and optimal token mixes", _cmd_leher_solve,
+             (_solve_options,)),
+    _Command(("leher", "conditional"), "a lot conditioned on the dealt card",
+             _cmd_leher_conditional, (_conditional_options,)),
+    _Command(("leher", "value"), "Paul's lot under token weights", _cmd_leher_value,
+             (_token_options,)),
+    _Command(("pool", "solve"), "exact per-seat solution", _cmd_pool_solve, (_pool_options,)),
+    _Command(("pool", "simulate"), "Monte Carlo cross-check", _cmd_pool_simulate,
+             (_pool_options, _run_options, _max_games_option)),
+    _Command(("etrennes", "solve"), "value and optimal mixes", _cmd_etrennes_solve,
+             (_etrennes_options,)),
+    _Command(("simulate", "leher"), "simulate mixed-strategy Le Her", _cmd_simulate_leher,
+             (_token_options, _run_options)),
+    _Command(("reproduce",), "recompute every historical figure; exit 0 only if all match",
+             _cmd_reproduce, ()),
+)
+
+
+def _build(commands: Iterable[_Command]) -> argparse.ArgumentParser:
+    """The top parser with `commands` and the groups they sit in, in table order."""
     parser = argparse.ArgumentParser(
         prog="montmort",
         description="Exact engine for Le Her, the problem of the pool, and Les Etrennes.",
     )
     parser.add_argument("--version", action="version", version=f"montmort {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    leher_parser = commands.add_parser("leher", help="the card game Le Her")
-    leher_commands = leher_parser.add_subparsers(dest="subcommand", required=True)
-
-    table = leher_commands.add_parser("table", help="print the table of Paul's lots")
-    table.add_argument(
-        "--all-thresholds",
-        action="store_true",
-        help="the full 14x14 matrix over every threshold pair instead of the 2x2 table",
-    )
-    _add_format(table)
-    table.set_defaults(handler=_cmd_leher_table)
-
-    solve = leher_commands.add_parser("solve", help="value and optimal token mixes")
-    solve.add_argument("--all-thresholds", action="store_true", help="solve the 14x14 game")
-    _add_format(solve)
-    solve.set_defaults(handler=_cmd_leher_solve)
-
-    conditional = leher_commands.add_parser(
-        "conditional", help="a lot conditioned on the dealt card"
-    )
-    conditional.add_argument("--player", choices=("paul", "pierre"), required=True)
-    conditional.add_argument("--card", type=_integer, required=True, help="dealt rank, 1..13")
-    conditional.add_argument(
-        "--action", choices=("hold", "switch", "draw"), required=True,
-        help="hold/switch for Paul, hold/draw for Pierre",
-    )
-    conditional.add_argument(
-        "--pierre", type=_pierre_strategy, default=leher.PierreStrategy.threshold(8),
-        help="Pierre's strategy when Paul is conditioned (default threshold:8)",
-    )
-    conditional.add_argument(
-        "--paul", type=_paul_strategy, default=leher.PaulStrategy.threshold(7),
-        help="Paul's strategy when Pierre is conditioned (default threshold:7)",
-    )
-    _add_format(conditional)
-    conditional.set_defaults(handler=_cmd_leher_conditional)
-
-    def add_token_options(sub: argparse.ArgumentParser) -> None:
-        for name, description in (
-            ("--a", "Paul's weight on switching the 7"),
-            ("--b", "Paul's weight on holding the 7"),
-            ("--c", "Pierre's weight on switching the 8"),
-            ("--d", "Pierre's weight on holding the 8"),
-        ):
-            sub.add_argument(name, type=_rational, required=True, help=description)
-
-    value = leher_commands.add_parser("value", help="Paul's lot under token weights")
-    add_token_options(value)
-    _add_format(value)
-    value.set_defaults(handler=_cmd_leher_value)
-
-    pool_parser = commands.add_parser("pool", help="the problem of the pool")
-    pool_commands = pool_parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_pool_options(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--players", type=_integer, required=True, help="number of seats, >= 2")
-        sub.add_argument("--p", type=_rational, default=Fraction(1, 2),
-                         help="incumbent's win probability each game (default 1/2)")
-        sub.add_argument("--ante", type=_rational, default=Fraction(1), help="ante (default 1)")
-        sub.add_argument("--fee", type=_rational, default=Fraction(1),
-                         help="fee each loser pays (default 1)")
-        sub.add_argument("--streak", type=_integer, default=None,
-                         help="consecutive wins required (default players - 1)")
-
-    pool_solve = pool_commands.add_parser("solve", help="exact per-seat solution")
-    add_pool_options(pool_solve)
-    _add_format(pool_solve)
-    pool_solve.set_defaults(handler=_cmd_pool_solve)
-
-    pool_sim = pool_commands.add_parser("simulate", help="Monte Carlo cross-check")
-    add_pool_options(pool_sim)
-    pool_sim.add_argument("--seed", type=_integer, required=True)
-    pool_sim.add_argument("--trials", type=_integer, required=True)
-    pool_sim.add_argument("--max-games", type=_integer, default=pool.DEFAULT_TRIAL_GAME_CAP,
-                          help="abandon a trial after this many games; any abandoned "
-                          "trial fails every seat")
-    _add_format(pool_sim)
-    pool_sim.set_defaults(handler=_cmd_pool_simulate)
-
-    etrennes_parser = commands.add_parser("etrennes", help="the parity-guessing gift game")
-    etrennes_commands = etrennes_parser.add_subparsers(dest="subcommand", required=True)
-    etrennes_solve = etrennes_commands.add_parser("solve", help="value and optimal mixes")
-    etrennes_solve.add_argument("--even", type=_rational, default=Fraction(4),
-                                help="prize for a correct even guess (default 4)")
-    etrennes_solve.add_argument("--odd", type=_rational, default=Fraction(1),
-                                help="prize for a correct odd guess (default 1)")
-    _add_format(etrennes_solve)
-    etrennes_solve.set_defaults(handler=_cmd_etrennes_solve)
-
-    simulate_parser = commands.add_parser("simulate", help="token-bag Monte Carlo")
-    simulate_commands = simulate_parser.add_subparsers(dest="subcommand", required=True)
-    sim_leher = simulate_commands.add_parser("leher", help="simulate mixed-strategy Le Her")
-    add_token_options(sim_leher)
-    sim_leher.add_argument("--seed", type=_integer, required=True)
-    sim_leher.add_argument("--trials", type=_integer, required=True)
-    _add_format(sim_leher)
-    sim_leher.set_defaults(handler=_cmd_simulate_leher)
-
-    reproduce = commands.add_parser(
-        "reproduce", help="recompute every historical figure; exit 0 only if all match"
-    )
-    _add_format(reproduce)
-    reproduce.set_defaults(handler=_cmd_reproduce)
-
+    subcommands = {(): parser.add_subparsers(dest="command", required=True)}
+    for command in commands:
+        group = command.path[:-1]
+        if group not in subcommands:
+            group_parser = subcommands[()].add_parser(group[0], help=_GROUP_HELP[group[0]])
+            subcommands[group] = group_parser.add_subparsers(dest="subcommand", required=True)
+        leaf = subcommands[group].add_parser(command.path[-1], help=command.help)
+        for add_options in command.options:
+            add_options(leaf)
+        _add_format(leaf)
+        leaf.set_defaults(handler=command.handler)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    return _build(_COMMANDS)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse `argv` through only the parsers on its command path.
+
+    Building all 14 parsers costs far more than parsing, so an argv that
+    opens with a leaf's exact path is parsed by the top, group and leaf
+    parsers alone. Each is built by the same calls as in the full parser, so
+    `prog`, usage and every error the leaf raises are the same. Any other
+    argv (help, --version, an unknown or abbreviated command) and a path
+    parse that leaves extras go to the full parser, which prints the help or
+    error text the full parser always printed.
+    """
+    path = [command for command in _COMMANDS if tuple(argv[: len(command.path)]) == command.path]
+    if path:
+        args, extras = _build(path).parse_known_args(argv)
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.handler(args)
     except ValueError as error:

@@ -4,9 +4,12 @@ Each file under `golden_cli/` holds the exact stdout of one `montmort`
 command, so an engine change that alters any printed figure, label, number
 format or line ending shows up here, not only in the figures the other
 tests compare as Fractions. Each case also pins the command's exit code:
-a simulation whose estimate misses its exact target exits 1.
+a simulation whose estimate misses its exact target exits 1, and the
+parsers `main` builds: only the top, group and leaf parsers on the
+command's path.
 """
 
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -115,7 +118,9 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_stdout_matches_golden(name, capsys):
+def test_stdout_matches_golden(name, capsys, built_parsers):
     code, argv = CASES[name]
     assert main(argv) == code
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN_DIR / name).read_bytes()
+    path = list(takewhile(lambda token: not token.startswith("-"), argv))
+    assert built_parsers == [" ".join(["montmort", *path[:depth]]) for depth in range(len(path) + 1)]

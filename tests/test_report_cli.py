@@ -1,14 +1,21 @@
 import csv
 import io
 import json
+import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from montmort.cli import main
+from montmort.cli import SIGMA_BAND, _verdict, main
+from montmort.leher import mixed_value
+from montmort.montecarlo import leher_simulate
+from montmort.pool import PoolConfig, pool_simulate, pool_win_probabilities
 from montmort.rational import parse_rational
 from montmort.report import ReportEntry, build_reproduction_report
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden_cli"
 
 
 class TestReport:
@@ -310,3 +317,62 @@ class TestCli:
         assert main(["reproduce", "--format", "csv"]) == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows[0][0] == "label"
+
+
+def _float_verdict(estimate, target, sigma):
+    """The float band: |e - t| <= SIGMA_BAND * sigma, with the printed sigma."""
+    return "pass" if abs(float(estimate) - float(target)) <= SIGMA_BAND * sigma else "fail"
+
+
+class TestExactVerdict:
+    """`_verdict` squares the 4-sigma band and compares Fractions; no float decides."""
+
+    def test_band_edge_is_exact(self):
+        # e = 1/2 over 64 trials: sigma = 1/16, so the band reaches exactly 1/4.
+        half = Fraction(1, 2)
+        assert _verdict(half, Fraction(1, 4), 64) == "pass"
+        assert _verdict(half, Fraction(3, 4), 64) == "pass"
+        # Closer to the edge than a float can tell: float(t) rounds to 0.25.
+        assert _verdict(half, Fraction(1, 4) - Fraction(1, 10**30), 64) == "fail"
+        assert _verdict(Fraction(1), Fraction(1), 1) == "pass"
+        assert _verdict(Fraction(0), Fraction(1, 10**30), 1) == "fail"
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_DIR.glob("*simulate*.json")))
+    def test_golden_verdicts_agree(self, name):
+        payload = json.loads((GOLDEN_DIR / name).read_text())
+        if "seats" in payload:
+            figures = [(s["win_freq"], s["target"], s["sigma"], s["verdict"])
+                       for s in payload["seats"]]
+            truncated = payload["truncated_trials"]
+        else:
+            figures = [(payload["estimate"], payload["target"], payload["sigma"],
+                        payload["verdict"])]
+            truncated = 0
+        for estimate, target, sigma, printed in figures:
+            estimate, target = parse_rational(estimate), parse_rational(target)
+            verdict = _verdict(estimate, target, payload["trials"])
+            assert verdict == _float_verdict(estimate, target, sigma)
+            # A truncated run fails every seat whatever its band says.
+            assert printed == ("fail" if truncated else verdict)
+
+    def test_seeded_short_runs_agree(self):
+        rng = random.Random(1654)
+        verdicts = []
+        for seed in range(1000):
+            a, b, c, d = (rng.randint(0, 4) for _ in range(4))
+            a, c = a or b or 1, c or d or 1
+            result = leher_simulate(a, b, c, d, seed=seed, trials=rng.randint(1, 60))
+            target = mixed_value(a, b, c, d)
+            verdict = _verdict(result.frequency, target, result.trials)
+            assert verdict == _float_verdict(result.frequency, target, result.std_error)
+            verdicts.append(verdict)
+        for seed in range(1000):
+            config = PoolConfig(3, Fraction(rng.randint(1, 9), 10))
+            result = pool_simulate(config, seed=seed, trials=rng.randint(1, 60))
+            for estimate, sigma, target in zip(
+                result.win_prob, result.win_prob_se, pool_win_probabilities(config)
+            ):
+                verdict = _verdict(estimate, target, result.trials)
+                assert verdict == _float_verdict(estimate, target, sigma)
+                verdicts.append(verdict)
+        assert {"pass", "fail"} <= set(verdicts)
