@@ -7,6 +7,10 @@ import pytest
 from montmort.leher import (
     KING,
     ORDERED_DEALS,
+    PAUL_TABLE_LABELS,
+    PAUL_TABLE_STRATEGIES,
+    PIERRE_TABLE_LABELS,
+    PIERRE_TABLE_STRATEGIES,
     PaulAction,
     PaulStrategy,
     PierreAction,
@@ -198,6 +202,25 @@ class TestTableOfLots:
         )
         thresholds = threshold_matrix().entries
         assert matrix.entries == tuple(tuple(thresholds[s][t] for t in (8, 7)) for s in (7, 6))
+
+    def test_matrix_is_the_named_pairs_lots(self):
+        matrix = build_leher_matrix()
+        assert matrix.row_labels == PAUL_TABLE_LABELS
+        assert matrix.col_labels == PIERRE_TABLE_LABELS
+        assert matrix.entries == tuple(
+            tuple(paul_win_probability(paul, pierre) for pierre in PIERRE_TABLE_STRATEGIES)
+            for paul in PAUL_TABLE_STRATEGIES
+        )
+
+    def test_matrix_is_the_threshold_block(self):
+        matrix, full = build_leher_matrix(), threshold_matrix()
+        rows, cols = (7, 6), (8, 7)
+        assert matrix.entries == tuple(tuple(full.entries[s][t] for t in cols) for s in rows)
+        # The block's labels name exactly the table strategies, in the table's order.
+        assert tuple(PaulStrategy.parse(full.row_labels[s]) for s in rows) == PAUL_TABLE_STRATEGIES
+        assert tuple(
+            PierreStrategy.parse(full.col_labels[t]) for t in cols
+        ) == PIERRE_TABLE_STRATEGIES
 
     def test_entries_are_probabilities(self):
         for row in build_leher_matrix().entries:

@@ -96,6 +96,35 @@ class TestGameMatrix:
         with pytest.raises(ValueError):
             GameMatrix.from_rows([[1, 2]], row_labels=["a", "b"])
 
+    @pytest.mark.parametrize(
+        "rows,row_labels,col_labels,message",
+        [
+            ([], [], [], "at least one row and one column"),
+            ([[]], ["r"], [], "at least one row and one column"),
+            ([[1, 2], [3]], ["r0", "r1"], ["c0", "c1"], "rows must all have the same length"),
+            ([[1, 2]], ["a", "b"], ["c0", "c1"], "label counts must match the matrix shape"),
+            ([[1, 2]], ["r"], ["c0"], "label counts must match the matrix shape"),
+        ],
+    )
+    def test_shape_refusals_name_the_rule(self, rows, row_labels, col_labels, message):
+        with pytest.raises(ValueError, match=message):
+            GameMatrix(rows, row_labels, col_labels)
+        with pytest.raises(ValueError, match=message):
+            GameMatrix.from_rows(rows, row_labels, col_labels)
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ([], "at least one row and one column"),
+            ([[]], "at least one row and one column"),
+            ([[1, 2], [3]], "rows must all have the same length"),
+            ([[1], [2, 3]], "rows must all have the same length"),
+        ],
+    )
+    def test_default_labels_keep_the_shape_refusals(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            GameMatrix.from_rows(rows)
+
     def test_json_round_trip(self):
         original = GameMatrix.from_rows(
             [[Fraction(1, 3), 2], [0, Fraction(-5, 7)]], ["x", "y"], ["u", "v"]
