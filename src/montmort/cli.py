@@ -311,16 +311,12 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _table_options(parser: argparse.ArgumentParser) -> None:
+def _all_thresholds_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--all-thresholds",
         action="store_true",
-        help="the full 14x14 matrix over every threshold pair instead of the 2x2 table",
+        help="the full 14x14 game over every threshold pair instead of the 2x2 table",
     )
-
-
-def _solve_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--all-thresholds", action="store_true", help="solve the 14x14 game")
 
 
 def _conditional_options(parser: argparse.ArgumentParser) -> None:
@@ -399,9 +395,9 @@ class _Command(NamedTuple):
 # parser are both built from these rows, so each option is defined once.
 _COMMANDS = (
     _Command(("leher", "table"), "print the table of Paul's lots", _cmd_leher_table,
-             (_table_options,)),
+             (_all_thresholds_option,)),
     _Command(("leher", "solve"), "value and optimal token mixes", _cmd_leher_solve,
-             (_solve_options,)),
+             (_all_thresholds_option,)),
     _Command(("leher", "conditional"), "a lot conditioned on the dealt card",
              _cmd_leher_conditional, (_conditional_options,)),
     _Command(("leher", "value"), "Paul's lot under token weights", _cmd_leher_value,

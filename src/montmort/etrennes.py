@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import as_rational
+from .rational import require_rational
 from .solver import GameMatrix, GameSolution, solve_zero_sum
 
 GUESS_LABELS = ("even", "odd")
@@ -31,10 +31,11 @@ class EtrennesConfig:
     odd_prize: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "even_prize", as_rational(self.even_prize))
-        object.__setattr__(self, "odd_prize", as_rational(self.odd_prize))
-        if self.even_prize <= 0 or self.odd_prize <= 0:
-            raise ValueError("both prizes must be positive")
+        for name in ("even_prize", "odd_prize"):
+            prize = require_rational(name, getattr(self, name))
+            if prize <= 0:
+                raise ValueError(f"{name} must be > 0, got {prize}")
+            object.__setattr__(self, name, prize)
 
 
 def etrennes_matrix(config: EtrennesConfig = EtrennesConfig()) -> GameMatrix:

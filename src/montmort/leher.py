@@ -25,11 +25,11 @@ players' wins over the 52 * 51 * 50 = 132,600 ordered deals, and every full
 and conditional lot is an exact Fraction summed from it; no floats anywhere.
 A settled class counts all 50 third cards at once, and a class that reaches
 Pierre's redraw counts each player's winning third cards in closed form,
-with no walk over the 13 ranks. Full lots and Paul's conditional lots are
-sums of per-rank row sums of the table, read from one cached view of it: for
-each Paul rank, flag and side, the total over Pierre holding and Pierre's 13
-per-rank draw increments. One threshold builder over those row sums makes
-both strategy matrices: the historical 2 x 2 and the 14 x 14 threshold game.
+with no walk over the 13 ranks. The one cached table is stored row-wise, the
+way the lots read it: for each Paul rank, flag and side, the 13 cells where
+Pierre holds, Pierre's 13 per-rank draw increments and the holding total.
+The historical 2 x 2 is the four named strategy pairs' full lots; the
+14 x 14 threshold game comes from one threshold builder over the row sums.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress
-from typing import ClassVar, Iterator, TypeVar
+from typing import ClassVar, TypeVar
 
 from .rational import parse_integer, require_integer, require_rational
 from .solver import GameMatrix, MixedStrategy, verify_equilibrium
@@ -207,76 +207,71 @@ def paul_wins_deal(
 # ---------------------------------------------------------------------------
 
 
-def _cell(a: int, b: int, switch: bool, draw: bool) -> int:
-    """Index of the deal class (a, b, switch, draw) in `_weight_table()`."""
-    return (((a - 1) * RANK_COUNT + b - 1) * 2 + switch) * 2 + draw
+#: One weight-table row: 13 holding cells, 13 draw increments, the holding total.
+_Row = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
 @lru_cache(maxsize=None)
-def _weight_table() -> tuple[tuple[int, int], ...]:
-    """Integer win weights (Paul's, Pierre's) of the 676 deal classes, indexed by `_cell`.
+def _weight_table() -> tuple[tuple[tuple[_Row, _Row], tuple[_Row, _Row]], ...]:
+    """Integer win weights of the 676 deal classes, one row per (Paul's rank a, flag, side).
 
     A deal's outcome depends only on its first two ranks a and b, Paul's flag
-    at a and Pierre's flag at b. A cell counts the ordered deals with first
-    ranks (a, b) and any third card, 4 * (4 - [a = b]) * 50 of them, that each
-    player wins, each by its own predicate (strictly higher for Paul, at least
-    as high for Pierre), so the complementarity law checked in the tests is a
-    real property of the table, not an accounting identity. In a settled
-    class all 50 third cards give the same outcome. In a class that reaches
-    Pierre's redraw, with Paul's final card P and Pierre's current card C,
-    each side counts its third cards in closed form: a third card below the
-    king becomes Pierre's, and any of the kings = 4 - [a = 13] - [b = 13]
-    left is thrown back, so Paul wins on 4(P - 1) - [a < P] - [b < P] cards
-    plus the kings when P > C, and Pierre on 4(13 - P) - [P <= a < 13] -
-    [P <= b < 13] cards plus the kings when C >= P.
+    at a and Pierre's flag at b. Row `[a - 1][switch][side]` holds Paul's
+    (side 0) or Pierre's (side 1) weights with Paul's flag `switch` at a:
+    the 13 cells where Pierre holds his rank b, the 13 amounts by which
+    drawing on b changes them, and the total of the holding cells.
+
+    A cell counts the ordered deals with first ranks (a, b) and any third
+    card, 4 * (4 - [a = b]) * 50 of them, that each player wins, each by its
+    own predicate (strictly higher for Paul, at least as high for Pierre), so
+    the complementarity law checked in the tests is a real property of the
+    table, not an accounting identity. In a settled class all 50 third cards
+    give the same outcome. In a class that reaches Pierre's redraw, with
+    Paul's final card P and Pierre's current card C, each side counts its
+    third cards in closed form: a third card below the king becomes Pierre's,
+    and any of the kings = 4 - [a = 13] - [b = 13] left is thrown back, so
+    Paul wins on 4(P - 1) - [a < P] - [b < P] cards plus the kings when
+    P > C, and Pierre on 4(13 - P) - [P <= a < 13] - [P <= b < 13] cards
+    plus the kings when C >= P.
     """
     ranks = range(1, RANK_COUNT + 1)
+    settled = DECK_SIZE - 2
     table = []
     for a in ranks:
-        for b in ranks:
-            weight_ab = COPIES_PER_RANK * (COPIES_PER_RANK - (b == a))
-            kings = COPIES_PER_RANK - (a == KING) - (b == KING)
-            for switch, draw in ((False, False), (False, True), (True, False), (True, True)):
-                paul_final, pierre_current, draws = _before_draw(a, b, switch, draw)
-                if not draws:
-                    paul_weight = (DECK_SIZE - 2) * (paul_final > pierre_current)
-                    pierre_weight = (DECK_SIZE - 2) * (pierre_current >= paul_final)
-                else:
-                    paul_weight = (
-                        COPIES_PER_RANK * (paul_final - 1)
-                        - (a < paul_final)
-                        - (b < paul_final)
-                        + kings * (paul_final > pierre_current)
-                    )
-                    pierre_weight = (
-                        COPIES_PER_RANK * (KING - paul_final)
-                        - (paul_final <= a < KING)
-                        - (paul_final <= b < KING)
-                        + kings * (pierre_current >= paul_final)
-                    )
-                table.append((weight_ab * paul_weight, weight_ab * pierre_weight))
-    return tuple(table)
-
-
-@lru_cache(maxsize=None)
-def _rank_rows() -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The table's rows per (Paul's rank a, Paul's flag at a, side), as `_row_weight` reads them.
-
-    Entry ((a - 1) * 2 + switch) * 2 + side holds that side's total over
-    the 13 cells where Pierre holds, and the 13 amounts by which drawing on
-    Pierre's rank b changes it, both sliced from `_weight_table()`.
-    """
-    table = _weight_table()
-    rows = []
-    for a in range(1, RANK_COUNT + 1):
+        deals_ab = [COPIES_PER_RANK * (COPIES_PER_RANK - (b == a)) for b in ranks]
+        flags = []
         for switch in (False, True):
-            start, stop = _cell(a, 1, switch, False), _cell(a + 1, 1, False, False)
-            # Each (a, b) has four cells, so stepping by 4 walks Pierre's ranks.
-            hold, draw = table[start:stop:4], table[start + 1:stop:4]
-            for side in (0, 1):
-                increments = tuple(d[side] - h[side] for h, d in zip(hold, draw))
-                rows.append((sum(h[side] for h in hold), increments))
-    return tuple(rows)
+            cells = []  # per Pierre rank b: (Paul, Pierre) holding, then drawing, per deal
+            for b in ranks:
+                kings = COPIES_PER_RANK - (a == KING) - (b == KING)
+                if not switch:
+                    # Paul stands on a: holding settles; drawing redraws with P = a, C = b.
+                    hold = settled * (a > b), settled * (b >= a)
+                    draw = (
+                        COPIES_PER_RANK * (a - 1) - (b < a) + kings * (a > b),
+                        COPIES_PER_RANK * (KING - a) - (a < KING) - (a <= b < KING)
+                        + kings * (b >= a),
+                    )
+                elif b == KING or b <= a:
+                    # Swap refused on Pierre's king, or completed leaving Pierre's
+                    # new card a at least Paul's b: Pierre stands and wins.
+                    hold = draw = 0, settled
+                else:
+                    # Swap completed leaving Pierre's a below Paul's b: he redraws, P = b, C = a.
+                    hold = draw = (
+                        COPIES_PER_RANK * (b - 1) - 1 + kings,
+                        COPIES_PER_RANK * (KING - b) - 1,
+                    )
+                cells.append(hold + draw)
+            paul_hold, pierre_hold, paul_draw, pierre_draw = (
+                tuple(map(operator.mul, deals_ab, column)) for column in zip(*cells)
+            )
+            flags.append(tuple(
+                (hold, tuple(map(operator.sub, draw, hold)), sum(hold))
+                for hold, draw in ((paul_hold, paul_draw), (pierre_hold, pierre_draw))
+            ))
+        table.append(tuple(flags))
+    return tuple(table)
 
 
 def _row_weight(a: int, switch: bool, draw: tuple[bool, ...], side: int = 0) -> int:
@@ -285,7 +280,7 @@ def _row_weight(a: int, switch: bool, draw: tuple[bool, ...], side: int = 0) -> 
     `switch` is Paul's flag at `a` and `draw` Pierre's per-rank draw flags. A
     full win weight is the sum of these over Paul's ranks, each at his flag.
     """
-    total, increments = _rank_rows()[((a - 1) * 2 + switch) * 2 + side]
+    _, increments, total = _weight_table()[a - 1][switch][side]
     return total + sum(compress(increments, draw))
 
 
@@ -343,7 +338,10 @@ def conditional_lot_pierre(card: int, action: PierreAction, paul: PaulStrategy) 
         raise ValueError("conditioning event impossible: Paul never stands under this strategy")
     table = _weight_table()
     draw = action is PierreAction.DRAW
-    win = sum(table[_cell(a, card, False, draw)][1] for a in stand_ranks)
+    win = 0
+    for a in stand_ranks:
+        hold, increments, _ = table[a - 1][False][1]
+        win += hold[card - 1] + draw * increments[card - 1]
     stand_cards = sum(COPIES_PER_RANK - (a == card) for a in stand_ranks)
     return Fraction(win, COPIES_PER_RANK * stand_cards * (DECK_SIZE - 2))
 
@@ -361,44 +359,40 @@ PAUL_TABLE_LABELS = ("switch the 7", "hold the 7")
 PIERRE_TABLE_LABELS = ("switch the 8", "hold the 8")
 
 
-def _threshold_lots(
-    paul_thresholds: tuple[int, ...], pierre_thresholds: tuple[int, ...]
-) -> Iterator[tuple[Fraction, ...]]:
-    """Rows of Paul's lots, one per Paul threshold, against each Pierre threshold.
-
-    Against each Pierre threshold, Paul's hold and switch row weights at each
-    of the 13 ranks are summed once, and moving Paul's threshold from s - 1
-    to s trades rank s's hold weight for its switch weight.
-    """
-    ranks = range(1, RANK_COUNT + 1)
-    columns = []
-    for t in pierre_thresholds:
-        draw = _threshold_flags(t)
-        hold = [_row_weight(a, False, draw) for a in ranks]
-        switch = [_row_weight(a, True, draw) for a in ranks]
-        weights = list(accumulate(map(operator.sub, switch, hold), initial=sum(hold)))
-        columns.append([Fraction(weights[s], ORDERED_DEALS) for s in paul_thresholds])
-    return zip(*columns)
-
-
 @lru_cache(maxsize=None)
 def build_leher_matrix() -> GameMatrix:
     """The 2x2 table of Paul's lots over the four crucial strategy pairs.
 
-    Rows are Paul's "switch the 7" then "hold the 7" (thresholds 7 and 6);
-    columns are Pierre's "switch the 8" then "hold the 8" (thresholds 8 and
-    7); entries come straight from the exact enumeration.
+    Rows are `PAUL_TABLE_STRATEGIES` ("switch the 7", "hold the 7"), columns
+    `PIERRE_TABLE_STRATEGIES` ("switch the 8", "hold the 8"); each entry is
+    that pair's exact lot.
     """
-    rows = _threshold_lots((7, 6), (8, 7))
+    rows = (
+        [paul_win_probability(paul, pierre) for pierre in PIERRE_TABLE_STRATEGIES]
+        for paul in PAUL_TABLE_STRATEGIES
+    )
     return GameMatrix.from_rows(rows, PAUL_TABLE_LABELS, PIERRE_TABLE_LABELS)
 
 
 @lru_cache(maxsize=None)
 def threshold_matrix() -> GameMatrix:
-    """Paul's lot for every threshold pair (t_paul, t_pierre) in 0..13 squared."""
-    thresholds = tuple(range(RANK_COUNT + 1))
+    """Paul's lot for every threshold pair (t_paul, t_pierre) in 0..13 squared.
+
+    Against each Pierre threshold, Paul's hold and switch row weights at each
+    of the 13 ranks are summed once, and moving Paul's threshold from s - 1
+    to s trades rank s's hold weight for its switch weight.
+    """
+    thresholds = range(RANK_COUNT + 1)
+    ranks = range(1, RANK_COUNT + 1)
+    columns = []
+    for t in thresholds:
+        draw = _threshold_flags(t)
+        hold = [_row_weight(a, False, draw) for a in ranks]
+        switch = [_row_weight(a, True, draw) for a in ranks]
+        weights = accumulate(map(operator.sub, switch, hold), initial=sum(hold))
+        columns.append([Fraction(w, ORDERED_DEALS) for w in weights])
     labels = tuple(f"threshold:{t}" for t in thresholds)
-    return GameMatrix.from_rows(_threshold_lots(thresholds, thresholds), labels, labels)
+    return GameMatrix.from_rows(zip(*columns), labels, labels)
 
 
 def conditional_mixed_lot_paul7(

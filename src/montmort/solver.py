@@ -59,13 +59,12 @@ class GameMatrix:
         row_labels: Iterable[str] | None = None,
         col_labels: Iterable[str] | None = None,
     ) -> GameMatrix:
+        """A matrix from row iterables; unlabelled strategies become row{i} and col{j}."""
         entries = tuple(tuple(row) for row in rows)
-        if not entries or not entries[0]:
-            raise ValueError("matrix needs at least one row and one column")
         if row_labels is None:
             row_labels = (f"row{i}" for i in range(len(entries)))
         if col_labels is None:
-            col_labels = (f"col{j}" for j in range(len(entries[0])))
+            col_labels = (f"col{j}" for j in range(len(entries[0]) if entries else 0))
         return cls(entries, row_labels, col_labels)
 
     @property

@@ -477,12 +477,20 @@ def rank_subset_win_weights(
     return paul_weight, pierre_weight, total
 
 
-def weight_table_reference() -> tuple[tuple[int, int], ...]:
-    """The engine's `_weight_table()`, indexed the same way, from `settle_deal`.
+def _cell(a: int, b: int, switch: bool, draw: bool) -> int:
+    """Index of the deal class (a, b, switch, draw) in `weight_table_reference()`."""
+    return (((a - 1) * RANK_COUNT + b - 1) * 2 + switch) * 2 + draw
 
-    Every one of the 676 deal classes walks all 13 third-card ranks, settled
-    or not, and plays each (a, b, c) out through `settle_deal` under
-    constant-flag strategies, testing each player's predicate separately.
+
+def weight_table_reference() -> tuple[tuple[int, int], ...]:
+    """(Paul's, Pierre's) win weights of the 676 deal classes, indexed by `_cell`, from `settle_deal`.
+
+    The engine's `_weight_table()` stores the same cells row-wise: for each
+    Paul rank, flag and side, the 13 cells where Pierre holds his rank and
+    the 13 increments of drawing on it. Here every deal class walks all 13
+    third-card ranks, settled or not, and plays each (a, b, c) out through
+    `settle_deal` under constant-flag strategies, testing each player's
+    predicate separately.
     """
     table = []
     for a in _ALL_RANKS:

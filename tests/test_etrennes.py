@@ -34,9 +34,9 @@ class TestConfigAndMatrix:
         )
 
     def test_nonpositive_prizes_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^even_prize must be > 0, got 0$"):
             EtrennesConfig(0, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^odd_prize must be > 0, got -1/2$"):
             EtrennesConfig(4, Fraction(-1, 2))
 
     def test_wire_form_prizes(self):

@@ -25,11 +25,11 @@ from montmort.leher import (
     resolve_deal,
     paul_wins_deal,
     threshold_matrix,
-    _cell,
     _row_weight,
     _weight_table,
 )
 from oracles import (
+    _cell,
     physical_deal_tallies,
     rank_subset_win_weights,
     settle_deal,
@@ -426,22 +426,48 @@ THRESHOLD_PAIRS = [
 ]
 
 
+def _cells_from_rows() -> list[tuple[int, int]]:
+    """The 676 (Paul's, Pierre's) cells rebuilt from `_weight_table()`'s rows, indexed by `_cell`.
+
+    A holding cell is read as is; a drawing cell is the holding cell plus its increment.
+    """
+    table = _weight_table()
+    return [
+        tuple(
+            table[a - 1][switch][side][0][b - 1] + draw * table[a - 1][switch][side][1][b - 1]
+            for side in (0, 1)
+        )
+        for a, b, switch, draw in product(range(1, 14), range(1, 14), (False, True), (False, True))
+    ]
+
+
 class TestWeightTable:
-    def test_cell_invariants(self):
+    def test_rows_hold_their_totals(self):
         table = _weight_table()
-        assert len(table) == 676
+        assert len(table) == 13
+        for by_flag in table:
+            assert len(by_flag) == 2
+            for by_side in by_flag:
+                assert len(by_side) == 2
+                for hold, increments, total in by_side:
+                    assert len(hold) == len(increments) == 13
+                    assert total == sum(hold)
+
+    def test_cell_invariants(self):
+        cells = _cells_from_rows()
+        assert len(cells) == 676
         for a in range(1, 14):
             for b in range(1, 14):
                 deals = 4 * (4 - (a == b)) * 50
                 for switch in (False, True):
                     for draw in (False, True):
-                        assert sum(table[_cell(a, b, switch, draw)]) == deals
-                assert table[_cell(a, b, True, False)] == table[_cell(a, b, True, True)]
+                        assert sum(cells[_cell(a, b, switch, draw)]) == deals
+                assert cells[_cell(a, b, True, False)] == cells[_cell(a, b, True, True)]
 
     def test_table_matches_third_card_reference(self):
-        table, reference = _weight_table(), weight_table_reference()
-        assert len(table) == len(reference) == 676
-        for index, (cell, expected) in enumerate(zip(table, reference)):
+        cells, reference = _cells_from_rows(), weight_table_reference()
+        assert len(cells) == len(reference) == 676
+        for index, (cell, expected) in enumerate(zip(cells, reference)):
             assert cell == expected, index
 
     @pytest.mark.parametrize("side", [0, 1], ids=["paul", "pierre"])

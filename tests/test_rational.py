@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from montmort.etrennes import EtrennesConfig
 from montmort.montecarlo import leher_simulate
 from montmort.pool import PoolConfig
 from montmort.rational import (
@@ -209,8 +210,18 @@ class TestRequire:
                 lambda: leher_simulate(1, "x", 1, 1, seed=1, trials=10),
                 (ValueError, "weight b: malformed rational 'x': expected 'p' or 'p/q'"),
             ),
+            (
+                lambda: EtrennesConfig(even_prize=0.5),
+                (TypeError, "even_prize: exact rational expected, got float 0.5"),
+            ),
+            (
+                lambda: EtrennesConfig(odd_prize="x"),
+                (ValueError, "odd_prize: malformed rational 'x': expected 'p' or 'p/q'"),
+            ),
+            (lambda: EtrennesConfig(odd_prize=0), (ValueError, "odd_prize must be > 0, got 0")),
         ],
-        ids=["PoolConfig", "leher_simulate"],
+        ids=["PoolConfig", "leher_simulate", "EtrennesConfig-float", "EtrennesConfig-text",
+             "EtrennesConfig-zero"],
     )
     def test_engine_refusals_name_the_argument(self, call, outcome):
         self.check(call, (), outcome)

@@ -88,7 +88,7 @@ class TestGameMatrix:
             matrix([])
         with pytest.raises(ValueError):
             matrix([[]])
-        # The constructor's own check, which `from_rows` never reaches.
+        # `from_rows` defers to this one check in the constructor.
         with pytest.raises(ValueError, match="at least one row and one column"):
             GameMatrix((), (), ())
 
