@@ -111,6 +111,16 @@ class TestWinProbabilities:
     def test_streak_one_with_spectators(self):
         probs = pool_win_probabilities(PoolConfig(5, Fraction(2, 3), streak_required=1))
         assert probs == (Fraction(2, 3), Fraction(1, 3), 0, 0, 0)
+        # Game one decides the pool, so every win path is empty and the
+        # pot is paid at its start, to the incumbent role alone.
+        for n in (3, 4, 6):
+            for p in (Fraction(0), Fraction(1, 3), Fraction(1)):
+                config = PoolConfig(n, p, streak_required=1)
+                expected = (p, 1 - p) + (0,) * (n - 2)
+                assert pool_win_probabilities(config) == expected
+                solution = pool_solve(config)
+                assert solution.win_prob == expected
+                assert solution.expected_games == 1
 
     @pytest.mark.parametrize(
         "config",

@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 from montmort.cli import SIGMA_BAND, _verdict, main
-from montmort.leher import mixed_value
+from montmort.leher import build_leher_matrix, mixed_value
 from montmort.montecarlo import leher_simulate
 from montmort.pool import PoolConfig, pool_simulate, pool_win_probabilities
 from montmort.rational import parse_rational
 from montmort.report import ReportEntry, build_reproduction_report
+from montmort.solver import solve_zero_sum
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden_cli"
 
@@ -31,6 +32,22 @@ class TestReport:
         labels = [entry.label for entry in entries]
         assert len(set(labels)) == len(labels)
         assert all(entry.source for entry in entries)
+
+    def test_table_entries_are_the_served_table(self):
+        entries = build_reproduction_report()
+        table = build_leher_matrix()
+        cells = [
+            (f"Paul's lot: {row} vs {col}", lot)
+            for row, lots in zip(table.row_labels, table.entries)
+            for col, lot in zip(table.col_labels, lots)
+        ]
+        assert [(entry.label, entry.computed) for entry in entries[:4]] == cells
+        by_label = {entry.label: entry.computed for entry in entries}
+        assert by_label["value of the game under best play"] == solve_zero_sum(table).value
+        switch, hold_vs_hold, hold_vs_switch = (entry.computed for entry in entries[4:7])
+        ratio = (switch - hold_vs_hold) / (hold_vs_switch - switch)
+        assert entries[-1].label.startswith("difference ratio")
+        assert entries[-1].computed == ratio
 
     def test_verdict_follows_passed(self):
         hit = ReportEntry("figure", Fraction(1, 3), Fraction(1, 3), "source")
