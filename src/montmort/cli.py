@@ -30,7 +30,13 @@ from fractions import Fraction
 from typing import NamedTuple, TypeVar
 
 from . import __version__, etrennes, leher, montecarlo, pool, report, solver
-from .rational import decimal_string, format_rational, parse_integer, parse_rational
+from .rational import (
+    decimal_string,
+    format_rational,
+    parse_integer,
+    parse_rational,
+    require_integer,
+)
 
 SIGMA_BAND = 4  # simulation verdicts: estimate within 4 standard errors
 
@@ -205,6 +211,9 @@ def _cmd_pool_solve(args: argparse.Namespace) -> int:
 
 def _cmd_pool_simulate(args: argparse.Namespace) -> int:
     config = _pool_config(args)
+    # The run arguments are refused before the exact targets' Fraction work.
+    require_integer("trials", args.trials, 1)
+    require_integer("max_games", args.max_games, 1)
     targets = pool.pool_win_probabilities(config)
     result = pool.pool_simulate(config, seed=args.seed, trials=args.trials, max_games=args.max_games)
     games = _value_payload(result.expected_games)

@@ -262,6 +262,35 @@ class TestCli:
         assert code == 2
         assert "beyond the exact solve's reach" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--players", "3", "--trials", "0"], "trials must be an integer >= 1, got 0"),
+            (["--players", "3", "--trials", "1", "--max-games", "0"],
+             "max_games must be an integer >= 1, got 0"),
+            # Wrong twice over: the run arguments are refused before the pool's reach.
+            (["--players", "101", "--trials", "0"], "trials must be an integer >= 1, got 0"),
+        ],
+        ids=["trials", "max_games", "trials_and_reach"],
+    )
+    def test_pool_simulate_run_arguments_refused_before_the_exact_solve(
+        self, extra, message, monkeypatch, capsys
+    ):
+        def exact_solve(config):
+            raise AssertionError("exact targets computed for a run that is refused")
+
+        monkeypatch.setattr("montmort.pool.pool_win_probabilities", exact_solve)
+        assert main(["pool", "simulate", "--seed", "1", *extra]) == 2
+        assert f"montmort: error: {message}\n" == capsys.readouterr().err
+
+    def test_pool_simulate_beyond_reach_refused_before_any_draw(self, monkeypatch, capsys):
+        def simulate(*args, **kwargs):
+            raise AssertionError("a pool beyond the exact solve's reach was simulated")
+
+        monkeypatch.setattr("montmort.pool.pool_simulate", simulate)
+        assert main(["pool", "simulate", "--players", "101", "--seed", "1", "--trials", "1"]) == 2
+        assert "beyond the exact solve's reach" in capsys.readouterr().err
+
     def test_malformed_threshold_is_a_usage_error(self, capsys):
         argv = ["leher", "conditional", "--player", "pierre", "--card", "8", "--action", "draw"]
         with pytest.raises(SystemExit) as excinfo:
