@@ -23,11 +23,13 @@ A deal's outcome depends only on its first two ranks and the players' flags
 at them, so one table of 13 * 13 * 2 * 2 = 676 integer cells counts both
 players' wins over the 52 * 51 * 50 = 132,600 ordered deals, and every full
 and conditional lot is an exact Fraction summed from it; no floats anywhere.
-A settled class counts all 50 third cards at once, and a class that reaches
-Pierre's redraw counts each player's winning third cards in closed form,
-with no walk over the 13 ranks. The one cached table is stored row-wise, the
-way the lots read it: for each Paul rank, flag and side, the 13 cells where
-Pierre holds, Pierre's 13 per-rank draw increments and the holding total.
+Each class reads the law from `_before_draw`, which also settles single
+deals and feeds the simulator, so the table states no rule of its own. A
+settled class counts all 50 third cards at once, and a class that reaches
+Pierre's redraw counts each player's winning third cards with one closed
+form. The one cached table is stored row-wise, the way the lots read it:
+for each Paul rank, flag and side, the 13 cells where Pierre holds,
+Pierre's 13 per-rank draw increments and the holding total.
 The historical 2 x 2 is the four named strategy pairs' full lots; the
 14 x 14 threshold game comes from one threshold builder over the row sums.
 """
@@ -221,18 +223,19 @@ def _weight_table() -> tuple[tuple[tuple[_Row, _Row], tuple[_Row, _Row]], ...]:
     the 13 cells where Pierre holds his rank b, the 13 amounts by which
     drawing on b changes them, and the total of the holding cells.
 
-    A cell counts the ordered deals with first ranks (a, b) and any third
-    card, 4 * (4 - [a = b]) * 50 of them, that each player wins, each by its
-    own predicate (strictly higher for Paul, at least as high for Pierre), so
-    the complementarity law checked in the tests is a real property of the
-    table, not an accounting identity. In a settled class all 50 third cards
-    give the same outcome. In a class that reaches Pierre's redraw, with
-    Paul's final card P and Pierre's current card C, each side counts its
-    third cards in closed form: a third card below the king becomes Pierre's,
-    and any of the kings = 4 - [a = 13] - [b = 13] left is thrown back, so
-    Paul wins on 4(P - 1) - [a < P] - [b < P] cards plus the kings when
-    P > C, and Pierre on 4(13 - P) - [P <= a < 13] - [P <= b < 13] cards
-    plus the kings when C >= P.
+    Each class takes Paul's final card P, Pierre's current card C and
+    whether Pierre draws from `_before_draw`, looked up in the module on
+    every call. A cell counts the ordered deals with first ranks (a, b) and
+    any third card, 4 * (4 - [a = b]) * 50 of them, that each player wins,
+    each by its own predicate (strictly higher for Paul, at least as high
+    for Pierre), so the complementarity law checked in the tests is a real
+    property of the table, not an accounting identity. A settled class
+    gives 50 [P > C] to Paul and 50 [C >= P] to Pierre. A class that
+    reaches the redraw counts third cards in one closed form: one below the
+    king becomes Pierre's, and any of the kings = 4 - [a = 13] - [b = 13]
+    left is thrown back, so Paul wins on 4(P - 1) - [a < P] - [b < P] cards
+    plus the kings when P > C, and Pierre on 4(13 - P) - [P <= a < 13] -
+    [P <= b < 13] cards plus the kings when C >= P.
     """
     ranks = range(1, RANK_COUNT + 1)
     settled = DECK_SIZE - 2
@@ -244,25 +247,19 @@ def _weight_table() -> tuple[tuple[tuple[_Row, _Row], tuple[_Row, _Row]], ...]:
             cells = []  # per Pierre rank b: (Paul, Pierre) holding, then drawing, per deal
             for b in ranks:
                 kings = COPIES_PER_RANK - (a == KING) - (b == KING)
-                if not switch:
-                    # Paul stands on a: holding settles; drawing redraws with P = a, C = b.
-                    hold = settled * (a > b), settled * (b >= a)
-                    draw = (
-                        COPIES_PER_RANK * (a - 1) - (b < a) + kings * (a > b),
-                        COPIES_PER_RANK * (KING - a) - (a < KING) - (a <= b < KING)
-                        + kings * (b >= a),
-                    )
-                elif b == KING or b <= a:
-                    # Swap refused on Pierre's king, or completed leaving Pierre's
-                    # new card a at least Paul's b: Pierre stands and wins.
-                    hold = draw = 0, settled
-                else:
-                    # Swap completed leaving Pierre's a below Paul's b: he redraws, P = b, C = a.
-                    hold = draw = (
-                        COPIES_PER_RANK * (b - 1) - 1 + kings,
-                        COPIES_PER_RANK * (KING - b) - 1,
-                    )
-                cells.append(hold + draw)
+                cell = ()
+                for draw in (False, True):
+                    paul, pierre, draws = _before_draw(a, b, switch, draw)
+                    if draws:
+                        cell += (
+                            COPIES_PER_RANK * (paul - 1) - (a < paul) - (b < paul)
+                            + kings * (paul > pierre),
+                            COPIES_PER_RANK * (KING - paul) - (paul <= a < KING)
+                            - (paul <= b < KING) + kings * (pierre >= paul),
+                        )
+                    else:
+                        cell += settled * (paul > pierre), settled * (pierre >= paul)
+                cells.append(cell)
             paul_hold, pierre_hold, paul_draw, pierre_draw = (
                 tuple(map(operator.mul, deals_ab, column)) for column in zip(*cells)
             )

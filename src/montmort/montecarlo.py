@@ -9,10 +9,14 @@ simulation outputs portable.
 
 A seed is any integer (not a bool), masked to its low 64 bits.
 
-Simulations touch only the game-law code paths, never the exact engine's
-numeric answers, so their agreement with the exact results is evidence
-rather than tautology. The Le Her simulator tabulates that law once per
-call, from `leher._before_draw` for every token pair and every pair of
+Simulations never touch the exact engine's numeric answers. The Le Her
+simulator shares the game law `leher._before_draw` with the exact weight
+table, so its agreement with the exact results tests the table's counting,
+not the law. The law has three checks of its own in `tests/oracles.py`:
+`settle_deal`, written from the rules, against `resolve_deal` on every
+deal; `weight_table_reference()` against the table, cell by cell; and
+`simulate_leher_reference` against this simulator's counts. The simulator
+tabulates the law once per call, for every token pair and every pair of
 first two ranks, and consumes the stream per trial in a fixed order: the
 two tokens, then three cards dealt from an indexed deck. Empirical
 frequencies are exact Fractions of counts; only the reported standard

@@ -21,15 +21,14 @@ level up and every loss lands on level 1, so the pool is one exact n x n
 system over the level-1 roles (the absorbing-chain argument of Kemeny and
 Snell): a level-1 role's row is read off its win path, the roles it holds
 on the levels above through consecutive champion wins, each of whose games
-either pays a reward or sends it back to level 1. Win chances, fee losses
-and games-weighted wins are three right-hand sides of that one system.
-Only level-1 role 0 ever holds the top level's champion seat, so the pot
-enters as one constant there, and game one is one more step of the same
-law from streak 0. The upper levels are never formed, and the expected
-duration has a closed form. The test suite cross-checks against the
-unlumped state-space solve, against truncated enumeration of game sequences
-and, under the default streak, against the historical pool's closed-form
-ratio.
+either pays a reward or sends it back to level 1, and the path's end pays
+the pot when it holds the champion's seat. Win chances, fee losses and
+games-weighted wins are three right-hand sides of that one system, and
+game one is one more step of the same law from streak 0. The upper levels
+are never formed, and the expected duration has a closed form. The test
+suite cross-checks against the unlumped state-space solve, against
+truncated enumeration of game sequences and, under the default streak,
+against the historical pool's closed-form ratio.
 
 Everything exact is a Fraction; the Monte Carlo cross-check reports exact
 empirical frequencies with floating-point standard errors.
@@ -107,8 +106,8 @@ def _moves(players: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _level_one(
     config: PoolConfig,
-) -> tuple[list[list[Fraction]], list[list[tuple[int, Fraction]]]]:
-    """The level-1 system I - M and each level-1 role's win path, in one walk.
+) -> tuple[list[list[Fraction]], list[list[tuple[int, Fraction]]], list[Fraction]]:
+    """The level-1 system I - M, each level-1 role's win path and the pot, in one walk.
 
     Level s (streak 1..R-1) has n roles: role 0 is the champion on streak s
     and role i is queue position i. A champion win moves role r up a level
@@ -118,13 +117,17 @@ def _level_one(
     won^j(r) on level j + 1, with weight p^j; each game there pays a reward
     and with probability q = 1 - p sends it to level 1, so every quantity
     solves x1[r] = c[r] + sum_j p^j q x1[lost[won^j r]], with its own
-    constant c[r] read off the path [(won^j r, p^j) for j = 0..R-2].
+    constant c[r] read off the path [(won^j r, p^j) for j = 0..R-2]. The
+    path's end pays the pot: having survived all R - 1 games, role r is
+    role won^(R-1)(r) at streak R with weight p^(R-1), and takes the pot
+    exactly when that role is the champion. With R = 1 the path is empty
+    and role 0 takes it at once.
     """
     _require_within_reach(config)
     n, p = config.players, config.champion_win_prob
     won, lost = _moves(n)
     system = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-    paths = []
+    paths, pot_constants = [], []
     for r in range(n):
         path, role, weight = [], r, Fraction(1)
         for _ in range(config.streak_required - 1):
@@ -132,7 +135,8 @@ def _level_one(
             system[r][lost[role]] -= weight * (1 - p)
             role, weight = won[role], weight * p
         paths.append(path)
-    return system, paths
+        pot_constants.append(weight if role == 0 else Fraction(0))
+    return system, paths, pot_constants
 
 
 def _solve(system: list[list[Fraction]], constants: list[Fraction]) -> list[Fraction]:
@@ -140,13 +144,6 @@ def _solve(system: list[list[Fraction]], constants: list[Fraction]) -> list[Frac
     if solution is None:
         raise PoolDivergenceError("the pool's linear system is singular; no certain finish")
     return solution
-
-
-def _win_constants(config: PoolConfig) -> list[Fraction]:
-    # The top-level champion takes the pot by winning once more. won fixes
-    # role 0 and sends no other role there, so only level-1 role 0 gets there.
-    top = config.champion_win_prob ** (config.streak_required - 1)
-    return [top] + [Fraction(0)] * (config.players - 1)
 
 
 def _game_one(
@@ -167,8 +164,8 @@ def _game_one(
 
 def pool_win_probabilities(config: PoolConfig) -> tuple[Fraction, ...]:
     """Exact probability that each seat eventually takes the pot."""
-    system, _ = _level_one(config)
-    level_win = _solve(system, _win_constants(config))
+    system, _, pot_constants = _level_one(config)
+    level_win = _solve(system, pot_constants)
     return tuple(_game_one(config, level_win, [Fraction(0)] * config.players))
 
 
@@ -202,12 +199,11 @@ def pool_solve(config: PoolConfig) -> PoolSolution:
     and the coupled term E[G 1{seat wins}] are three right-hand sides of the
     one level-1 system, and game one is one more step of the same law.
     """
-    system, paths = _level_one(config)
+    system, paths, pot_constants = _level_one(config)
     n, p = config.players, config.champion_win_prob
     q = 1 - p
     _, lost = _moves(n)
-    win_constants = _win_constants(config)
-    level_win = _solve(system, win_constants)
+    level_win = _solve(system, pot_constants)
     win = _game_one(config, level_win, [Fraction(0)] * n)
     # The champion pays when beaten; the challenger pays whenever the
     # champion wins, the final game included.
@@ -220,7 +216,7 @@ def pool_solve(config: PoolConfig) -> PoolSolution:
     coupled_constants = [
         (config.streak_required - 1) * constant
         + sum((j + 1) * w * q * level_win[lost[role]] for j, (role, w) in enumerate(path))
-        for constant, path in zip(win_constants, paths)
+        for constant, path in zip(pot_constants, paths)
     ]
     games_won = _game_one(config, _solve(system, coupled_constants), win)
 

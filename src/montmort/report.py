@@ -1,12 +1,15 @@
 """The historical reproduction battery.
 
 Every quantitative claim about Le Her that the Montmort-Bernoulli-Waldegrave
-correspondence printed is recomputed here from scratch and compared, exactly,
-against the quoted figure: the four cells of Montmort's table of Paul's
-chances, Waldegrave's seven conditional lots, Bernoulli's even-token lot and
-the always-switch guarantee, the 3:5 / 5:3 token solution and its value,
+correspondence printed is recomputed here and compared, exactly, against
+the quoted figure: the four cells of Montmort's table of Paul's chances,
+Waldegrave's seven conditional lots, Bernoulli's even-token lot and the
+always-switch guarantee, the 3:5 / 5:3 token solution and its value,
 Montmort's 1711 bracketing of Paul's advantage, the 2697:2828 complement,
-and the 60:36 difference ratio. An entry passes only on exact rational
+and the 60:36 difference ratio. The table cells, the 1711 advantage and
+the 3:5 / 5:3 solve read `build_leher_matrix()`, which `leher table` and
+`leher solve` print, and the ratio reuses Waldegrave's listed lots, so
+each figure is computed once. An entry passes only on exact rational
 equality; the two strict-inequality bracket checks are encoded as indicator
 entries whose computed value is 1 exactly when the inequality holds.
 
@@ -29,7 +32,6 @@ from .leher import (
     conditional_lot_paul,
     conditional_lot_pierre,
     conditional_mixed_lot_paul7,
-    paul_win_probability,
     pierre_win_probability,
 )
 from .solver import solve_zero_sum
@@ -68,48 +70,35 @@ def build_reproduction_report() -> list[ReportEntry]:
     """Recompute the full battery; order is stable across runs."""
     t7, t6 = PAUL_TABLE_STRATEGIES
     p8, p7 = PIERRE_TABLE_STRATEGIES
-
+    table = build_leher_matrix()
+    cells = (
+        (f"Paul's lot: {row} vs {col}", lot)
+        for row, lots in zip(table.row_labels, table.entries)
+        for col, lot in zip(table.col_labels, lots)
+    )
+    # The served 2 x 2 row by row against Montmort's printed lots over 5525.
     entries = [
+        ReportEntry(label, Fraction(quoted, 5525), lot, _TABLE)
+        for (label, lot), quoted in zip(cells, (2828, 2838, 2834, 2828))
+    ]
+
+    lot_switch = conditional_lot_paul(7, PaulAction.SWITCH, p8)
+    lot_hold_vs_hold = conditional_lot_paul(7, PaulAction.HOLD, p7)
+    lot_hold_vs_switch = conditional_lot_paul(7, PaulAction.HOLD, p8)
+    entries += [
         ReportEntry(
-            "Paul's lot: switch the 7 vs switch the 8",
-            Fraction(2828, 5525),
-            paul_win_probability(t7, p8),
-            _TABLE,
-        ),
-        ReportEntry(
-            "Paul's lot: switch the 7 vs hold the 8",
-            Fraction(2838, 5525),
-            paul_win_probability(t7, p7),
-            _TABLE,
-        ),
-        ReportEntry(
-            "Paul's lot: hold the 7 vs switch the 8",
-            Fraction(2834, 5525),
-            paul_win_probability(t6, p8),
-            _TABLE,
-        ),
-        ReportEntry(
-            "Paul's lot: hold the 7 vs hold the 8",
-            Fraction(2828, 5525),
-            paul_win_probability(t6, p7),
-            _TABLE,
-        ),
-        ReportEntry(
-            "Paul with a 7, switching",
-            Fraction(780, 51 * 50),
-            conditional_lot_paul(7, PaulAction.SWITCH, p8),
-            _WALDEGRAVE_1712,
+            "Paul with a 7, switching", Fraction(780, 51 * 50), lot_switch, _WALDEGRAVE_1712
         ),
         ReportEntry(
             "Paul with a 7, holding, Pierre holds the 8",
             Fraction(720, 51 * 50),
-            conditional_lot_paul(7, PaulAction.HOLD, p7),
+            lot_hold_vs_hold,
             _WALDEGRAVE_1712,
         ),
         ReportEntry(
             "Paul with a 7, holding, Pierre switches the 8",
             Fraction(816, 51 * 50),
-            conditional_lot_paul(7, PaulAction.HOLD, p8),
+            lot_hold_vs_switch,
             _WALDEGRAVE_1712,
         ),
         ReportEntry(
@@ -150,7 +139,7 @@ def build_reproduction_report() -> list[ReportEntry]:
         ),
     ]
 
-    solution = solve_zero_sum(build_leher_matrix())
+    solution = solve_zero_sum(table)
     row_probs = solution.row_mix.probabilities()
     col_probs = solution.col_mix.probabilities()
     entries += [
@@ -186,10 +175,7 @@ def build_reproduction_report() -> list[ReportEntry]:
         ),
     ]
 
-    advantage = paul_win_probability(t7, p8) - Fraction(1, 2)
-    lot_switch = conditional_lot_paul(7, PaulAction.SWITCH, p8)
-    lot_hold_vs_hold = conditional_lot_paul(7, PaulAction.HOLD, p7)
-    lot_hold_vs_switch = conditional_lot_paul(7, PaulAction.HOLD, p8)
+    advantage = table.entries[0][0] - Fraction(1, 2)
     entries += [
         ReportEntry(
             "Paul's advantage over an even split",
