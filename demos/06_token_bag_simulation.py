@@ -8,6 +8,8 @@ looks at the exact numbers, so the agreement is evidence, not bookkeeping.
 Same seed, same outcome, every time.
 """
 
+from math import sqrt
+
 from montmort import PoolConfig, leher_simulate, mixed_value, pool_simulate, pool_solve
 from montmort.rational import decimal_string, format_rational
 
@@ -16,7 +18,9 @@ TRIALS = 200_000
 print(f"Le Her with the solved 3:5 and 5:3 bags, {TRIALS} deals, seed 1713:")
 result = leher_simulate(3, 5, 5, 3, seed=1713, trials=TRIALS)
 target = mixed_value(3, 5, 5, 3)
-deviation = abs(float(result.frequency) - float(target)) / result.std_error
+frequency = float(result.frequency)
+sigma = sqrt(frequency * (1 - frequency) / result.trials)
+deviation = abs(frequency - float(target)) / sigma
 print(f"  Paul won {result.wins} times: frequency {decimal_string(result.frequency)}")
 print(f"  exact value {format_rational(target)} = {decimal_string(target)}")
 print(f"  deviation {deviation:.2f} sigma (band: 4 sigma)\n")

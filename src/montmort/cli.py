@@ -27,6 +27,7 @@ import json
 import sys
 from collections.abc import Callable, Iterable
 from fractions import Fraction
+from math import sqrt
 from typing import NamedTuple, TypeVar
 
 from . import __version__, etrennes, leher, montecarlo, pool, report, solver
@@ -82,11 +83,16 @@ def _approx(value: dict) -> str:
     return f"{value['exact']} ≈ {value['decimal']}"
 
 
+def _sigma(frequency: Fraction, trials: int) -> float:
+    """The printed standard error sqrt(f(1 - f)/N) of a frequency f over N trials."""
+    return sqrt(float(frequency) * float(1 - frequency) / trials)
+
+
 def _verdict(estimate: Fraction, target: Fraction, trials: int) -> str:
     """A simulated frequency passes within SIGMA_BAND standard errors of its exact target.
 
-    The standard error is sqrt(e(1 - e)/N) for a frequency e over N trials, so
-    the band |e - t| <= SIGMA_BAND * sigma is squared and compared exactly:
+    The band |e - t| <= SIGMA_BAND * sigma, with sigma = sqrt(e(1 - e)/N) as
+    `_sigma` prints it, is squared and compared exactly:
     (e - t)^2 * N <= SIGMA_BAND^2 * e(1 - e). The float sigma is only printed.
     """
     miss = estimate - target
@@ -224,13 +230,11 @@ def _cmd_pool_simulate(args: argparse.Namespace) -> int:
         {
             "seat": index + 1,
             "win_freq": format_rational(estimate),
-            "sigma": sigma,
+            "sigma": _sigma(estimate, result.trials),
             "target": format_rational(target),
             "verdict": "fail" if truncated else _verdict(estimate, target, result.trials),
         }
-        for index, (estimate, sigma, target) in enumerate(
-            zip(result.win_prob, result.win_prob_se, targets)
-        )
+        for index, (estimate, target) in enumerate(zip(result.win_prob, targets))
     ]
     payload = {
         "trials": result.trials,
@@ -267,10 +271,11 @@ def _cmd_simulate_leher(args: argparse.Namespace) -> int:
     )
     estimate, target = _value_payload(result.frequency), _value_payload(exact)
     verdict = _verdict(result.frequency, exact, result.trials)
+    sigma = _sigma(result.frequency, result.trials)
     payload = {
         "estimate": estimate["exact"],
         "target": target["exact"],
-        "sigma": result.std_error,
+        "sigma": sigma,
         "trials": result.trials,
         "seed": args.seed,
         "verdict": verdict,
@@ -278,7 +283,7 @@ def _cmd_simulate_leher(args: argparse.Namespace) -> int:
     rows = [list(payload), [str(x) for x in payload.values()]]
     text = [
         f"Paul won {result.wins} of {result.trials}: {_approx(estimate)} "
-        f"(target {_approx(target)}, sigma {result.std_error:.6f}) {verdict}"
+        f"(target {_approx(target)}, sigma {sigma:.6f}) {verdict}"
     ]
     _emit(args.format, payload, rows, text)
     return 0 if verdict == "pass" else 1

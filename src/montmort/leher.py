@@ -192,18 +192,6 @@ def resolve_deal(
     return paul_final, pierre_current
 
 
-def paul_wins_deal(
-    paul_card: int,
-    pierre_card: int,
-    replacement: int,
-    paul: PaulStrategy,
-    pierre: PierreStrategy,
-) -> bool:
-    """True exactly when Paul takes the pot (Pierre keeps ties)."""
-    paul_final, pierre_final = resolve_deal(paul_card, pierre_card, replacement, paul, pierre)
-    return paul_final > pierre_final
-
-
 # ---------------------------------------------------------------------------
 # Exact enumeration
 # ---------------------------------------------------------------------------

@@ -18,16 +18,15 @@ deal; `weight_table_reference()` against the table, cell by cell; and
 `simulate_leher_reference` against this simulator's counts. The simulator
 tabulates the law once per call, for every token pair and every pair of
 first two ranks, and consumes the stream per trial in a fixed order: the
-two tokens, then three cards dealt from an indexed deck. Empirical
-frequencies are exact Fractions of counts; only the reported standard
-errors are floating point.
+two tokens, then three cards dealt from an indexed deck. A run's result is
+its exact counts and their Fraction frequency; the command that prints a
+run computes its standard error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
 
 from . import leher
 from .rational import require_integer
@@ -48,9 +47,6 @@ class RandomStream:
     def __init__(self, seed: int):
         state = require_integer("seed", seed) & MASK64
         self.state = state if state else ZERO_SEED_REPLACEMENT
-
-    def next_u64(self) -> int:
-        return self.next_below(_TWO64)
 
     def next_below(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection sampling; advances the stream.
@@ -86,7 +82,6 @@ class LeherSimulation:
     wins: int
     trials: int
     frequency: Fraction
-    std_error: float
 
 
 def leher_simulate(
@@ -141,6 +136,4 @@ def leher_simulate(
             pierre_final = replacement
         if paul_final > pierre_final:
             wins += 1
-    frequency = Fraction(wins, trials)
-    std_error = sqrt(float(frequency) * float(1 - frequency) / trials)
-    return LeherSimulation(wins, trials, frequency, std_error)
+    return LeherSimulation(wins, trials, Fraction(wins, trials))

@@ -30,15 +30,15 @@ suite cross-checks against the unlumped state-space solve, against
 truncated enumeration of game sequences and, under the default streak,
 against the historical pool's closed-form ratio.
 
-Everything exact is a Fraction; the Monte Carlo cross-check reports exact
-empirical frequencies with floating-point standard errors.
+Everything is exact: the solve's answers are Fractions, and the Monte Carlo
+cross-check returns its counts and their Fraction frequencies; the command
+that prints a run computes its standard errors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
 
 from .montecarlo import RandomStream
 from .rational import require_integer, require_rational
@@ -234,13 +234,11 @@ def pool_solve(config: PoolConfig) -> PoolSolution:
 
 @dataclass(frozen=True)
 class PoolSimulation:
-    """Empirical pool results; frequencies are exact, standard errors float."""
+    """Empirical pool results: each seat's win frequency and the mean games, exact."""
 
     trials: int
     win_prob: tuple[Fraction, ...]
-    win_prob_se: tuple[float, ...]
     expected_games: Fraction
-    expected_games_se: float
     truncated_trials: int
 
 
@@ -270,7 +268,6 @@ def pool_simulate(
 
     wins = [0] * n
     total_games = 0
-    total_games_sq = 0
     truncated = 0
     # Built once, not per trial: most trials last only a few games.
     game_numbers = range(1, max_games + 1)
@@ -294,18 +291,10 @@ def pool_simulate(
         else:
             truncated += 1
         total_games += games
-        total_games_sq += games * games
 
-    win_prob = tuple(Fraction(w, trials) for w in wins)
-    win_se = tuple(sqrt(float(f) * float(1 - f) / trials) for f in win_prob)
-    mean_games = Fraction(total_games, trials)
-    games_variance = Fraction(total_games_sq, trials) - mean_games * mean_games
-    games_se = sqrt(float(games_variance) / trials)
     return PoolSimulation(
         trials=trials,
-        win_prob=win_prob,
-        win_prob_se=win_se,
-        expected_games=mean_games,
-        expected_games_se=games_se,
+        win_prob=tuple(Fraction(w, trials) for w in wins),
+        expected_games=Fraction(total_games, trials),
         truncated_trials=truncated,
     )

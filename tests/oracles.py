@@ -29,6 +29,8 @@ The strict-elimination reference is the engine's former one-at-a-time
 dominance loop, against which the whole-pass elimination is checked. The
 certificate reference sums every entry against both whole mixes, zero
 probabilities included.
+The pool's duration moments come from first-step analysis over the run of
+champion wins, sharing nothing with the engine's closed-form mean.
 The linear-system reference is the engine's former Gaussian elimination
 over Fractions; the unlumped pool solve and the support-equalising solves
 run on it, so the engine's fraction-free kernel is never checked against
@@ -329,6 +331,34 @@ def simulate_pool_reference(config: PoolConfig, seed: int, trials: int, max_game
             truncated += 1
         total_games += games
     return wins, total_games, truncated
+
+
+def duration_moments(p: Fraction, streak: int) -> tuple[Fraction, Fraction]:
+    """Exact mean and variance of a pool's duration T, by first-step analysis.
+
+    Game one always leaves a champion on streak 1, so T = 1 + W, where W is
+    the wait for k = streak - 1 champion wins in a row. From a run of j < k
+    wins one game moves to j + 1 with probability p or back to 0 with
+    q = 1 - p, so each moment x_j of the wait left solves
+    x_j = c_j + p x_(j+1) + q x_0 with x_k = 0: c_j = 1 for the mean m, and
+    c_j = 1 + 2 (p m_(j+1) + q m_0) for the second moment, since
+    (1 + W')^2 = 1 + 2 W' + W'^2. Every x_j is affine in x_0, so one backward
+    pass and one division solve each. Var[T] = Var[W].
+    """
+    k, q = streak - 1, 1 - p
+
+    def solve(constants: list[Fraction]) -> list[Fraction]:
+        # x_j = a_j + b_j x_0, from x_k = 0 down to j = 0.
+        a, b = [Fraction(0)] * (k + 1), [Fraction(0)] * (k + 1)
+        for j in reversed(range(k)):
+            a[j] = constants[j] + p * a[j + 1]
+            b[j] = q + p * b[j + 1]
+        start = a[0] / (1 - b[0])
+        return [a_j + b_j * start for a_j, b_j in zip(a, b)]
+
+    mean = solve([Fraction(1)] * k)
+    second = solve([1 + 2 * (p * mean[j + 1] + q * mean[0]) for j in range(k)])
+    return 1 + mean[0], second[0] - mean[0] ** 2
 
 
 def _draw_three_ranks(stream: RandomStream) -> tuple[int, int, int]:

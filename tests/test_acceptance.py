@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+from montmort.cli import _sigma
 from montmort.etrennes import EtrennesConfig, etrennes_solve
 from montmort.leher import (
     PaulAction,
@@ -214,18 +215,15 @@ def test_criterion_10_monte_carlo_concordance():
     started = time.perf_counter()
     leher_run = leher_simulate(3, 5, 5, 3, seed=17, trials=1_000_000)
     leher_target = mixed_value(3, 5, 5, 3)
-    leher_ok = (
-        abs(float(leher_run.frequency) - float(leher_target)) <= 4 * leher_run.std_error
-    )
+    leher_sigma = _sigma(leher_run.frequency, leher_run.trials)
+    leher_ok = abs(float(leher_run.frequency) - float(leher_target)) <= 4 * leher_sigma
 
     config = PoolConfig(3)
     pool_run = pool_simulate(config, seed=17, trials=1_000_000)
     exact = pool_solve(config)
     pool_ok = all(
-        abs(float(estimate) - float(target)) <= 4 * sigma
-        for estimate, sigma, target in zip(
-            pool_run.win_prob, pool_run.win_prob_se, exact.win_prob
-        )
+        abs(float(estimate) - float(target)) <= 4 * _sigma(estimate, pool_run.trials)
+        for estimate, target in zip(pool_run.win_prob, exact.win_prob)
     )
     elapsed = time.perf_counter() - started
 

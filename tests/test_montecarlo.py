@@ -1,9 +1,11 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 from math import sqrt
 
 import pytest
 
+from montmort.cli import _sigma
 from montmort.leher import mixed_value
 from montmort.montecarlo import (
     ZERO_SEED_REPLACEMENT,
@@ -21,16 +23,17 @@ GOLDEN_SEED42_BELOW52 = [36, 30, 26]
 # Whole simulation results, frozen the same way. The README promises that a
 # seed gives the same result everywhere; these pin that promise for both
 # simulators, including a zero weight, fractional weights, seed 0 and a seed
-# above 2**64 (masked to 5).
+# above 2**64 (masked to 5). Each run is pinned with the standard error the
+# CLI prints for it, an exact float.
 GOLDEN_LEHER = [
     ((3, 5, 5, 3), 17, 20000,
-     LeherSimulation(10183, 20000, Fraction(10183, 20000), 0.003534941848885212)),
+     (LeherSimulation(10183, 20000, Fraction(10183, 20000)), 0.003534941848885212)),
     ((1, 0, 1, 0), 8, 5000,
-     LeherSimulation(2624, 5000, Fraction(2624, 5000), 0.007062364476575816)),
+     (LeherSimulation(2624, 5000, Fraction(2624, 5000)), 0.007062364476575816)),
     ((0, 1, 0, 1), 2**64 + 5, 5000,
-     LeherSimulation(2547, 5000, Fraction(2547, 5000), 0.007069818102327668)),
+     (LeherSimulation(2547, 5000, Fraction(2547, 5000)), 0.007069818102327668)),
     (("1/3", 2, 5, "7/2"), 0, 7919,
-     LeherSimulation(4002, 7919, Fraction(4002, 7919), 0.005618363234482689)),
+     (LeherSimulation(4002, 7919, Fraction(4002, 7919)), 0.005618363234482689)),
 ]
 
 # (config, seed, trials, max_games or None, seat wins, total games, truncated)
@@ -42,18 +45,15 @@ GOLDEN_POOL = [
     (PoolConfig(3), 3, 500, 2, [120, 130, 0], 1000, 250),
 ]
 
-# The same cases' standard errors, keyed by seed: (per-seat win standard
-# errors, games standard error). Exact floats, frozen with the counts above.
+# The same cases' per-seat win standard errors as the CLI prints them, keyed
+# by seed. Exact floats, frozen with the counts above.
 GOLDEN_POOL_SE = {
-    17: ((0.0033973919408864205, 0.003380692809913376, 0.003191139588767624),
-         0.009882307264753509),
-    4: ((0.007361639813298443, 0.007419004625260024, 0.007361639813298443,
-         0.007224215964123463, 0.007138251160447469),
-        0.41462221086278134),
-    99: ((0.007062081279622884, 0.005620470442943367, 0.005411926828773649,
-          0.005055291089541729),
-         0.024392268283208104),
-    3: ((0.019099738218101316, 0.019616319736382767, 0.0), 0.0),
+    17: (0.0033973919408864205, 0.003380692809913376, 0.003191139588767624),
+    4: (0.007361639813298443, 0.007419004625260024, 0.007361639813298443,
+        0.007224215964123463, 0.007138251160447469),
+    99: (0.007062081279622884, 0.005620470442943367, 0.005411926828773649,
+         0.005055291089541729),
+    3: (0.019099738218101316, 0.019616319736382767, 0.0),
 }
 
 
@@ -70,7 +70,9 @@ class TestRandomStream:
         assert RandomStream(0).state == ZERO_SEED_REPLACEMENT
         a = RandomStream(0)
         b = RandomStream(ZERO_SEED_REPLACEMENT)
-        assert [a.next_u64() for _ in range(5)] == [b.next_u64() for _ in range(5)]
+        assert [a.next_below(2**64) for _ in range(5)] == [
+            b.next_below(2**64) for _ in range(5)
+        ]
 
     def test_equal_seeds_give_equal_long_prefixes(self):
         a = RandomStream(123456789)
@@ -115,7 +117,9 @@ class TestRandomStream:
 class TestGoldenSimulations:
     @pytest.mark.parametrize("weights,seed,trials,expected", GOLDEN_LEHER)
     def test_leher_simulate(self, weights, seed, trials, expected):
-        assert leher_simulate(*weights, seed=seed, trials=trials) == expected
+        run, sigma = expected
+        assert leher_simulate(*weights, seed=seed, trials=trials) == run
+        assert _sigma(run.frequency, trials) == sigma
 
     @pytest.mark.parametrize(
         "config,seed,trials,max_games,wins,total_games,truncated", GOLDEN_POOL
@@ -126,7 +130,24 @@ class TestGoldenSimulations:
         assert result.win_prob == tuple(Fraction(w, trials) for w in wins)
         assert result.expected_games == Fraction(total_games, trials)
         assert result.truncated_trials == truncated
-        assert (result.win_prob_se, result.expected_games_se) == GOLDEN_POOL_SE[seed]
+        sigmas = tuple(_sigma(frequency, trials) for frequency in result.win_prob)
+        assert sigmas == GOLDEN_POOL_SE[seed]
+
+    def test_results_are_exact(self):
+        # A run returns counts and their frequencies; no field is a float.
+        runs = [
+            leher_simulate(3, 5, 5, 3, seed=17, trials=500),
+            pool_simulate(PoolConfig(4, Fraction(2, 5)), seed=4, trials=300),
+            pool_simulate(PoolConfig(3), seed=3, trials=500, max_games=2),
+        ]
+        assert runs[-1].truncated_trials > 0
+        for run in runs:
+            for field in fields(run):
+                value = getattr(run, field.name)
+                if type(value) is tuple:
+                    assert {type(x) for x in value} == {Fraction}, field.name
+                else:
+                    assert type(value) in (int, Fraction), field.name
 
 
 def _reference_cases(count: int) -> list[tuple]:
@@ -167,17 +188,17 @@ class TestLeherSimulate:
     def test_pure_strategies_match_table_cell(self):
         result = leher_simulate(1, 0, 1, 0, seed=8, trials=100_000)
         target = float(Fraction(2828, 5525))
-        assert abs(float(result.frequency) - target) <= 4 * result.std_error
+        assert abs(float(result.frequency) - target) <= 4 * _sigma(result.frequency, result.trials)
 
     def test_optimal_tokens_match_mixed_value(self):
         result = leher_simulate(3, 5, 5, 3, seed=21, trials=100_000)
         target = float(mixed_value(3, 5, 5, 3))
-        assert abs(float(result.frequency) - target) <= 4 * result.std_error
+        assert abs(float(result.frequency) - target) <= 4 * _sigma(result.frequency, result.trials)
 
     def test_equal_tokens_match_average_cell(self):
         result = leher_simulate(1, 1, 1, 1, seed=34, trials=100_000)
         target = float(Fraction(2832, 5525))
-        assert abs(float(result.frequency) - target) <= 4 * result.std_error
+        assert abs(float(result.frequency) - target) <= 4 * _sigma(result.frequency, result.trials)
 
     def test_frequency_is_exact_count_ratio(self):
         result = leher_simulate(1, 1, 1, 1, seed=3, trials=999)

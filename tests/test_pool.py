@@ -1,9 +1,11 @@
 import time
 from fractions import Fraction
+from math import sqrt
 
 import pytest
 
 from montmort import pool
+from montmort.cli import _sigma
 from montmort.pool import (
     PoolConfig,
     PoolDivergenceError,
@@ -15,6 +17,7 @@ from montmort.pool import (
 from oracles import (
     PoolState,
     advance,
+    duration_moments,
     enumerate_pool,
     opening_state,
     simulate_pool_reference,
@@ -228,6 +231,22 @@ class TestExpectedGames:
     def test_certain_champion(self):
         assert pool_expected_games(PoolConfig(3, Fraction(1))) == 2
 
+    def test_duration_moments_oracle(self):
+        # The first-step oracle's mean is the engine's closed form, and its
+        # variance is Feller's for the wait for k successes in a row, plus
+        # the certain game one (zero at p = 1).
+        assert duration_moments(Fraction(1, 2), 2) == (3, 2)
+        for p in map(Fraction, ("1/2", "1/3", "2/3", "999/1000", "1")):
+            q = 1 - p
+            for k in (0, 1, 2, 3, 5, 9):
+                mean, variance = duration_moments(p, k + 1)
+                assert mean == pool_expected_games(PoolConfig(3, p, streak_required=k + 1))
+                feller = (
+                    (1 - (2 * k + 1) * q * p**k - p ** (2 * k + 1)) / (q * q * p ** (2 * k))
+                    if q else 0
+                )
+                assert variance == feller, (p, k)
+
 
 class TestExactReach:
     @pytest.mark.parametrize(
@@ -384,9 +403,10 @@ class TestPoolSimulate:
         result = pool_simulate(FAIR3, seed=2026, trials=50_000)
         exact = pool_solve(FAIR3)
         for seat in range(3):
-            margin = 4 * result.win_prob_se[seat]
+            margin = 4 * _sigma(result.win_prob[seat], result.trials)
             assert abs(float(result.win_prob[seat] - exact.win_prob[seat])) <= margin
-        games_margin = 4 * result.expected_games_se
+        _, variance = duration_moments(FAIR3.champion_win_prob, FAIR3.streak_required)
+        games_margin = 4 * sqrt(variance / result.trials)
         assert abs(float(result.expected_games - exact.expected_games)) <= games_margin
 
     def test_truncation_cap_is_honoured(self):

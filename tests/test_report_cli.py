@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from montmort.cli import SIGMA_BAND, _verdict, main
+from montmort.cli import SIGMA_BAND, _sigma, _verdict, main
 from montmort.leher import build_leher_matrix, mixed_value
 from montmort.montecarlo import leher_simulate
 from montmort.pool import PoolConfig, pool_simulate, pool_win_probabilities
@@ -410,15 +410,15 @@ class TestExactVerdict:
             result = leher_simulate(a, b, c, d, seed=seed, trials=rng.randint(1, 60))
             target = mixed_value(a, b, c, d)
             verdict = _verdict(result.frequency, target, result.trials)
-            assert verdict == _float_verdict(result.frequency, target, result.std_error)
+            sigma = _sigma(result.frequency, result.trials)
+            assert verdict == _float_verdict(result.frequency, target, sigma)
             verdicts.append(verdict)
         for seed in range(1000):
             config = PoolConfig(3, Fraction(rng.randint(1, 9), 10))
             result = pool_simulate(config, seed=seed, trials=rng.randint(1, 60))
-            for estimate, sigma, target in zip(
-                result.win_prob, result.win_prob_se, pool_win_probabilities(config)
-            ):
+            for estimate, target in zip(result.win_prob, pool_win_probabilities(config)):
                 verdict = _verdict(estimate, target, result.trials)
+                sigma = _sigma(estimate, result.trials)
                 assert verdict == _float_verdict(estimate, target, sigma)
                 verdicts.append(verdict)
         assert {"pass", "fail"} <= set(verdicts)
