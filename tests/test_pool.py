@@ -312,6 +312,33 @@ class TestPoolSolve:
         expected_paid = config.players * config.ante + config.fee * solution.expected_games
         assert sum(solution.expected_payment) == expected_paid
 
+    def test_losses_follow_the_win_chances(self):
+        # Every loss sends its loser to the back of the queue, and a seat
+        # gets a new chance only by challenging the champion. A challenge
+        # takes the pot with chance q * p^(R-1) and otherwise costs exactly
+        # one loss, so a seat's losses are its win chance read another way.
+        # The incumbent's first reign starts at streak 0, which adds
+        # 1 - p/q = q - p^2/q. At p = 1 the incumbent sweeps and the
+        # challengers lose in queue order.
+        ante, fee = Fraction(3, 2), Fraction(1, 4)
+        chances = [Fraction(x) for x in ("1/7", "1/3", "1/2", "2/3", "3/4", "1")]
+        for n in range(2, 11):
+            for streak in range(1, 2 * n + 2):
+                for p in chances:
+                    config = PoolConfig(n, p, ante=ante, fee=fee, streak_required=streak)
+                    solution = pool_solve(config)
+                    win = solution.win_prob
+                    losses = [(paid - ante) / fee for paid in solution.expected_payment]
+                    if p == 1:
+                        assert win == (1,) + (0,) * (n - 1), config
+                        queued = [len(range(s, streak + 1, n - 1)) for s in range(1, n)]
+                        assert losses == [0, *queued], config
+                        continue
+                    q = 1 - p
+                    kappa = 1 / (q * p ** (streak - 1)) - 1
+                    assert losses[0] == kappa * win[0] + q - p**2 / q, config
+                    assert losses[1:] == [kappa * w for w in win[1:]], config
+
     def test_truncated_enumeration_brackets_probabilities(self):
         # Depth-40 exhaustive game trees bracket each exact win probability
         # within the leftover tail mass.
@@ -345,6 +372,10 @@ class TestPoolSolve:
                 assert abs(oracle.expected_net[seat] - solution.expected_net[seat]) <= (
                     oracle.residual_net_bound
                 )
+                # Each game past the horizon costs a seat at most one loss.
+                losses = (solution.expected_payment[seat] - config.ante) / config.fee
+                low = oracle.expected_losses[seat]
+                assert low <= losses <= low + oracle.residual_games_bound
             assert abs(oracle.expected_games - solution.expected_games) <= (
                 oracle.residual_games_bound
             )
