@@ -3,9 +3,12 @@
 Everyone antes; the first two seats play; each loser drops a fee in the pot
 and goes to the back of the line; the first to beat everyone in a row takes
 everything. Solved exactly here for any table size: the streak levels of
-the (streak, queue position) roles reduce to one n x n system per quantity. The classic three-player fair case gives
-the openers 5/14 each and the waiter 2/7, three games on average, and, with
-unit ante and fee, a tiny transfer from the waiting seat to the openers.
+the (streak, queue position) roles reduce to one n x n system, solved once
+for the expected challenges, which give the win chances and the fee losses,
+and once more for the games-weighted wins. The classic three-player fair
+case gives the openers 5/14 each and the waiter 2/7, three games on
+average, and, with unit ante and fee, a tiny transfer from the waiting seat
+to the openers.
 """
 
 from fractions import Fraction

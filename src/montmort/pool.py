@@ -19,16 +19,15 @@ through the player's role: the champion's streak level and the player's
 place at that level (champion or queue position). A champion win moves one
 level up and every loss lands on level 1, so the pool is one exact n x n
 system over the level-1 roles (the absorbing-chain argument of Kemeny and
-Snell): a level-1 role's row is read off its win path, the roles it holds
-on the levels above through consecutive champion wins, each of whose games
-either pays a reward or sends it back to level 1, and the path's end pays
-the pot when it holds the champion's seat. Win chances, fee losses and
-games-weighted wins are three right-hand sides of that one system, and
-game one is one more step of the same law from streak 0. The upper levels
-are never formed, and the expected duration has a closed form. The test
-suite cross-checks against the unlumped state-space solve, against
-truncated enumeration of game sequences and, under the default streak,
-against the historical pool's closed-form ratio.
+Snell), each row read off the role's win path through consecutive champion
+wins. A player gets a new chance only by challenging, and every loss sends
+its loser to the back of the queue, so one solve counts each role's
+challenges, and its win chance and fee losses are that count read two ways.
+Games-weighted wins are a second right-hand side, and game one is one more
+step of the same law from streak 0. The upper levels are never formed and
+the duration has a closed form. The test suite cross-checks against the
+unlumped state-space solve, truncated enumeration of game sequences and,
+under the default streak, the historical pool's closed-form ratio.
 
 Everything is exact: the solve's answers are Fractions, and the Monte Carlo
 cross-check returns its counts and their Fraction frequencies; the command
@@ -104,10 +103,17 @@ def _moves(players: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (0, players - 1, *waiting), (players - 1, 0, *waiting)
 
 
-def _level_one(
-    config: PoolConfig,
-) -> tuple[list[list[Fraction]], list[list[tuple[int, Fraction]]], list[Fraction]]:
-    """The level-1 system I - M, each level-1 role's win path and the pot, in one walk.
+def _solve(system: list[list[Fraction]], constants: list[Fraction]) -> list[Fraction]:
+    solution = solve_linear_system(system, constants)
+    if solution is None:
+        raise PoolDivergenceError("the pool's linear system is singular; no certain finish")
+    return solution
+
+
+def _level_one(config: PoolConfig) -> tuple[
+    list[list[Fraction]], list[list[tuple[int, Fraction]]], list[Fraction], list[Fraction]
+]:
+    """The level-1 system I - M, each role's win path, and its win chance and losses.
 
     Level s (streak 1..R-1) has n roles: role 0 is the champion on streak s
     and role i is queue position i. A champion win moves role r up a level
@@ -115,19 +121,22 @@ def _level_one(
     level) and a loss sends it to level 1 as lost[r] (0 -> n - 1, 1 -> 0,
     i -> i - 1). After j wins in a row (j = 0..R-2) level-1 role r is role
     won^j(r) on level j + 1, with weight p^j; each game there pays a reward
-    and with probability q = 1 - p sends it to level 1, so every quantity
-    solves x1[r] = c[r] + sum_j p^j q x1[lost[won^j r]], with its own
-    constant c[r] read off the path [(won^j r, p^j) for j = 0..R-2]. The
-    path's end pays the pot: having survived all R - 1 games, role r is
-    role won^(R-1)(r) at streak R with weight p^(R-1), and takes the pot
-    exactly when that role is the champion. With R = 1 the path is empty
-    and role 0 takes it at once.
+    and with probability q = 1 - p sends it to level 1, so a quantity solves
+    x1[r] = c[r] + sum_j p^j q x1[lost[won^j r]], c[r] read off that path.
+
+    With c[r] = sum_j p^j [won^j r = 1], x1 is C, the expected challenges
+    (games played as queue position 1) still to come. A challenge is won
+    with probability q and the reign it starts takes the pot with
+    probability p^(R-1); role 0 also holds its current reign. A challenge
+    or reign that misses the pot ends in exactly one loss, so role r wins
+    with probability (q C + [r = 0]) p^(R-1) and loses C + [r = 0] less
+    that. With R = 1 every path is empty and C = 0.
     """
     _require_within_reach(config)
     n, p = config.players, config.champion_win_prob
     won, lost = _moves(n)
     system = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-    paths, pot_constants = [], []
+    paths, challenges = [], []
     for r in range(n):
         path, role, weight = [], r, Fraction(1)
         for _ in range(config.streak_required - 1):
@@ -135,15 +144,11 @@ def _level_one(
             system[r][lost[role]] -= weight * (1 - p)
             role, weight = won[role], weight * p
         paths.append(path)
-        pot_constants.append(weight if role == 0 else Fraction(0))
-    return system, paths, pot_constants
-
-
-def _solve(system: list[list[Fraction]], constants: list[Fraction]) -> list[Fraction]:
-    solution = solve_linear_system(system, constants)
-    if solution is None:
-        raise PoolDivergenceError("the pool's linear system is singular; no certain finish")
-    return solution
+        challenges.append(sum((w for role, w in path if role == 1), Fraction(0)))
+    counts, reign = _solve(system, challenges), p ** (config.streak_required - 1)
+    win = [((1 - p) * count + int(r == 0)) * reign for r, count in enumerate(counts)]
+    losses = [count + int(r == 0) - w for r, (count, w) in enumerate(zip(counts, win))]
+    return system, paths, win, losses
 
 
 def _game_one(
@@ -164,9 +169,7 @@ def _game_one(
 
 def pool_win_probabilities(config: PoolConfig) -> tuple[Fraction, ...]:
     """Exact probability that each seat eventually takes the pot."""
-    system, _, pot_constants = _level_one(config)
-    level_win = _solve(system, pot_constants)
-    return tuple(_game_one(config, level_win, [Fraction(0)] * config.players))
+    return tuple(_game_one(config, _level_one(config)[2], [Fraction(0)] * config.players))
 
 
 def pool_expected_games(config: PoolConfig) -> Fraction:
@@ -195,29 +198,26 @@ def pool_solve(config: PoolConfig) -> PoolSolution:
     """Complete exact solution: win chances, duration, payments and nets.
 
     A seat's payment is its ante plus the fee times its expected losses. Its
-    pot share is E[(n * ante + fee * G) 1{seat wins}]. Win chances, losses
-    and the coupled term E[G 1{seat wins}] are three right-hand sides of the
-    one level-1 system, and game one is one more step of the same law.
+    pot share is E[(n * ante + fee * G) 1{seat wins}]. One solve of the
+    level-1 system counts challenges, which give the win chances and the
+    losses; the coupled term E[G 1{seat wins}] is a second right-hand side,
+    and game one is one more step of the same law.
     """
-    system, paths, pot_constants = _level_one(config)
-    n, p = config.players, config.champion_win_prob
-    q = 1 - p
+    system, paths, level_win, level_losses = _level_one(config)
+    n, p, streak = config.players, config.champion_win_prob, config.streak_required
     _, lost = _moves(n)
-    level_win = _solve(system, pot_constants)
     win = _game_one(config, level_win, [Fraction(0)] * n)
     # The champion pays when beaten; the challenger pays whenever the
     # champion wins, the final game included.
-    loss = [q, p] + [Fraction(0)] * (n - 2)
-    loss_constants = [sum((w * loss[role] for role, w in path), Fraction(0)) for path in paths]
-    losses = _game_one(config, _solve(system, loss_constants), loss)
-    # E[(games from level 1 on) 1{wins}]: a path that takes the pot has
-    # played R - 1 games; one cut by a loss at step j has played j + 1 and
-    # restarts on level 1. Game one adds one game to every winning history.
+    losses = _game_one(config, level_losses, [1 - p, p] + [Fraction(0)] * (n - 2))
+    # E[(games from level 1 on) 1{wins}]: a path cut by a loss at step j has
+    # played j + 1 games and restarts on level 1; role 0's path takes the
+    # pot after R - 1 games. Game one adds a game to every winning history.
     coupled_constants = [
-        (config.streak_required - 1) * constant
-        + sum((j + 1) * w * q * level_win[lost[role]] for j, (role, w) in enumerate(path))
-        for constant, path in zip(pot_constants, paths)
+        sum((j + 1) * w * (1 - p) * level_win[lost[role]] for j, (role, w) in enumerate(path))
+        for path in paths
     ]
+    coupled_constants[0] += (streak - 1) * p ** (streak - 1)
     games_won = _game_one(config, _solve(system, coupled_constants), win)
 
     ante, fee = config.ante, config.fee

@@ -380,6 +380,31 @@ class TestPoolSolve:
                 oracle.residual_games_bound
             )
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            FAIR3,
+            PoolConfig(5, Fraction(2, 5), streak_required=3),
+            STREAK1_STAKES,
+            PoolConfig(5, Fraction(1), streak_required=3),
+        ],
+    )
+    def test_eliminations_per_call(self, config, monkeypatch):
+        # One elimination counts the challenges, which give the win chances
+        # and the losses; one more gives the games-weighted wins.
+        calls, solve = [], pool.solve_linear_system
+
+        def counted(coefficients, constants):
+            calls.append(len(constants))
+            return solve(coefficients, constants)
+
+        monkeypatch.setattr(pool, "solve_linear_system", counted)
+        pool_solve(config)
+        assert calls == [config.players] * 2
+        calls.clear()
+        pool_win_probabilities(config)
+        assert calls == [config.players]
+
 
 _REFERENCE_PS = tuple(
     Fraction(x) for x in ("0", "1/7", "1/3", "1/2", "2/3", "3/4", "1")
