@@ -35,7 +35,8 @@ The linear-system reference is the engine's former Gaussian elimination
 over Fractions; the unlumped pool solve and the support-equalising solves
 run on it, so the engine's fraction-free kernel is never checked against
 itself. The decimal-rendering reference is the engine's former
-digit-by-digit long division.
+digit-by-digit long division. `seed_with_output` runs the stream backwards
+from a chosen raw output, so a test can force the rare rejected draw.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from montmort.leher import (
     _token_weights,
     paul_win_probability,
 )
-from montmort.montecarlo import RandomStream
+from montmort.montecarlo import MASK64, XORSHIFT_MULTIPLIER, RandomStream
 from montmort.pool import PoolConfig
 from montmort.solver import GameMatrix
 
@@ -359,6 +360,30 @@ def duration_moments(p: Fraction, streak: int) -> tuple[Fraction, Fraction]:
     mean = solve([Fraction(1)] * k)
     second = solve([1 + 2 * (p * mean[j + 1] + q * mean[0]) for j in range(k)])
     return 1 + mean[0], second[0] - mean[0] ** 2
+
+
+def _undo_xorshift(y: int, shift: int) -> int:
+    """Invert y = x ^ (x >> shift), or x ^ (x << shift) masked for a negative shift."""
+    x = y
+    for _ in range(64 // abs(shift)):
+        x = y ^ ((x >> shift) if shift > 0 else ((x << -shift) & MASK64))
+    return x
+
+
+def seed_with_output(output: int, k: int = 1) -> int:
+    """A seed whose k-th raw 64-bit output (k = 1 the first) is `output`.
+
+    The output is state * multiplier mod 2**64, so the k-th state is the
+    output times the multiplier's inverse; undoing the shift register's step
+    k times walks it back to the seed. A nonzero output gives a nonzero
+    seed, which the stream takes as it is.
+    """
+    if not 0 < output <= MASK64 or k < 1:
+        raise ValueError("output must lie in 1..2**64 - 1 and k must be >= 1")
+    x = output * pow(XORSHIFT_MULTIPLIER, -1, 1 << 64) & MASK64
+    for _ in range(k):
+        x = _undo_xorshift(_undo_xorshift(_undo_xorshift(x, 27), -25), 12)
+    return x
 
 
 def _draw_three_ranks(stream: RandomStream) -> tuple[int, int, int]:

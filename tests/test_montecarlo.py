@@ -8,13 +8,19 @@ import pytest
 from montmort.cli import _sigma
 from montmort.leher import mixed_value
 from montmort.montecarlo import (
+    MASK64,
     ZERO_SEED_REPLACEMENT,
     LeherSimulation,
     RandomStream,
     leher_simulate,
 )
 from montmort.pool import PoolConfig, pool_simulate
-from oracles import bernoulli, simulate_leher_reference
+from oracles import (
+    bernoulli,
+    seed_with_output,
+    simulate_leher_reference,
+    simulate_pool_reference,
+)
 
 # Generated once from this implementation (seed 42, bound 52) and frozen;
 # any change to the generator or its consumption order must show up here.
@@ -112,6 +118,62 @@ class TestRandomStream:
         assert not any(bernoulli(stream, Fraction(0)) for _ in range(50))
         with pytest.raises(ValueError):
             bernoulli(stream, Fraction(3, 2))
+
+
+class TestForcedRejection:
+    """Draws at or above the rejection limit, forced by a seed built backwards.
+
+    A draw below `bound` rejects a raw output at or above 2**64 - 2**64 % bound:
+    only 2**64 - 1 for bounds 3 and 51, the top 16 outputs for 50 and 52.
+    Seeded runs reject with probability at most 2**-58 a draw, so only a
+    constructed seed takes that branch.
+    """
+
+    def test_seed_builder_hits_the_chosen_output(self):
+        assert seed_with_output(MASK64) == 12165231662994148584
+        for output, k in ((MASK64, 1), (5, 3), (2**64 - 16, 7)):
+            stream = RandomStream(seed_with_output(output, k))
+            assert [stream.next_below(2**64) for _ in range(k)][-1] == output
+
+    @pytest.mark.parametrize(
+        "bound,output,rejected",
+        [(3, MASK64, True), (3, MASK64 - 1, False), (51, MASK64, True),
+         (52, 2**64 - 16, True), (52, 2**64 - 17, False), (50, 2**64 - 16, True)],
+    )
+    def test_next_below_skips_a_rejected_draw(self, bound, output, rejected):
+        seed = seed_with_output(output)
+        raw = RandomStream(seed)
+        outputs = [raw.next_below(2**64) for _ in range(1 + rejected)]
+        stream = RandomStream(seed)
+        assert stream.next_below(bound) == outputs[-1] % bound
+        assert stream.state == raw.state
+
+    # Token bounds of 1 never reject, so the k-th draw is the card meant.
+    @pytest.mark.parametrize(
+        "weights,k",
+        [((1, 2, 1, 0), 1), ((1, 0, 2, 1), 2), ((1, 0, 1, 0), 3), ((1, 0, 1, 0), 4),
+         ((0, 1, 0, 1), 5)],
+        ids=["paul-token", "pierre-token", "card-52", "card-51", "card-50"],
+    )
+    def test_leher_simulate_matches_reference(self, weights, k):
+        # Every prefix of trials, so a misplaced draw shows in the trial it shifts.
+        seed = seed_with_output(MASK64, k)
+        for trials in range(1, 31):
+            expected = simulate_leher_reference(*weights, seed=seed, trials=trials)
+            assert leher_simulate(*weights, seed=seed, trials=trials).wins == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_pool_simulate_matches_reference(self, k):
+        config = PoolConfig(3, Fraction(1, 3))
+        seed = seed_with_output(MASK64, k)
+        for trials in range(1, 21):
+            wins, total_games, truncated = simulate_pool_reference(
+                config, seed=seed, trials=trials, max_games=1_000_000
+            )
+            result = pool_simulate(config, seed=seed, trials=trials)
+            assert result.win_prob == tuple(Fraction(w, trials) for w in wins)
+            assert result.expected_games == Fraction(total_games, trials)
+            assert result.truncated_trials == truncated
 
 
 class TestGoldenSimulations:

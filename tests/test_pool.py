@@ -9,6 +9,7 @@ from montmort.cli import _sigma
 from montmort.pool import (
     PoolConfig,
     PoolDivergenceError,
+    PoolSimulation,
     pool_expected_games,
     pool_simulate,
     pool_solve,
@@ -446,14 +447,28 @@ class TestPoolSimulate:
         assert result.truncated_trials == 0
 
     def test_matches_state_law_reference(self):
-        config = PoolConfig(4, Fraction(2, 5))
-        wins, total_games, truncated = simulate_pool_reference(
-            config, seed=13, trials=3000, max_games=1_000_000
-        )
-        result = pool_simulate(config, seed=13, trials=3000)
-        assert result.win_prob == tuple(Fraction(w, 3000) for w in wins)
-        assert result.expected_games == Fraction(total_games, 3000)
-        assert result.truncated_trials == truncated
+        # n = 2 leaves one waiting seat; streak 1 ends every pool at game one;
+        # a cap of 1 or 2 games truncates; p = 1 never changes champion.
+        seeds = (13, 0, -7, 2**64 + 3)
+        mismatches = []
+        cases = [(PoolConfig(4, Fraction(2, 5)), 13, 3000, 1_000_000)]
+        for n in (2, 3, 4, 6):
+            for p in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(5, 7), Fraction(1)):
+                for streak in (1, 2, n, n + 1):
+                    for max_games in (1, 2, 1_000_000):
+                        seed = seeds[len(cases) % len(seeds)]
+                        cases.append((PoolConfig(n, p, streak_required=streak), seed, 25, max_games))
+        for config, seed, trials, max_games in cases:
+            wins, total_games, truncated = simulate_pool_reference(
+                config, seed=seed, trials=trials, max_games=max_games
+            )
+            expected = PoolSimulation(
+                trials, tuple(Fraction(w, trials) for w in wins),
+                Fraction(total_games, trials), truncated,
+            )
+            if pool_simulate(config, seed=seed, trials=trials, max_games=max_games) != expected:
+                mismatches.append((config, seed, max_games))
+        assert mismatches == []
 
     def test_statistics_near_exact_values(self):
         result = pool_simulate(FAIR3, seed=2026, trials=50_000)
@@ -484,3 +499,9 @@ class TestPoolSimulate:
         for seed in (True, 1.5, "3", None):
             with pytest.raises(ValueError, match="seed must be an integer"):
                 pool_simulate(FAIR3, seed=seed, trials=5)
+
+    def test_denominator_beyond_the_stream_is_refused(self):
+        # A draw below a bound above 2**64 has no rejection limit; it must raise, not loop.
+        config = PoolConfig(3, Fraction(1, 2**65 + 1))
+        with pytest.raises(ValueError, match=r"bound must lie in 1\.\.2\*\*64"):
+            pool_simulate(config, seed=1, trials=3)
