@@ -380,6 +380,19 @@ def threshold_matrix() -> GameMatrix:
     return GameMatrix.from_rows(zip(*columns), labels, labels)
 
 
+def _paul7_game() -> GameMatrix:
+    """Paul's conditional 2 x 2 with a seven, as `conditional_mixed_lot_paul7` mixes it."""
+    return GameMatrix.from_rows(
+        [conditional_lot_paul(7, action, pierre) for pierre in PIERRE_TABLE_STRATEGIES]
+        for action in (PaulAction.SWITCH, PaulAction.HOLD)
+    )
+
+
+def _paul7_mixed_lot(game: GameMatrix, p: Fraction, q: Fraction) -> Fraction:
+    """The profile payoff of the bags (p, 1 - p) and (q, 1 - q) over `_paul7_game()`."""
+    return verify_equilibrium(game, MixedStrategy((p, 1 - p)), MixedStrategy((q, 1 - q))).value
+
+
 def conditional_mixed_lot_paul7(
     p_switch: Fraction | int | str,
     p_pierre_draw8: Fraction | int | str,
@@ -395,12 +408,7 @@ def conditional_mixed_lot_paul7(
     """
     p = require_rational("p_switch", p_switch, 0, 1)
     q = require_rational("p_pierre_draw8", p_pierre_draw8, 0, 1)
-    rows = [
-        [conditional_lot_paul(7, action, pierre) for pierre in PIERRE_TABLE_STRATEGIES]
-        for action in (PaulAction.SWITCH, PaulAction.HOLD)
-    ]
-    bags = MixedStrategy((p, 1 - p)), MixedStrategy((q, 1 - q))
-    return verify_equilibrium(GameMatrix.from_rows(rows), *bags).value
+    return _paul7_mixed_lot(_paul7_game(), p, q)
 
 
 def _token_weights(

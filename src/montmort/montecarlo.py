@@ -18,9 +18,21 @@ deal; `weight_table_reference()` against the table, cell by cell; and
 `simulate_leher_reference` against this simulator's counts. The simulator
 tabulates the law once per call, for every token pair and every pair of
 first two ranks, and consumes the stream per trial in a fixed order: the
-two tokens, then three cards dealt from an indexed deck. A run's result is
+two tokens, then three cards picked by index arithmetic over the deck in
+rank order. The pool's trial loop (`_pool_trials`, behind
+`pool.pool_simulate`) keeps the waiting seats in a ring. A run's result is
 its exact counts and their Fraction frequency; the command that prints a
 run computes its standard error.
+
+The stream's rule is written only here. A draw below a bound rejects raw
+outputs at or above `_rejection_limit(bound)`, the one check of the bound.
+Both trial loops write the xorshift-star step out for every draw, as
+`RandomStream.next_below` does, and keep the state in a local; one loop
+over the draws of a trial, shared by all five, kept little more than half
+of the speed-up. `tests/reference_stream.c`
+checks the rule against the goldens from README's text, and the tests pin
+both loops to references that draw through `next_below`, forced rejections
+included.
 """
 
 from __future__ import annotations
@@ -54,10 +66,7 @@ class RandomStream:
         Each step is one xorshift-star output. A bound above 2**64 is out of
         a 64-bit draw's reach and is rejected.
         """
-        # Inline, not require_integer: this runs on every draw, five per Le Her trial.
-        if type(bound) is not int or not 1 <= bound <= _TWO64:
-            raise ValueError(f"bound must lie in 1..2**64, got {bound!r}")
-        limit = _TWO64 - (_TWO64 % bound)
+        limit = _rejection_limit(bound)
         x = self.state
         while True:
             x ^= x >> 12
@@ -67,6 +76,18 @@ class RandomStream:
             if draw < limit:
                 self.state = x
                 return draw % bound
+
+
+def _rejection_limit(bound: int) -> int:
+    """The first raw output a draw below `bound` rejects: 2**64 - 2**64 mod bound.
+
+    Outputs under the limit fall evenly on each residue mod `bound`. A bound
+    outside 1..2**64 is refused; above 2**64 the limit would be 0 and no
+    draw would ever be taken.
+    """
+    if type(bound) is not int or not 1 <= bound <= _TWO64:
+        raise ValueError(f"bound must lie in 1..2**64, got {bound!r}")
+    return _TWO64 - _TWO64 % bound
 
 
 #: The 52 cards as ranks in rank order, so pick k of a deal is the k-th card left.
@@ -97,19 +118,24 @@ def leher_simulate(
     Per trial the stream is consumed in a fixed order: Paul's token (switch
     the 7 with probability a / (a + b)), Pierre's token (switch the 8 with
     probability c / (c + d)), then the three cards of the deal, each picked
-    by its index among the cards left in rank order. The game law of
+    by its index among the cards left in rank order: the index into the
+    52-card deck skips the cards already dealt. The game law of
     :mod:`montmort.leher` is tabulated once per call: `_before_draw` settles
     every pair of first two ranks under each of the four token pairs, and a
     trial only applies Pierre's redraw, in which a drawn king is thrown back.
+    A token denominator above 2**64 is refused as `next_below` refuses it.
     """
     require_integer("trials", trials, 1)
     a, b, c, d = leher._token_weights(a, b, c, d)
-    stream = RandomStream(seed)
+    state = RandomStream(seed).state
 
     paul_switch = a / (a + b)
     pierre_switch = c / (c + d)
     paul_num, paul_den = paul_switch.numerator, paul_switch.denominator
     pierre_num, pierre_den = pierre_switch.numerator, pierre_switch.denominator
+    paul_limit, pierre_limit, limit52, limit51, limit50 = (
+        _rejection_limit(bound) for bound in (paul_den, pierre_den, 52, 51, 50)
+    )
     # settled[paul token][pierre token][paul rank - 1][pierre rank - 1]
     # is (paul_final, pierre_current, pierre_draws); token 0 is "switch".
     settled = [
@@ -121,19 +147,118 @@ def leher_simulate(
         for paul in leher.PAUL_TABLE_STRATEGIES
     ]
 
-    king = leher.KING
-    deck_size = len(_DECK)
-    below = stream.next_below
+    # Each draw is `next_below`'s loop written out on the local state.
+    deck, king = _DECK, leher.KING
+    mask, multiplier = MASK64, XORSHIFT_MULTIPLIER
     wins = 0
     for _ in range(trials):
-        law = settled[below(paul_den) >= paul_num][below(pierre_den) >= pierre_num]
-        deck = list(_DECK)
-        paul_card = deck.pop(below(deck_size))
-        pierre_card = deck.pop(below(deck_size - 1))
-        replacement = deck[below(deck_size - 2)]
-        paul_final, pierre_final, draws = law[paul_card - 1][pierre_card - 1]
-        if draws and replacement != king:
-            pierre_final = replacement
+        while True:
+            state ^= state >> 12
+            state = (state ^ (state << 25)) & mask
+            state ^= state >> 27
+            draw = (state * multiplier) & mask
+            if draw < paul_limit:
+                break
+        paul_token = draw % paul_den >= paul_num
+        while True:
+            state ^= state >> 12
+            state = (state ^ (state << 25)) & mask
+            state ^= state >> 27
+            draw = (state * multiplier) & mask
+            if draw < pierre_limit:
+                break
+        law = settled[paul_token][draw % pierre_den >= pierre_num]
+        # Card indices into the deck: the second skips the first, the third both.
+        while True:
+            state ^= state >> 12
+            state = (state ^ (state << 25)) & mask
+            state ^= state >> 27
+            draw = (state * multiplier) & mask
+            if draw < limit52:
+                break
+        first = draw % 52
+        while True:
+            state ^= state >> 12
+            state = (state ^ (state << 25)) & mask
+            state ^= state >> 27
+            draw = (state * multiplier) & mask
+            if draw < limit51:
+                break
+        second = draw % 51
+        if second >= first:
+            second += 1
+            low, high = first, second
+        else:
+            low, high = second, first
+        while True:
+            state ^= state >> 12
+            state = (state ^ (state << 25)) & mask
+            state ^= state >> 27
+            draw = (state * multiplier) & mask
+            if draw < limit50:
+                break
+        third = draw % 50
+        if third >= low:
+            third += 1
+        if third >= high:
+            third += 1
+        paul_final, pierre_final, draws = law[deck[first] - 1][deck[second] - 1]
+        if draws and deck[third] != king:
+            pierre_final = deck[third]
         if paul_final > pierre_final:
             wins += 1
     return LeherSimulation(wins, trials, Fraction(wins, trials))
+
+
+def _pool_trials(
+    players: int, required: int, num: int, den: int, seed: int, trials: int, max_games: int
+) -> tuple[list[int], int, int]:
+    """Play `trials` pools on the stream: (wins per seat, total games, truncated trials).
+
+    The pool's law in plain integers, for `pool.pool_simulate`, which checks
+    the arguments. The champion wins a game when a draw below `den` falls
+    under `num`. The queue is a ring of the players - 1 waiting seats read
+    from `head`: the challenger is ring[head]; a loss puts the old champion
+    in its place, and either way the head moves on, so the loser is last.
+    """
+    state = RandomStream(seed).state
+    limit = _rejection_limit(den)
+    mask, multiplier = MASK64, XORSHIFT_MULTIPLIER
+    waiting = tuple(range(1, players))
+    last = players - 1
+    wins = [0] * players
+    total_games = 0
+    truncated = 0
+    # Built once, not per trial: most trials last only a few games.
+    game_numbers = range(1, max_games + 1)
+
+    for _ in range(trials):
+        champion = 0
+        streak = 0
+        ring = list(waiting)
+        head = 0
+        for games in game_numbers:
+            while True:
+                state ^= state >> 12
+                state = (state ^ (state << 25)) & mask
+                state ^= state >> 27
+                draw = (state * multiplier) & mask
+                if draw < limit:
+                    break
+            if draw % den < num:
+                streak += 1
+            else:
+                challenger = ring[head]
+                ring[head] = champion
+                champion = challenger
+                streak = 1
+            head += 1
+            if head == last:
+                head = 0
+            if streak >= required:
+                wins[champion] += 1
+                break
+        else:
+            truncated += 1
+        total_games += games
+    return wins, total_games, truncated

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .montecarlo import RandomStream
+from .montecarlo import _pool_trials
 from .rational import require_integer, require_rational
 from .solver import solve_linear_system
 
@@ -252,46 +252,24 @@ def pool_simulate(
 
     Identical (config, seed, trials) always reproduces identical output.
     A trial that reaches `max_games` games is abandoned and counted in
-    `truncated_trials`; nobody collects its pot. The trial loop is the pool's
-    transition law in plain integers; the test suite pins it against the
-    oracle `advance` in `tests/oracles.py`.
+    `truncated_trials`; nobody collects its pot. The trial loop,
+    `montecarlo._pool_trials`, is the pool's transition law in plain
+    integers on the stream, with the waiting seats in a ring; the test suite
+    pins it against the oracle `advance` in `tests/oracles.py`. A
+    denominator of p above 2**64 is refused as `next_below` refuses it.
     """
     require_integer("trials", trials, 1)
     require_integer("max_games", max_games, 1)
     _require_absorbing(config)
-    n = config.players
-    required = config.streak_required
-    num = config.champion_win_prob.numerator
-    den = config.champion_win_prob.denominator
-    stream = RandomStream(seed)
-    next_below = stream.next_below
-
-    wins = [0] * n
-    total_games = 0
-    truncated = 0
-    # Built once, not per trial: most trials last only a few games.
-    game_numbers = range(1, max_games + 1)
-
-    for _ in range(trials):
-        champion = 0
-        streak = 0
-        queue = list(range(1, n))
-        for games in game_numbers:
-            challenger = queue.pop(0)
-            if next_below(den) < num:
-                streak += 1
-                queue.append(challenger)
-            else:
-                queue.append(champion)
-                champion = challenger
-                streak = 1
-            if streak >= required:
-                wins[champion] += 1
-                break
-        else:
-            truncated += 1
-        total_games += games
-
+    wins, total_games, truncated = _pool_trials(
+        config.players,
+        config.streak_required,
+        config.champion_win_prob.numerator,
+        config.champion_win_prob.denominator,
+        seed,
+        trials,
+        max_games,
+    )
     return PoolSimulation(
         trials=trials,
         win_prob=tuple(Fraction(w, trials) for w in wins),

@@ -8,8 +8,9 @@ always-switch guarantee, the 3:5 / 5:3 token solution and its value,
 Montmort's 1711 bracketing of Paul's advantage, the 2697:2828 complement,
 and the 60:36 difference ratio. The table cells, the 1711 advantage and
 the 3:5 / 5:3 solve read `build_leher_matrix()`, which `leher table` and
-`leher solve` print, and the ratio reuses Waldegrave's listed lots, so
-each figure is computed once. An entry passes only on exact rational
+`leher solve` print; Paul's three listed lots with a seven, Bernoulli's
+two token lots and the ratio read one conditional 2 x 2, so each figure is
+computed once. An entry passes only on exact rational
 equality; the two strict-inequality bracket checks are encoded as indicator
 entries whose computed value is 1 exactly when the inequality holds.
 
@@ -26,12 +27,11 @@ from fractions import Fraction
 from .leher import (
     PAUL_TABLE_STRATEGIES,
     PIERRE_TABLE_STRATEGIES,
-    PaulAction,
     PierreAction,
+    _paul7_game,
+    _paul7_mixed_lot,
     build_leher_matrix,
-    conditional_lot_paul,
     conditional_lot_pierre,
-    conditional_mixed_lot_paul7,
     pierre_win_probability,
 )
 from .solver import solve_zero_sum
@@ -69,7 +69,7 @@ def _indicator(condition: bool) -> Fraction:
 def build_reproduction_report() -> list[ReportEntry]:
     """Recompute the full battery; order is stable across runs."""
     t7, t6 = PAUL_TABLE_STRATEGIES
-    p8, p7 = PIERRE_TABLE_STRATEGIES
+    p8, _ = PIERRE_TABLE_STRATEGIES
     table = build_leher_matrix()
     cells = (
         (f"Paul's lot: {row} vs {col}", lot)
@@ -82,9 +82,9 @@ def build_reproduction_report() -> list[ReportEntry]:
         for (label, lot), quoted in zip(cells, (2828, 2838, 2834, 2828))
     ]
 
-    lot_switch = conditional_lot_paul(7, PaulAction.SWITCH, p8)
-    lot_hold_vs_hold = conditional_lot_paul(7, PaulAction.HOLD, p7)
-    lot_hold_vs_switch = conditional_lot_paul(7, PaulAction.HOLD, p8)
+    # Paul's three listed lots with a seven and both token lots read one 2 x 2.
+    paul7 = _paul7_game()
+    (lot_switch, _), (lot_hold_vs_switch, lot_hold_vs_hold) = paul7.entries
     entries += [
         ReportEntry(
             "Paul with a 7, switching", Fraction(780, 51 * 50), lot_switch, _WALDEGRAVE_1712
@@ -128,13 +128,13 @@ def build_reproduction_report() -> list[ReportEntry]:
         ReportEntry(
             "Paul's lot with a 7, both tossing even tokens",
             Fraction(774, 51 * 50),
-            conditional_mixed_lot_paul7(Fraction(1, 2), Fraction(1, 2)),
+            _paul7_mixed_lot(paul7, Fraction(1, 2), Fraction(1, 2)),
             _BERNOULLI_TOKENS,
         ),
         ReportEntry(
             "Paul's guaranteed lot with a 7, always switching",
             Fraction(780, 51 * 50),
-            conditional_mixed_lot_paul7(Fraction(1), Fraction(0)),
+            _paul7_mixed_lot(paul7, Fraction(1), Fraction(0)),
             _BERNOULLI_TOKENS,
         ),
     ]
