@@ -452,12 +452,13 @@ class TestPoolSimulate:
         seeds = (13, 0, -7, 2**64 + 3)
         mismatches = []
         cases = [(PoolConfig(4, Fraction(2, 5)), 13, 3000, 1_000_000)]
+        chances = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(5, 7), Fraction(1))
         for n in (2, 3, 4, 6):
-            for p in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(5, 7), Fraction(1)):
+            for p in chances:
                 for streak in (1, 2, n, n + 1):
                     for max_games in (1, 2, 1_000_000):
-                        seed = seeds[len(cases) % len(seeds)]
-                        cases.append((PoolConfig(n, p, streak_required=streak), seed, 25, max_games))
+                        config = PoolConfig(n, p, streak_required=streak)
+                        cases.append((config, seeds[len(cases) % len(seeds)], 25, max_games))
         for config, seed, trials, max_games in cases:
             wins, total_games, truncated = simulate_pool_reference(
                 config, seed=seed, trials=trials, max_games=max_games
