@@ -25,10 +25,10 @@ import csv
 import io
 import json
 import sys
+from collections import namedtuple
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 from math import sqrt
-from typing import NamedTuple, TypeVar
 
 from . import __version__, etrennes, leher, montecarlo, pool, report, solver
 from .rational import (
@@ -41,13 +41,11 @@ from .rational import (
 
 SIGMA_BAND = 4  # simulation verdicts: estimate within 4 standard errors
 
-_T = TypeVar("_T")
 
-
-def _argument_type(parse: Callable[[str], _T]) -> Callable[[str], _T]:
+def _argument_type(parse: Callable[[str], object]) -> Callable[[str], object]:
     """An argparse type that reports a parser's ValueError as a usage error."""
 
-    def convert(text: str) -> _T:
+    def convert(text: str) -> object:
         try:
             return parse(text)
         except ValueError as error:
@@ -397,16 +395,12 @@ _GROUP_HELP = {
 }
 
 
-class _Command(NamedTuple):
-    path: tuple[str, ...]
-    help: str
-    handler: Callable[[argparse.Namespace], int]
-    options: tuple[Callable[[argparse.ArgumentParser], None], ...]
+_Command = namedtuple("_Command", "path help handler options")
 
-
-# Every leaf command in help order: its path, help, handler and option groups
-# (each leaf then takes --format last). The full parser and a single path's
-# parser are both built from these rows, so each option is defined once.
+# Every leaf command in help order: its path (a tuple of names), help,
+# handler (Namespace -> exit code) and option groups (each adds to a leaf
+# parser; each leaf then takes --format last). The full parser and a single
+# path's parser are both built from these rows, so each option is defined once.
 _COMMANDS = (
     _Command(("leher", "table"), "print the table of Paul's lots", _cmd_leher_table,
              (_all_thresholds_option,)),

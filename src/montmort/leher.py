@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress
-from typing import ClassVar, TypeVar
 
 from .rational import parse_integer, require_integer, require_rational
 from .solver import GameMatrix, MixedStrategy, verify_equilibrium
@@ -81,9 +80,6 @@ def _threshold_flags(threshold: int) -> tuple[bool, ...]:
     return tuple(rank <= threshold for rank in range(1, RANK_COUNT + 1))
 
 
-_Table = TypeVar("_Table", bound="_RankTable")
-
-
 class _RankTable:
     """Behaviour shared by the two per-rank strategy tables.
 
@@ -92,9 +88,6 @@ class _RankTable:
     In the 13-letter table form H holds and any of `_LETTERS` acts.
     """
 
-    _FIELD: ClassVar[str]
-    _LETTERS: ClassVar[str]
-
     def __post_init__(self) -> None:
         flags = tuple(getattr(self, self._FIELD))
         object.__setattr__(self, self._FIELD, flags)
@@ -102,12 +95,12 @@ class _RankTable:
             raise ValueError("strategy needs one boolean per rank 1..13")
 
     @classmethod
-    def threshold(cls: type[_Table], threshold: int) -> _Table:
+    def threshold(cls, threshold: int):
         """Act on every rank up to `threshold`, hold above (0 = never act)."""
         return cls(_threshold_flags(threshold))
 
     @classmethod
-    def parse(cls: type[_Table], text: str) -> _Table:
+    def parse(cls, text: str):
         """Accepts "threshold:t" or a 13-letter action table (ASCII only)."""
         body = text.strip(string.whitespace)
         if body.lower().startswith("threshold:"):

@@ -22,11 +22,12 @@ integer elimination, with one Fraction per unknown built at the end.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import gt, lt
-from typing import Callable, Iterable, NamedTuple
 
 from .rational import as_rational, format_rational, require_rational
 
@@ -140,10 +141,7 @@ class GameSolution:
     certificate: Certificate
 
 
-class EquilibriumCheck(NamedTuple):
-    is_equilibrium: bool
-    value: Fraction
-    certificate: Certificate
+EquilibriumCheck = namedtuple("EquilibriumCheck", "is_equilibrium value certificate")
 
 
 @dataclass(frozen=True)

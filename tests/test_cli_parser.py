@@ -91,6 +91,14 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
     assert via_sys_argv[0].startswith("11327/22100 ")
 
 
+def test_command_rows_name_their_fields():
+    for command in cli._COMMANDS:
+        path, help_text, handler, options = command
+        assert (command.path, command.help, command.handler, command.options) == command
+        assert isinstance(path, tuple) and help_text and callable(handler)
+        assert all(callable(add_options) for add_options in options)
+
+
 def test_help_builds_every_parser(built_parsers, capsys):
     with pytest.raises(SystemExit):
         cli.main(["--help"])

@@ -9,6 +9,9 @@ parsers `main` builds: only the top, group and leaf parsers on the
 command's path.
 """
 
+import os
+import subprocess
+import sys
 from itertools import takewhile
 from pathlib import Path
 
@@ -17,6 +20,7 @@ import pytest
 from montmort.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden_cli"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 _PAUL_7_HOLD = [
     "leher", "conditional", "--player", "paul", "--card", "7", "--action", "hold",
@@ -124,3 +128,19 @@ def test_stdout_matches_golden(name, capsys, built_parsers):
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN_DIR / name).read_bytes()
     path = list(takewhile(lambda token: not token.startswith("-"), argv))
     assert built_parsers == [" ".join(["montmort", *path[:depth]]) for depth in range(len(path) + 1)]
+
+
+def test_fresh_process_imports_no_typing():
+    """A fresh interpreter loads the engine and prints a golden without `typing`.
+
+    `site` is off (-S) because some installs' .pth files import `typing`
+    before any user code runs.
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    probe = "import sys, montmort.cli; print('typing' in sys.modules)"
+    run = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, b"False\n", b"")
+    argv = [sys.executable, "-S", "-m", "montmort.cli", "reproduce", "--format", "json"]
+    run = subprocess.run(argv, env=env, capture_output=True)
+    assert run.returncode == 0
+    assert run.stdout == (GOLDEN_DIR / "reproduce.json").read_bytes()

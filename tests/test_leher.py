@@ -76,6 +76,11 @@ class TestStrategies:
     def test_parse_threshold_form(self):
         assert PaulStrategy.parse("threshold:7") == T7
         assert PierreStrategy.parse("threshold:8") == P8
+        # Both constructors build the class they are called on.
+        for strategy_type in (PaulStrategy, PierreStrategy):
+            assert type(strategy_type.threshold(7)) is strategy_type
+            assert type(strategy_type.parse("threshold:7")) is strategy_type
+            assert type(strategy_type.parse("HHHHHHHHHHHHH")) is strategy_type
 
     def test_parse_action_string(self):
         assert PaulStrategy.parse("SSSSSSSHHHHHH") == T7

@@ -112,6 +112,12 @@ class TestWinProbabilities:
         with pytest.raises(PoolDivergenceError):
             pool_solve(PoolConfig(4, Fraction(0)))
 
+    def test_singular_system_is_refused(self, monkeypatch):
+        monkeypatch.setattr(pool, "solve_linear_system", lambda system, constants: None)
+        for solve in (pool_solve, pool_win_probabilities):
+            with pytest.raises(PoolDivergenceError, match="singular"):
+                solve(FAIR3)
+
     def test_streak_one_with_spectators(self):
         probs = pool_win_probabilities(PoolConfig(5, Fraction(2, 3), streak_required=1))
         assert probs == (Fraction(2, 3), Fraction(1, 3), 0, 0, 0)
@@ -218,6 +224,102 @@ class TestHistoricalPoolClosedForm:
 
     def test_law_gives_waldegraves_answer(self):
         assert self.fair_law(3) == (Fraction(5, 14), Fraction(5, 14), Fraction(4, 14))
+
+
+def _determinant(rows):
+    """Exact determinant by elimination without row swaps.
+
+    Every pivot stays nonzero on a strictly diagonally dominant matrix, such
+    as the level-1 I - M(p) below, because elimination keeps the dominance.
+    """
+    rows = [list(row) for row in rows]
+    determinant = Fraction(1)
+    for c, pivot_row in enumerate(rows):
+        determinant *= pivot_row[c]
+        for row in rows[c + 1:]:
+            factor = row[c] / pivot_row[c]
+            row[c:] = [a - factor * b for a, b in zip(row[c:], pivot_row[c:])]
+    return determinant
+
+
+def _cleared_win_chances(players, streak, p):
+    """Each seat's win chance times D(p) = det(I - M(p)), then D(p) itself."""
+    config = PoolConfig(players, p, streak_required=streak)
+    determinant = _determinant(pool._level_one(config)[0])
+    return (*(w * determinant for w in pool_win_probabilities(config)), determinant)
+
+
+def holds_for_every_p(players, streak, law, bound, extra=3):
+    """Whether `law(p, cleared)` holds at every p in (0, 1], from exact points.
+
+    `cleared` is `_cleared_win_chances` at p. The law must clear to a
+    polynomial identity in p of degree at most `bound`: it then holds
+    everywhere once it holds at bound + 1 distinct points. It is evaluated
+    at k / m for k = 1..m, m = bound + 1 + extra. The `extra` points beyond
+    bound + 1 check the bound itself: every cleared quantity's
+    (bound + 1)-th finite differences over those points must vanish, so a
+    bound that is too small fails here instead of proving nothing.
+    """
+    count = bound + 1 + extra
+    points = [Fraction(k, count) for k in range(1, count + 1)]
+    samples = [_cleared_win_chances(players, streak, p) for p in points]
+    for values in zip(*samples):
+        for _ in range(bound + 1):
+            values = [b - a for a, b in zip(values, values[1:])]
+        assert not any(values), f"a cleared win chance has degree above {bound}"
+    return all(law(p, cleared) for p, cleared in zip(points, samples))
+
+
+class TestPoolLawsForEveryP:
+    """Two pool laws proven for every p in (0, 1], not only at sampled p.
+
+    No denominator vanishes. The level-1 system is (I - M(p)) C = c(p), with
+    M's entries q p^j (j <= R - 2). Each row of M sums to
+    q (1 + p + ... + p^(R-2)) = 1 - p^(R-1), below 1 on (0, 1), and M = 0
+    at p = 1. So I - M is strictly diagonally dominant and
+    D(p) = det(I - M(p)) is nonzero on (0, 1]. By Cramer's rule each seat's
+    win chance is N_s(p) / D(p) with N_s a polynomial, and a law cleared of
+    D is a polynomial identity in p.
+
+    Degree bounds. M's entries have degree <= R - 1 and c's <= R - 2, so
+    each challenge count C_r is a numerator of degree
+    <= (n - 1)(R - 1) + R - 2 over D. A level-1 win chance is
+    (q C_r + [r = 0]) p^(R-1) and game one multiplies by p or q, so every
+    N_s, and D (degree <= n(R - 1)), has degree <= (n + 1)(R - 1) + 1.
+    - Sum of the win chances = 1 clears to sum(N_s) - D, of the same degree.
+    - The default-streak ratio law w[k+1] (1 + q p^(n-2)) = w[k] clears to
+      N_{k+1} (1 + q p^(n-2)) - N_k; with R = n - 1 its degree is
+      <= (n + 1)(n - 2) + 1 + (n - 1) = n^2 - 2.
+    """
+
+    @staticmethod
+    def ratio_law(n, power):
+        def law(p, cleared):
+            factor = 1 + (1 - p) * p**power
+            return all(cleared[k + 1] * factor == cleared[k] for k in range(1, n - 1))
+
+        return law
+
+    @pytest.mark.parametrize(
+        "n, streak", [(n, streak) for n in range(2, 7) for streak in range(1, n + 2)]
+    )
+    def test_win_chances_sum_to_one(self, n, streak):
+        def law(p, cleared):
+            return sum(cleared[:-1]) == cleared[-1]
+
+        assert holds_for_every_p(n, streak, law, (n + 1) * (streak - 1) + 1)
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_default_streak_ratio(self, n):
+        assert holds_for_every_p(n, n - 1, self.ratio_law(n, n - 2), n * n - 2)
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_ratio_with_one_power_too_many_fails(self, n):
+        assert not holds_for_every_p(n, n - 1, self.ratio_law(n, n - 1), n * n - 2)
+
+    def test_a_bound_too_small_is_caught(self):
+        with pytest.raises(AssertionError, match="degree above 6"):
+            holds_for_every_p(4, 3, lambda p, cleared: True, 6)
 
 
 class TestExpectedGames:

@@ -10,6 +10,7 @@ from montmort.etrennes import EtrennesConfig
 from montmort.montecarlo import leher_simulate
 from montmort.pool import PoolConfig
 from montmort.rational import (
+    approx_string,
     as_rational,
     decimal_string,
     format_rational,
@@ -114,6 +115,10 @@ class TestDecimalString:
 
     def test_default_six_digits(self):
         assert decimal_string(Fraction(2828, 5525)) == "0.511855"
+
+    def test_approx_string_puts_the_exact_form_first(self):
+        assert approx_string(Fraction(2828, 5525)) == "2828/5525 ≈ 0.511855"
+        assert approx_string(Fraction(2828, 5525), digits=2) == "2828/5525 ≈ 0.51"
 
     def test_zero_digits(self):
         assert decimal_string(Fraction(22, 7), 0) == "3"

@@ -12,6 +12,7 @@ from oracles import (
     support_enumeration_solve,
 )
 
+from montmort import solver
 from montmort.leher import build_leher_matrix, threshold_matrix
 from montmort.rational import format_rational, parse_rational
 from montmort.solver import (
@@ -382,9 +383,13 @@ class TestBestResponse:
 
 class TestVerifyEquilibrium:
     def test_trivial_one_by_one(self):
-        ok, value, certificate = verify_equilibrium(
+        check = verify_equilibrium(
             matrix([[Fraction(5, 9)]]), MixedStrategy([1]), MixedStrategy([1])
         )
+        assert check._fields == ("is_equilibrium", "value", "certificate")
+        assert repr(check).startswith("EquilibriumCheck(is_equilibrium=True, value=")
+        ok, value, certificate = check
+        assert (ok, value, certificate) == (check.is_equilibrium, check.value, check.certificate)
         assert ok and value == Fraction(5, 9)
         assert certificate.row_payoffs == (Fraction(5, 9),)
 
@@ -556,6 +561,12 @@ class TestSolveZeroSum:
     def test_wide_and_tall_matrices(self):
         assert solve_zero_sum(matrix([[1, 2, 3]])).value == 1
         assert solve_zero_sum(matrix([[1], [2], [3]])).value == 3
+
+    def test_refuses_a_solution_that_fails_certification(self, monkeypatch):
+        # Both players pure on their first strategy is no equilibrium of matching pennies.
+        monkeypatch.setattr(solver, "_simplex", lambda reduced: ((1, 0), (1, 0)))
+        with pytest.raises(RuntimeError, match="computed solution failed certification"):
+            solve_zero_sum(matrix([[1, -1], [-1, 1]]))
 
 
 class TestSolverProperties:
