@@ -32,9 +32,10 @@ probabilities included.
 The pool's duration moments come from first-step analysis over the run of
 champion wins, sharing nothing with the engine's closed-form mean.
 The linear-system reference is the engine's former Gaussian elimination
-over Fractions; the unlumped pool solve and the support-equalising solves
-run on it, so the engine's fraction-free kernel is never checked against
-itself. The decimal-rendering reference is the engine's former
+over Fractions; the unlumped pool solve, the support-equalising solves and
+the reference pool solve run on it, so the engine's fraction-free kernel is
+never checked against itself. The reference pool solve is the engine's
+former one, the dense level-1 system built and solved as Fractions. The decimal-rendering reference is the engine's former
 digit-by-digit long division. `seed_with_output` runs the stream backwards
 from a chosen raw output, so a test can force the rare rejected draw.
 """
@@ -57,7 +58,7 @@ from montmort.leher import (
     paul_win_probability,
 )
 from montmort.montecarlo import MASK64, XORSHIFT_MULTIPLIER, RandomStream
-from montmort.pool import PoolConfig
+from montmort.pool import PoolConfig, PoolDivergenceError, PoolSolution
 from montmort.solver import GameMatrix
 
 
@@ -242,6 +243,84 @@ def solve_linear_system_reference(
             acc -= a[row][k] * solution[k]
         solution[row] = acc / a[row][row]
     return solution
+
+
+def level_one_reference(
+    config: PoolConfig,
+) -> tuple[list[list[Fraction]], list[list[tuple[int, Fraction]]]]:
+    """The level-1 system I - M as Fractions, and each level-1 role's win path.
+
+    The engine's former build. Role 0 is the champion on streak s and role
+    i is queue position i; a champion win moves role r to won[r] one level
+    up and a loss sends it to lost[r] on level 1. After j wins in a row
+    (j = 0..R-2) level-1 role r is role won^j(r) with weight p^j, and a
+    loss there, with probability q = 1 - p, lands on level 1.
+    """
+    n, p = config.players, config.champion_win_prob
+    won, lost = _role_moves(n)
+    system = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    paths = []
+    for r in range(n):
+        path, role, weight = [], r, Fraction(1)
+        for _ in range(config.streak_required - 1):
+            path.append((role, weight))
+            system[r][lost[role]] -= weight * (1 - p)
+            role, weight = won[role], weight * p
+        paths.append(path)
+    return system, paths
+
+
+def _role_moves(players: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Each role's next role after a champion win (won) and a loss (lost)."""
+    waiting = tuple(range(1, players - 1))
+    return (0, players - 1, *waiting), (players - 1, 0, *waiting)
+
+
+def pool_solve_reference(config: PoolConfig) -> PoolSolution:
+    """The engine's former pool solve: every step a Fraction, every solve dense.
+
+    Two solves of `level_one_reference` by the Fraction elimination: the
+    first counts each role's challenges (games as queue position 1), which
+    give the level-1 win chances (q C + [r = 0]) p^(R-1) and losses
+    C + [r = 0] less those; the second, with a right-hand side read off the
+    win paths, gives the games-weighted wins. Game one is one more step
+    from streak 0, and the duration is 1 plus the sum of p^-j, j = 1..R-1.
+    A singular system raises `PoolDivergenceError`, as the engine does.
+    """
+    n, p, streak = config.players, config.champion_win_prob, config.streak_required
+    q, reign = 1 - p, p ** (streak - 1)
+    won, lost = _role_moves(n)
+    system, paths = level_one_reference(config)
+
+    def solve(constants):
+        solution = solve_linear_system_reference(system, constants)
+        if solution is None:
+            raise PoolDivergenceError("the pool's linear system is singular; no certain finish")
+        return solution
+
+    def game_one(level_one, reward):
+        return [
+            gain + p * level_one[won[s]] + q * level_one[lost[s]] for s, gain in enumerate(reward)
+        ]
+
+    challenges = [sum((w for role, w in path if role == 1), Fraction(0)) for path in paths]
+    counts = solve(challenges)
+    level_win = [(q * count + int(r == 0)) * reign for r, count in enumerate(counts)]
+    level_losses = [count + int(r == 0) - w for r, (count, w) in enumerate(zip(counts, level_win))]
+    win = game_one(level_win, [Fraction(0)] * n)
+    losses = game_one(level_losses, [q, p] + [Fraction(0)] * (n - 2))
+    coupled = [
+        sum((j + 1) * w * q * level_win[lost[role]] for j, (role, w) in enumerate(path))
+        for path in paths
+    ]
+    coupled[0] += (streak - 1) * reign
+    games_won = game_one(solve(coupled), win)
+    games = 1 + sum((1 / p**j for j in range(1, streak)), Fraction(0))
+    payments = [config.ante + config.fee * seat_losses for seat_losses in losses]
+    nets = [
+        config.pot * w + config.fee * g - paid for w, g, paid in zip(win, games_won, payments)
+    ]
+    return PoolSolution(tuple(win), games, tuple(payments), tuple(nets))
 
 
 def unlumped_win_probabilities(config: PoolConfig) -> tuple[Fraction, ...]:

@@ -35,6 +35,11 @@ _POOL_STREAK_1 = [
     "pool", "solve", "--players", "4", "--p", "2/3", "--streak", "1",
     "--ante", "3/2", "--fee", "1/4",
 ]
+_POOL_STREAK_9 = [
+    "pool", "solve", "--players", "4", "--p", "2/3", "--streak", "9",
+    "--ante", "3/2", "--fee", "1/4",
+]
+_POOL_STREAK_25 = ["pool", "solve", "--players", "3", "--p", "999/1000", "--streak", "25"]
 _POOL_SIM_3 = ["pool", "simulate", "--players", "3", "--seed", "42"]
 _POOL_SIM_3_CAP_2 = [*_POOL_SIM_3, "--trials", "50", "--max-games", "2"]
 _SIM_LEHER_17 = [
@@ -96,6 +101,13 @@ CASES = {
         "pool", "solve", "--players", "20", "--p", "2/5", "--streak", "10",
         "--ante", "3/2", "--fee", "1/4", *_JSON,
     ]),
+    # Win paths longer than the table: eight and 24 steps.
+    "pool_solve_4_streak_9_stakes.txt": (0, _POOL_STREAK_9),
+    "pool_solve_4_streak_9_stakes.json": (0, [*_POOL_STREAK_9, *_JSON]),
+    "pool_solve_4_streak_9_stakes.csv": (0, [*_POOL_STREAK_9, *_CSV]),
+    "pool_solve_3_streak_25.txt": (0, _POOL_STREAK_25),
+    "pool_solve_3_streak_25.json": (0, [*_POOL_STREAK_25, *_JSON]),
+    "pool_solve_3_streak_25.csv": (0, [*_POOL_STREAK_25, *_CSV]),
     "pool_simulate_3_seed_42.txt": (0, [*_POOL_SIM_3, "--trials", "2000"]),
     "pool_simulate_3_seed_42.json": (0, [*_POOL_SIM_3, "--trials", "2000", *_JSON]),
     "pool_simulate_3_seed_42.csv": (0, [*_POOL_SIM_3, "--trials", "2000", *_CSV]),

@@ -20,9 +20,10 @@ from oracles import (
     advance,
     duration_moments,
     enumerate_pool,
+    level_one_reference,
     opening_state,
+    pool_solve_reference,
     simulate_pool_reference,
-    solve_linear_system_reference,
     unlumped_win_probabilities,
 )
 
@@ -245,7 +246,7 @@ def _determinant(rows):
 def _cleared_win_chances(players, streak, p):
     """Each seat's win chance times D(p) = det(I - M(p)), then D(p) itself."""
     config = PoolConfig(players, p, streak_required=streak)
-    determinant = _determinant(pool._level_one(config)[0])
+    determinant = _determinant(level_one_reference(config)[0])
     return (*(w * determinant for w in pool_win_probabilities(config)), determinant)
 
 
@@ -514,27 +515,45 @@ _REFERENCE_PS = tuple(
 )
 
 
-def _solve_or_error(config):
+def _result_or_error(solve, config):
     try:
-        return pool_solve(config)
+        return solve(config)
     except Exception as error:  # compared by type only
         return type(error)
 
 
+def _assert_matches_reference(config):
+    expected = _result_or_error(pool_solve_reference, config)
+    assert _result_or_error(pool_solve, config) == expected, config
+    expected_win = expected if isinstance(expected, type) else expected.win_prob
+    assert _result_or_error(pool_win_probabilities, config) == expected_win, config
+
+
 class TestPoolSolveAgainstReferenceKernel:
-    """pool_solve with its linear solves done by the former Fraction elimination."""
+    """The engine against the former pool solve, every step a Fraction.
+
+    `oracles.pool_solve_reference` builds the dense level-1 system as
+    Fractions and solves it with the former Fraction elimination, so it
+    shares no arithmetic with the engine's solve.
+    """
 
     @pytest.mark.parametrize("players", range(2, 13))
-    def test_same_solution(self, players, monkeypatch):
-        configs = [
-            PoolConfig(players, p, ante=Fraction(3, 2), fee=Fraction(5, 7), streak_required=r)
-            for r in range(1, players + 2)
-            for p in _REFERENCE_PS
-        ]
-        produced = [_solve_or_error(config) for config in configs]
-        monkeypatch.setattr(pool, "solve_linear_system", solve_linear_system_reference)
-        for config, result in zip(configs, produced):
-            assert _solve_or_error(config) == result, config
+    def test_same_solution(self, players):
+        for r in range(1, players + 2):
+            for p in _REFERENCE_PS:
+                _assert_matches_reference(
+                    PoolConfig(players, p, ante=Fraction(3, 2), fee=Fraction(5, 7), streak_required=r)
+                )
+
+    @pytest.mark.parametrize("players", range(3, 6))
+    def test_long_streaks(self, players):
+        # Win paths far longer than the table, and p near 1, where every
+        # path weight is a large power.
+        for r in range(players + 2, 41):
+            for p in (Fraction(1, 3), Fraction(999, 1000), Fraction(1)):
+                _assert_matches_reference(
+                    PoolConfig(players, p, ante=Fraction(3, 2), fee=Fraction(1, 4), streak_required=r)
+                )
 
 
 class TestPoolSimulate:
