@@ -29,9 +29,10 @@ the duration has a closed form. The test suite cross-checks against the
 unlumped state-space solve, truncated enumeration of game sequences and,
 under the default streak, the historical pool's closed-form ratio.
 
-Everything is exact: the solve's answers are Fractions, and the Monte Carlo
-cross-check returns its counts and their Fraction frequencies; the command
-that prints a run computes its standard errors.
+Everything is exact: the solve runs on integers, each level-1 row times
+b^(R-1) for p = a/b, and builds one Fraction per reported figure; the Monte
+Carlo cross-check returns its counts and their Fraction frequencies; the
+command that prints a run computes its standard errors.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from fractions import Fraction
 
 from .montecarlo import _pool_trials
 from .rational import require_integer, require_rational
-from .solver import solve_linear_system
+from .solver import _solve_integer_system
 
 DEFAULT_TRIAL_GAME_CAP = 1_000_000
 #: Largest players * max(players, streak_required - 1) the exact solve takes on.
@@ -103,17 +104,17 @@ def _moves(players: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (0, players - 1, *waiting), (players - 1, 0, *waiting)
 
 
-def _solve(system: list[list[Fraction]], constants: list[Fraction]) -> list[Fraction]:
-    solution = solve_linear_system(system, constants)
-    if solution is None:
+def _solve(rows: list[list[int]]) -> tuple[list[int], int]:
+    solved = _solve_integer_system(rows)
+    if solved is None:
         raise PoolDivergenceError("the pool's linear system is singular; no certain finish")
-    return solution
+    return solved
 
 
 def _level_one(config: PoolConfig) -> tuple[
-    list[list[Fraction]], list[list[tuple[int, Fraction]]], list[Fraction], list[Fraction]
+    list[list[int]], list[list[int]], list[int], list[int], int
 ]:
-    """The level-1 system I - M, each role's win path, and its win chance and losses.
+    """The level-1 system on integers, and each role's certified win chance and losses.
 
     Level s (streak 1..R-1) has n roles: role 0 is the champion on streak s
     and role i is queue position i. A champion win moves role r up a level
@@ -131,57 +132,72 @@ def _level_one(config: PoolConfig) -> tuple[
     or reign that misses the pot ends in exactly one loss, so role r wins
     with probability (q C + [r = 0]) p^(R-1) and loses C + [r = 0] less
     that. With R = 1 every path is empty and C = 0.
+
+    With p = a/b and K = R - 1, row r times b^K is the integer row b^K e_r -
+    sum_j a^j (b - a) b^(K-1-j) e_lost[won^j r], constant sum_j a^j b^(K-j)
+    [won^j r = 1]. Returned: the rows, each row's (j + 1) a^j b^(K-1-j) by
+    landing role, the win chances and losses over level = b^(K+1) det, level.
     """
     _require_within_reach(config)
-    n, p = config.players, config.champion_win_prob
+    n, k = config.players, config.streak_required - 1
+    a, b = config.champion_win_prob.as_integer_ratio()
     won, lost = _moves(n)
-    system = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-    paths, challenges = [], []
+    steps = [a**j * b ** (k - 1 - j) for j in range(k)]
+    rows, landings, challenges = [], [], []
     for r in range(n):
-        path, role, weight = [], r, Fraction(1)
-        for _ in range(config.streak_required - 1):
-            path.append((role, weight))
-            system[r][lost[role]] -= weight * (1 - p)
-            role, weight = won[role], weight * p
-        paths.append(path)
-        challenges.append(sum((w for role, w in path if role == 1), Fraction(0)))
-    counts, reign = _solve(system, challenges), p ** (config.streak_required - 1)
-    win = [((1 - p) * count + int(r == 0)) * reign for r, count in enumerate(counts)]
-    losses = [count + int(r == 0) - w for r, (count, w) in enumerate(zip(counts, win))]
-    return system, paths, win, losses
+        row, landing, challenge, role = [0] * n, [0] * n, 0, r
+        for j, weight in enumerate(steps):
+            challenge += weight * (role == 1)
+            row[lost[role]] -= (b - a) * weight
+            landing[lost[role]] += (j + 1) * weight
+            role = won[role]
+        row[r] += b**k
+        rows.append(row)
+        landings.append(landing)
+        challenges.append(b * challenge)
+    counts, det = _solve([row + [c] for row, c in zip(rows, challenges)])
+    counts[0] += det  # role 0 also holds its current reign
+    reign, scale = a**k, b ** (k + 1)
+    win = [reign * ((b - a) * held + a * det * (r == 0)) for r, held in enumerate(counts)]
+    if sum(win) != scale * det:
+        raise RuntimeError("pool solution failed certification: win chances do not sum to 1")
+    losses = [scale * held - w for held, w in zip(counts, win)]
+    return rows, landings, win, losses, scale * det
 
 
-def _game_one(
-    config: PoolConfig, level_one: list[Fraction], reward: list[Fraction]
-) -> list[Fraction]:
+def _game_one(config: PoolConfig, level_one: list[int], reward: list[int]) -> list[int]:
     """Each seat's value: game one is one more step of the level law.
 
-    Seat s holds role s at streak 0, collects reward[s] in game one and
-    lands on level 1 as won[s] or lost[s].
+    Seat s holds role s at streak 0, collects reward[s] in game one and lands
+    on level 1 as won[s] or lost[s]; all over b times the level-1 denominator.
     """
-    p = config.champion_win_prob
+    a, b = config.champion_win_prob.as_integer_ratio()
     won, lost = _moves(config.players)
     return [
-        gain + p * level_one[won[s]] + (1 - p) * level_one[lost[s]]
+        gain + a * level_one[won[s]] + (b - a) * level_one[lost[s]]
         for s, gain in enumerate(reward)
     ]
 
 
 def pool_win_probabilities(config: PoolConfig) -> tuple[Fraction, ...]:
     """Exact probability that each seat eventually takes the pot."""
-    return tuple(_game_one(config, _level_one(config)[2], [Fraction(0)] * config.players))
+    _, _, level_win, _, level = _level_one(config)
+    seat = config.champion_win_prob.denominator * level
+    return tuple(Fraction(w, seat) for w in _game_one(config, level_win, [0] * config.players))
 
 
 def pool_expected_games(config: PoolConfig) -> Fraction:
     """Exact expected number of games played, the final one included.
 
     After game one every loss restarts a champion at streak 1, so the rest
-    of the pool is the wait for R - 1 champion wins in a row, whose mean is
-    the sum of p^-j for j = 1..R-1.
+    of the pool is the wait for K = R - 1 champion wins in a row, whose mean
+    is Feller's (1 - p^K) / (q p^K). With p = a/b the total is the integer
+    (b^(K+1) - a^(K+1)) / (b - a) over a^K, and R at p = 1.
     """
     _require_within_reach(config)
-    p = config.champion_win_prob
-    return 1 + sum((1 / p**j for j in range(1, config.streak_required)), Fraction(0))
+    a, b = config.champion_win_prob.as_integer_ratio()
+    k = config.streak_required - 1
+    return Fraction(k + 1 if a == b else (b ** (k + 1) - a ** (k + 1)) // (b - a), a**k)
 
 
 @dataclass(frozen=True)
@@ -201,30 +217,39 @@ def pool_solve(config: PoolConfig) -> PoolSolution:
     pot share is E[(n * ante + fee * G) 1{seat wins}]. One solve of the
     level-1 system counts challenges, which give the win chances and the
     losses; the coupled term E[G 1{seat wins}] is a second right-hand side,
-    and game one is one more step of the same law.
+    and game one is one more step of the same law. Before any Fraction is
+    built, the losses and the games-weighted wins are certified to sum to
+    E[G] (each game has one loser, each pool one winner); with the win
+    chances' sum of 1 and the pot of n antes, the nets sum to 0.
     """
-    system, paths, level_win, level_losses = _level_one(config)
-    n, p, streak = config.players, config.champion_win_prob, config.streak_required
-    _, lost = _moves(n)
-    win = _game_one(config, level_win, [Fraction(0)] * n)
+    rows, landings, level_win, level_losses, level = _level_one(config)
+    n, k = config.players, config.streak_required - 1
+    a, b = config.champion_win_prob.as_integer_ratio()
+    seat, win = b * level, _game_one(config, level_win, [0] * n)
     # The champion pays when beaten; the challenger pays whenever the
     # champion wins, the final game included.
-    losses = _game_one(config, level_losses, [1 - p, p] + [Fraction(0)] * (n - 2))
-    # E[(games from level 1 on) 1{wins}]: a path cut by a loss at step j has
-    # played j + 1 games and restarts on level 1; role 0's path takes the
-    # pot after R - 1 games. Game one adds a game to every winning history.
-    coupled_constants = [
-        sum((j + 1) * w * (1 - p) * level_win[lost[role]] for j, (role, w) in enumerate(path))
-        for path in paths
-    ]
-    coupled_constants[0] += (streak - 1) * p ** (streak - 1)
-    games_won = _game_one(config, _solve(system, coupled_constants), win)
-
+    losses = _game_one(config, level_losses, [(b - a) * level, a * level] + [0] * (n - 2))
+    # E[(games from level 1 on) 1{wins}], times b^K level: a path cut by a
+    # loss at step j has played j + 1 games and restarts on level 1; role 0's
+    # path takes the pot after K games. Game one adds a game to every win.
+    coupled = [(b - a) * sum(x * w for x, w in zip(landing, level_win)) for landing in landings]
+    coupled[0] += k * a**k * level
+    games_won, det = _solve([row + [c] for row, c in zip(rows, coupled)])
+    games_won = _game_one(config, games_won, [w * det for w in win])
+    games = pool_expected_games(config)
+    sums = [sum(losses) * games.denominator, sum(games_won) * games.denominator]
+    if sums != [games.numerator * seat, games.numerator * seat * det]:
+        raise RuntimeError("pool solution failed certification: a sum misses the expected games")
+    # Payments over stakes * seat, nets over stakes * seat * det.
     ante, fee = config.ante, config.fee
-    payments = [ante + fee * seat_losses for seat_losses in losses]
-    receipts = [config.pot * w + fee * g for w, g in zip(win, games_won)]
-    nets = [receipt - payment for receipt, payment in zip(receipts, payments)]
-    return PoolSolution(tuple(win), pool_expected_games(config), tuple(payments), tuple(nets))
+    stake, charge = ante.numerator * fee.denominator, fee.numerator * ante.denominator
+    paid = [stake * seat + charge * x for x in losses]
+    nets = [n * stake * w * det + charge * g - x * det for w, g, x in zip(win, games_won, paid)]
+    stakes = ante.denominator * fee.denominator * seat
+    return PoolSolution(
+        tuple(Fraction(w, seat) for w in win), games,
+        tuple(Fraction(x, stakes) for x in paid), tuple(Fraction(x, stakes * det) for x in nets),
+    )
 
 
 # ---------------------------------------------------------------------------

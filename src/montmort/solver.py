@@ -16,8 +16,8 @@ Values are unique; optimal mixes need not be. Ties are broken
 deterministically and the same way for every positive affine map of the
 payoffs (the simplex runs on the entries rescaled onto [1, 2]).
 
-The module also holds the exact linear solve the pool runs on: fraction-free
-integer elimination, with one Fraction per unknown built at the end.
+The module also holds the exact linear solve: fraction-free elimination on
+integers, which the pool calls directly, under a rational wrapper.
 """
 
 from __future__ import annotations
@@ -158,52 +158,23 @@ class EliminationResult:
 # ---------------------------------------------------------------------------
 
 
-def solve_linear_system(
-    coefficients: list[list[Fraction]], constants: list[Fraction]
-) -> list[Fraction] | None:
-    """Solve a square system exactly; None when the matrix is singular.
+def _solve_integer_system(rows: list[list[int]]) -> tuple[list[int], int] | None:
+    """(det * x, det) for the augmented int rows [A | b], or None if A is singular.
 
-    Fraction-free Gaussian elimination (Bareiss 1968, "Sylvester's identity
-    and multistep integer-preserving Gaussian elimination"): every step runs
-    on Python ints, and one Fraction per unknown is built at the end.
-
-    Each matrix row is scaled to integers by the lcm of its own
-    denominators. The constants are put over one common denominator D_b of
-    their own, and each row's constant is then multiplied by that row's
-    scale, so the integer system's solution is D_b times the original one.
-    D_b is kept out of the row scales on purpose: the constants can carry
-    far larger denominators than the matrix (the pool's coupled right-hand
-    side does), and folding them into a row scale would blow up the matrix
-    entries and every minor computed from them, where kept apart they only
-    enlarge the one constant column.
-
+    Fraction-free Gaussian elimination in place (Bareiss 1968, "Sylvester's
+    identity and multistep integer-preserving Gaussian elimination").
     Column by column, the pivot is the first row at or below the diagonal
     with a nonzero entry there; the solution is unique, so which nonzero
     pivot is taken does not change it. Every row below is updated as
     (pivot * x - factor * y) // previous pivot. By Sylvester's identity each
     entry after step k is a (k + 1) x (k + 1) minor of the row-permuted
-    integer matrix, so every division is exact. When a column has no
-    nonzero entry left at or below the diagonal, its leading columns are
-    linearly dependent: the matrix is singular exactly then, and None is
-    returned. Otherwise the last pivot is the determinant det (up to the
-    sign of the row swaps), and by Cramer's rule det times each unknown of
-    the integer system is a minor, so back-substitution for det * D_b * x
-    divides exactly too. Floats and bools are refused with the TypeError of
-    `as_rational`.
+    matrix, so every division is exact. When a column has no nonzero entry
+    left at or below the diagonal, its leading columns are linearly
+    dependent: the matrix is singular exactly then. Otherwise the last pivot
+    is det, the row-permuted matrix's determinant, and by Cramer's rule
+    det * x is a vector of minors, so back-substitution divides exactly.
     """
-    size = len(coefficients)
-    if any(len(row) != size for row in coefficients) or len(constants) != size:
-        raise ValueError("system must be square with a matching constant vector")
-    constants = [as_rational(b) for b in constants]
-    rhs_scale = lcm(*(b.denominator for b in constants))
-    rows = []
-    for row, constant in zip(coefficients, constants):
-        row = [as_rational(x) for x in row]
-        scale = lcm(*(x.denominator for x in row))
-        rows.append(
-            [x.numerator * (scale // x.denominator) for x in row]
-            + [constant.numerator * (rhs_scale // constant.denominator) * scale]
-        )
+    size = len(rows)
     previous = 1
     for col in range(size):
         pivot_index = next((r for r in range(col, size) if rows[r][col]), None)
@@ -218,14 +189,48 @@ def solve_linear_system(
                 (pivot * x - factor * y) // previous for x, y in zip(row[col + 1:], tail)
             ]
         previous = pivot
-    # previous is now det, the row-permuted integer matrix's determinant.
     scaled = [0] * size
     for r in range(size - 1, -1, -1):
         row = rows[r]
         total = previous * row[size] - sum(row[k] * scaled[k] for k in range(r + 1, size))
         scaled[r] = total // row[r]
-    denominator = previous * rhs_scale
-    return [Fraction(x, denominator) for x in scaled]
+    return scaled, previous
+
+
+def solve_linear_system(
+    coefficients: list[list[Fraction]], constants: list[Fraction]
+) -> list[Fraction] | None:
+    """Solve a square system exactly; None when the matrix is singular.
+
+    Each matrix row is scaled to integers by the lcm of its own
+    denominators. The constants are put over one common denominator D_b of
+    their own, and each row's constant is then multiplied by that row's
+    scale, so the solution of the integer system, which
+    `_solve_integer_system` solves, is D_b times the original one.
+    D_b is kept out of the row scales on purpose: the constants can carry
+    far larger denominators than the matrix, and folding them into a row
+    scale would blow up the matrix entries and every minor computed from
+    them, where kept apart they only enlarge the one constant column. One
+    Fraction per unknown is built at the end. Floats and bools are refused
+    with the TypeError of `as_rational`.
+    """
+    size = len(coefficients)
+    if any(len(row) != size for row in coefficients) or len(constants) != size:
+        raise ValueError("system must be square with a matching constant vector")
+    constants = [as_rational(b) for b in constants]
+    rhs_scale = lcm(*(b.denominator for b in constants))
+    rows = []
+    for row, constant in zip(coefficients, constants):
+        row = [as_rational(x) for x in row]
+        scale = lcm(*(x.denominator for x in row))
+        rows.append(
+            [x.numerator * (scale // x.denominator) for x in row]
+            + [constant.numerator * (rhs_scale // constant.denominator) * scale]
+        )
+    if (solved := _solve_integer_system(rows)) is None:
+        return None
+    scaled, det = solved
+    return [Fraction(x, det * rhs_scale) for x in scaled]
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ class TestWinProbabilities:
             pool_solve(PoolConfig(4, Fraction(0)))
 
     def test_singular_system_is_refused(self, monkeypatch):
-        monkeypatch.setattr(pool, "solve_linear_system", lambda system, constants: None)
+        monkeypatch.setattr(pool, "_solve_integer_system", lambda rows: None)
         for solve in (pool_solve, pool_win_probabilities):
             with pytest.raises(PoolDivergenceError, match="singular"):
                 solve(FAIR3)
@@ -496,18 +496,42 @@ class TestPoolSolve:
     def test_eliminations_per_call(self, config, monkeypatch):
         # One elimination counts the challenges, which give the win chances
         # and the losses; one more gives the games-weighted wins.
-        calls, solve = [], pool.solve_linear_system
+        calls, solve = [], pool._solve_integer_system
 
-        def counted(coefficients, constants):
-            calls.append(len(constants))
-            return solve(coefficients, constants)
+        def counted(rows):
+            calls.append(len(rows))
+            return solve(rows)
 
-        monkeypatch.setattr(pool, "solve_linear_system", counted)
+        monkeypatch.setattr(pool, "_solve_integer_system", counted)
         pool_solve(config)
         assert calls == [config.players] * 2
         calls.clear()
         pool_win_probabilities(config)
         assert calls == [config.players]
+
+    @pytest.mark.parametrize("config", [FAIR3, PoolConfig(5, Fraction(2, 5), streak_required=3)])
+    @pytest.mark.parametrize(
+        "wrong_call, law",
+        [(0, "do not sum to 1"), (1, "misses the expected games")],
+        ids=["challenges", "games_weighted_wins"],
+    )
+    def test_a_wrong_solve_fails_certification(self, config, wrong_call, law, monkeypatch):
+        # Each solve's result is nudged in turn, as a kernel fault would:
+        # a wrong challenge count breaks the win chances' sum, a wrong
+        # coupled solve the games-weighted wins'.
+        calls, solve = [], pool._solve_integer_system
+
+        def nudged(rows):
+            scaled, det = solve(rows)
+            if len(calls) == wrong_call:
+                scaled[0] += 1
+            calls.append(len(rows))
+            return scaled, det
+
+        monkeypatch.setattr(pool, "_solve_integer_system", nudged)
+        with pytest.raises(RuntimeError, match=law):
+            pool_solve(config)
+        assert len(calls) == wrong_call + 1
 
 
 _REFERENCE_PS = tuple(
