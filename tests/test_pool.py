@@ -563,21 +563,19 @@ class TestPoolSolveAgainstReferenceKernel:
 
     @pytest.mark.parametrize("players", range(2, 13))
     def test_same_solution(self, players):
+        stakes = {"ante": Fraction(3, 2), "fee": Fraction(5, 7)}
         for r in range(1, players + 2):
             for p in _REFERENCE_PS:
-                _assert_matches_reference(
-                    PoolConfig(players, p, ante=Fraction(3, 2), fee=Fraction(5, 7), streak_required=r)
-                )
+                _assert_matches_reference(PoolConfig(players, p, **stakes, streak_required=r))
 
     @pytest.mark.parametrize("players", range(3, 6))
     def test_long_streaks(self, players):
         # Win paths far longer than the table, and p near 1, where every
         # path weight is a large power.
+        stakes = {"ante": Fraction(3, 2), "fee": Fraction(1, 4)}
         for r in range(players + 2, 41):
             for p in (Fraction(1, 3), Fraction(999, 1000), Fraction(1)):
-                _assert_matches_reference(
-                    PoolConfig(players, p, ante=Fraction(3, 2), fee=Fraction(1, 4), streak_required=r)
-                )
+                _assert_matches_reference(PoolConfig(players, p, **stakes, streak_required=r))
 
 
 class TestPoolSimulate:
