@@ -37,8 +37,8 @@ the reference pool solve run on it, so the engine's fraction-free kernel is
 never checked against itself. The reference pool solve is the engine's
 former one, the dense level-1 system built and solved as Fractions. The
 decimal-rendering reference is the engine's former digit-by-digit long
-division. `seed_with_output` runs the stream backwards
-from a chosen raw output, so a test can force the rare rejected draw.
+division. `seed_with_output` runs the stream backwards from a chosen raw
+output, so a test can force the rare rejected draw.
 """
 
 from __future__ import annotations
