@@ -29,6 +29,7 @@ from montmort.leher import (
 )
 from oracles import (
     _cell,
+    certificate_reference,
     physical_deal_tallies,
     rank_subset_win_weights,
     settle_deal,
@@ -671,6 +672,18 @@ class TestMixedValue:
             k = Fraction(rng.randint(1, 7), rng.randint(1, 7))
             assert mixed_value(k * a, k * b, c, d) == mixed_value(a, b, c, d)
             assert mixed_value(a, b, k * c, k * d) == mixed_value(a, b, c, d)
+
+    def test_rational_weights_match_the_reference_certificate(self):
+        rng = random.Random(38)
+        for _ in range(25):
+            a, b, c, d = (Fraction(rng.randint(0, 30), rng.randint(1, 9)) for _ in range(4))
+            a, c = a or Fraction(1, 3), c or Fraction(2, 7)
+            _, _, expected = certificate_reference(build_leher_matrix(), (a, b), (c, d))
+            value = mixed_value(a, b, c, d)
+            assert value == expected
+            assert type(value) is Fraction
+        value = mixed_value(Fraction(3, 8), Fraction(5, 8), Fraction(5, 2), Fraction(3, 2))
+        assert value == Fraction(11327, 22100) and type(value) is Fraction
 
     def test_accepts_wire_form_strings(self):
         assert mixed_value("3", "5", "1/2", "1/2") == Fraction(11327, 22100)

@@ -479,6 +479,88 @@ class TestCertificateAgainstReference:
             self._check(game, row_weights, col_weights, index)
 
 
+class TestRationalTokenWeights:
+    """Non-integer token weights give the reference certificate, as Fractions."""
+
+    @pytest.mark.parametrize(
+        "row_weights, col_weights",
+        [
+            ([Fraction(1, 3), Fraction(2, 7)], [Fraction(5, 2), 0]),
+            ([0, Fraction(5, 2)], [Fraction(2, 7), Fraction(1, 3)]),
+            ([Fraction(2, 7), 0], [Fraction(1, 3), Fraction(5, 2)]),
+        ],
+    )
+    def test_table_of_lots(self, row_weights, col_weights):
+        TestCertificateAgainstReference._check(
+            build_leher_matrix(), row_weights, col_weights, (row_weights, col_weights)
+        )
+
+    def test_seeded_games(self):
+        rng = random.Random("rational-weights")
+        choices = (0, Fraction(1, 3), Fraction(2, 7), Fraction(5, 2), 1)
+        for index in range(80):
+            game = rational_matrix(rng, "mixed", max_size=6)
+            row_weights = [rng.choice(choices) for _ in range(game.n_rows)]
+            col_weights = [rng.choice(choices) for _ in range(game.n_cols)]
+            row_weights[rng.randrange(game.n_rows)] = Fraction(1, 3)
+            col_weights[rng.randrange(game.n_cols)] = Fraction(2, 7)
+            TestCertificateAgainstReference._check(game, row_weights, col_weights, index)
+
+
+# ---------------------------------------------------------------------------
+# Games with rational entries
+# ---------------------------------------------------------------------------
+
+
+def rational_matrix(rng, kind, max_size=5):
+    """A seeded game whose entries are not all integers.
+
+    "mixed" entries have both signs and denominators 1 to 12, so entries
+    such as 1/2 and 3/6 tie; "lot" entries are 2500-3000 over 5450-5550,
+    like Le Her's lots, so the common denominator is large.
+    """
+    m, n = rng.randint(1, max_size), rng.randint(1, max_size)
+    if kind == "mixed":
+        def draw():
+            return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+    else:
+        def draw():
+            return Fraction(rng.randint(2500, 3000), rng.randint(5450, 5550))
+    return matrix([[draw() for _ in range(n)] for _ in range(m)])
+
+
+class TestRationalGames:
+    """Every solver stage against its reference on games with rational entries."""
+
+    @pytest.mark.parametrize("kind", ["mixed", "lot"])
+    def test_elimination_matches_reference(self, kind):
+        rng = random.Random(f"rational-elimination-{kind}")
+        for _ in range(200):
+            TestStrictEliminationOracle._check(rational_matrix(rng, kind, max_size=6))
+
+    @pytest.mark.parametrize("kind", ["mixed", "lot"])
+    @pytest.mark.parametrize("weights", ["zeros", "one", "full"])
+    def test_certificate_matches_reference(self, kind, weights):
+        rng = random.Random(f"rational-certificate-{kind}-{weights}")
+        for index in range(60):
+            game = rational_matrix(rng, kind, max_size=6)
+            row_weights = _seeded_weights(rng, game.n_rows, weights)
+            col_weights = _seeded_weights(rng, game.n_cols, weights)
+            TestCertificateAgainstReference._check(game, row_weights, col_weights, index)
+
+    @pytest.mark.parametrize("kind", ["mixed", "lot"])
+    def test_value_matches_support_enumeration(self, kind):
+        rng = random.Random(f"rational-value-{kind}")
+        for index in range(160):
+            game = rational_matrix(rng, kind, max_size=5)
+            solution = solve_zero_sum(game)
+            oracle_value, _, _ = support_enumeration_solve(game)
+            assert solution.value == oracle_value, index
+            assert type(solution.value) is Fraction, index
+            ok, value, _ = verify_equilibrium(game, solution.row_mix, solution.col_mix)
+            assert ok and value == solution.value, index
+
+
 # ---------------------------------------------------------------------------
 # Dominance elimination
 # ---------------------------------------------------------------------------
@@ -567,6 +649,31 @@ class TestSolveZeroSum:
         monkeypatch.setattr(solver, "_simplex", lambda reduced: ((1, 0), (1, 0)))
         with pytest.raises(RuntimeError, match="computed solution failed certification"):
             solve_zero_sum(matrix([[1, -1], [-1, 1]]))
+
+
+class TestTracedBoundaries:
+    """solve_zero_sum reaches dominance and the certificate through their module names."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"eliminate_dominated": 0, "verify_equilibrium": 0}
+        for name in counts:
+            original = getattr(solver, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(solver, name, counted)
+        return counts
+
+    def test_threshold_game_calls_each_once(self, calls):
+        solve_zero_sum(threshold_matrix())
+        assert calls == {"eliminate_dominated": 1, "verify_equilibrium": 1}
+
+    def test_pure_saddle_skips_dominance(self, calls):
+        solve_zero_sum(matrix([[1, 2], [3, 4]]))
+        assert calls == {"eliminate_dominated": 0, "verify_equilibrium": 1}
 
 
 class TestSolverProperties:
