@@ -1,13 +1,15 @@
 """Exact solving of two-player zero-sum matrix games.
 
-Entries are Fractions and everything stays exact. There is one solving path:
+Entries are Fractions and every answer is exact. There is one solving path:
 a pure saddle-point check first; failing that, iterated elimination of
 strictly dominated pure strategies in whole passes, then one rational simplex
 tableau for the column player's LP (Dantzig's matrix-game LP, with Bland's
 anti-cycling rule) over the reduced matrix. Either step yields a pair of
 probability vectors, which are zero-extended to the original strategies,
 stored as whole-number weights and certified against the original,
-unreduced matrix before being returned.
+unreduced matrix before being returned. The saddle check, dominance and the
+certificate compare and sum the ints L * A, L the lcm of A's denominators;
+as L > 0, every order and inequality among them is the one the entries give.
 
 The row player maximises; column payoffs are what the row player receives.
 Mixed strategies carry raw nonnegative weights (token counts, in the spirit
@@ -23,7 +25,7 @@ integers, which the pool calls directly, under a rational wrapper.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -238,14 +240,10 @@ def solve_linear_system(
 # ---------------------------------------------------------------------------
 
 
-def _row_payoffs(matrix: GameMatrix, col_probs: tuple[Fraction, ...]) -> list[Fraction]:
-    support = [j for j, q in enumerate(col_probs) if q]
-    return [sum(row[j] * col_probs[j] for j in support) for row in matrix.entries]
-
-
-def _col_payoffs(matrix: GameMatrix, row_probs: tuple[Fraction, ...]) -> list[Fraction]:
-    support = [(p, row) for p, row in zip(row_probs, matrix.entries) if p]
-    return [sum(p * row[j] for p, row in support) for j in range(matrix.n_cols)]
+def _scaled(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """(L * rows as ints, L), L the lcm of the denominators: L > 0 keeps every order."""
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
 def verify_equilibrium(
@@ -254,18 +252,29 @@ def verify_equilibrium(
     """Check that no pure deviation improves either player.
 
     Returns the profile value and the full deviation-payoff certificate
-    whether or not the profile is an equilibrium. Each payoff is summed over
-    the opposing mix's support and the value over the row mix's, since a
-    strategy played with probability 0 adds exactly 0.
+    whether or not the profile is an equilibrium. It sums ints: A' = L * A,
+    and weights x', y' scaled by their own lcms, with sums X and Y. With
+    R = A'y', C = x'A' and V = x'.R, each over the opposing support, the row
+    payoffs are R / (L * Y), the column payoffs C / (L * X) and the value
+    V / (L * X * Y); multiplied through by L * X * Y > 0, the equilibrium
+    test is max(R) * X <= V and min(C) * Y >= V.
     """
     if len(row_mix) != matrix.n_rows or len(col_mix) != matrix.n_cols:
         raise ValueError("mix lengths must match the matrix shape")
-    x = row_mix.probabilities()
-    row_payoffs = _row_payoffs(matrix, col_mix.probabilities())
-    col_payoffs = _col_payoffs(matrix, x)
-    value = sum(x[i] * row_payoffs[i] for i in row_mix.support())
-    ok = max(row_payoffs) <= value and min(col_payoffs) >= value
-    return EquilibriumCheck(ok, value, Certificate(tuple(row_payoffs), tuple(col_payoffs)))
+    entries, scale = _scaled(matrix.entries)
+    [x], _ = _scaled([row_mix.weights])
+    [y], _ = _scaled([col_mix.weights])
+    row_sums = [sum(a * q for a, q in zip(row, y) if q) for row in entries]
+    weighted_rows = [[p * a for a in row] for p, row in zip(x, entries) if p]
+    col_sums = [sum(column) for column in zip(*weighted_rows)]
+    total_x, total_y = sum(x), sum(y)
+    value = sum(p * r for p, r in zip(x, row_sums) if p)
+    ok = max(row_sums) * total_x <= value and min(col_sums) * total_y >= value
+    certificate = Certificate(
+        tuple(Fraction(r, scale * total_y) for r in row_sums),
+        tuple(Fraction(c, scale * total_x) for c in col_sums),
+    )
+    return EquilibriumCheck(ok, Fraction(value, scale * total_x * total_y), certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +282,7 @@ def verify_equilibrium(
 # ---------------------------------------------------------------------------
 
 
-def _undominated(
-    vectors: list[list[Fraction]], better: Callable[[Fraction, Fraction], bool]
-) -> list[int]:
+def _undominated(vectors: list[list[int]], better: Callable[[int, int], bool]) -> list[int]:
     """Positions of the vectors that no other vector beats in every entry."""
     return [
         k for k, v in enumerate(vectors) if not any(all(map(better, w, v)) for w in vectors)
@@ -291,15 +298,17 @@ def eliminate_dominated(matrix: GameMatrix) -> EliminationResult:
     every dominated column, and passes repeat until one removes nothing.
     Strict dominance is transitive, so every elimination order reaches this
     same reduced game (Gilboa, Kalai & Zemel 1990), and it keeps the value
-    and every equilibrium of the original.
+    and every equilibrium of the original. It compares the ints L * A, which
+    order as the entries do, and keeps the entries in the reduced matrix.
     """
     entries = matrix.entries
+    scaled, _ = _scaled(entries)
     rows, cols = list(range(matrix.n_rows)), list(range(matrix.n_cols))
     while True:
-        row_vectors = [[entries[i][j] for j in cols] for i in rows]
+        row_vectors = [[scaled[i][j] for j in cols] for i in rows]
         kept_rows = [rows[k] for k in _undominated(row_vectors, gt)]
         # The column player pays out the entries, so smaller dominates.
-        col_vectors = [[entries[i][j] for i in kept_rows] for j in cols]
+        col_vectors = [[scaled[i][j] for i in kept_rows] for j in cols]
         kept_cols = [cols[k] for k in _undominated(col_vectors, lt)]
         if (kept_rows, kept_cols) == (rows, cols):
             break
@@ -321,9 +330,11 @@ def _pure_saddle(matrix: GameMatrix) -> tuple[tuple[Fraction, ...], tuple[Fracti
     """Unit probability vectors on the first maximin row and minimax column.
 
     None when maximin and minimax differ: the game has no pure saddle point.
+    Both are read off the ints L * A, which order as the entries do.
     """
-    row_mins = [min(row) for row in matrix.entries]
-    col_maxs = [max(col) for col in zip(*matrix.entries)]
+    scaled, _ = _scaled(matrix.entries)
+    row_mins = [min(row) for row in scaled]
+    col_maxs = [max(col) for col in zip(*scaled)]
     maximin = max(row_mins)
     minimax = min(col_maxs)
     if maximin != minimax:
