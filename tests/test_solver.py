@@ -35,6 +35,23 @@ def random_matrix(rng, max_size=5, low=-9, high=9):
     return matrix([[rng.randint(low, high) for _ in range(n)] for _ in range(m)])
 
 
+def rational_matrix(rng, kind, max_size=5):
+    """A seeded game whose entries are not all integers.
+
+    "mixed" entries have both signs and denominators 1 to 12, so entries
+    such as 1/2 and 3/6 tie; "lot" entries are 2500-3000 over 5450-5550,
+    like Le Her's lots, so the common denominator is large.
+    """
+    m, n = rng.randint(1, max_size), rng.randint(1, max_size)
+    if kind == "mixed":
+        def draw():
+            return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+    else:
+        def draw():
+            return Fraction(rng.randint(2500, 3000), rng.randint(5450, 5550))
+    return matrix([[draw() for _ in range(n)] for _ in range(m)])
+
+
 GOLDEN_SOLVER = Path(__file__).resolve().parent / "golden_solver.json"
 
 
@@ -510,23 +527,6 @@ class TestRationalTokenWeights:
 # ---------------------------------------------------------------------------
 # Games with rational entries
 # ---------------------------------------------------------------------------
-
-
-def rational_matrix(rng, kind, max_size=5):
-    """A seeded game whose entries are not all integers.
-
-    "mixed" entries have both signs and denominators 1 to 12, so entries
-    such as 1/2 and 3/6 tie; "lot" entries are 2500-3000 over 5450-5550,
-    like Le Her's lots, so the common denominator is large.
-    """
-    m, n = rng.randint(1, max_size), rng.randint(1, max_size)
-    if kind == "mixed":
-        def draw():
-            return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
-    else:
-        def draw():
-            return Fraction(rng.randint(2500, 3000), rng.randint(5450, 5550))
-    return matrix([[draw() for _ in range(n)] for _ in range(m)])
 
 
 class TestRationalGames:
