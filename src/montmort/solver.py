@@ -101,9 +101,7 @@ class MixedStrategy:
     @classmethod
     def from_probabilities(cls, probabilities: Iterable[Fraction]) -> MixedStrategy:
         """Store probabilities as the smallest whole-number token counts."""
-        probs = tuple(probabilities)
-        scale = lcm(*(p.denominator for p in probs)) if probs else 1
-        ints = [int(p * scale) for p in probs]
+        [ints], _ = _scaled([tuple(probabilities)])
         divisor = gcd(*ints)
         if divisor > 1:
             ints = [i // divisor for i in ints]
@@ -242,7 +240,7 @@ def solve_linear_system(
 
 def _scaled(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     """(L * rows as ints, L), L the lcm of the denominators: L > 0 keeps every order."""
-    scale = lcm(*(x.denominator for row in rows for x in row))
+    scale = lcm(*{x.denominator for row in rows for x in row})
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
