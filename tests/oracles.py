@@ -753,6 +753,56 @@ def support_enumeration_solve(
     raise RuntimeError("support enumeration found no equilibrium; this cannot happen")
 
 
+def simplex_reference(matrix: GameMatrix) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Exact optimal (row, column) mixes from one rational simplex tableau.
+
+    The engine's former tableau, on a game without a pure saddle point. The
+    entries are mapped affinely onto [1, 2], so the game value is positive
+    and the column player's LP, maximise sum(t) subject to B t <= 1 and
+    t >= 0, starts feasible from the slack basis and is bounded. Bland's
+    rule (enter the lowest column with a negative reduced cost; among tied
+    ratios, leave by the lowest basic index) guarantees termination. At the
+    optimum sum(t) = 1 / value of the mapped game, the column mix is
+    t / sum(t), and the slack reduced costs divided by sum(t) are the row
+    mix, both normalised.
+    """
+    m, n = matrix.n_rows, matrix.n_cols
+    low = min(min(row) for row in matrix.entries)
+    span = max(max(row) for row in matrix.entries) - low  # > 0: no saddle point
+    one, zero = Fraction(1), Fraction(0)
+    rows = [
+        [(x - low) / span + 1 for x in payoffs]
+        + [one if k == i else zero for k in range(m)]
+        + [one]
+        for i, payoffs in enumerate(matrix.entries)
+    ]
+    objective = [-one] * n + [zero] * (m + 1)
+    basis = list(range(n, n + m))
+    while True:
+        entering = next((k for k in range(n + m) if objective[k] < 0), None)
+        if entering is None:
+            break
+        _, _, leaving = min(
+            (row[-1] / row[entering], basis[i], i)
+            for i, row in enumerate(rows)
+            if row[entering] > 0
+        )
+        pivot = rows[leaving]
+        scale = pivot[entering]
+        pivot[:] = [x / scale for x in pivot]
+        for row in rows + [objective]:
+            factor = row[entering]
+            if row is not pivot and factor:
+                row[:] = [x - factor * y for x, y in zip(row, pivot)]
+        basis[leaving] = entering
+    total = objective[-1]
+    t = [zero] * n
+    for i, k in enumerate(basis):
+        if k < n:
+            t[k] = rows[i][-1]
+    return tuple(y / total for y in objective[n:n + m]), tuple(x / total for x in t)
+
+
 def strict_elimination_reference(
     matrix: GameMatrix,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:

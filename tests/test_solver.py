@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     certificate_reference,
     negated_transpose,
+    simplex_reference,
     solve_linear_system_reference,
     strict_elimination_reference,
     support_enumeration_solve,
@@ -815,6 +816,64 @@ class TestSupportEnumerationOracle:
         ok, value, _ = verify_equilibrium(game, solution.row_mix, solution.col_mix)
         assert ok and value == solution.value
         assert len(solution.row_mix.support()) > 1
+
+
+
+def _has_pure_saddle(game):
+    maximin = max(min(row) for row in game.entries)
+    return maximin == min(max(column) for column in zip(*game.entries))
+
+
+class TestSimplexAgainstReference:
+    """The solved mixes against the former Fraction tableau on the reduced game.
+
+    Where optimal mixes are not unique, a tableau built another way could
+    return another optimal mix with the same value and still certify; the
+    reference pins which one.
+    """
+
+    @staticmethod
+    def _check(game, context):
+        solution = solve_zero_sum(game)
+        reduced = eliminate_dominated(game)
+        x, y = simplex_reference(reduced.matrix)
+        expected_x = [Fraction(0)] * game.n_rows
+        for i, p in zip(reduced.row_indices, x):
+            expected_x[i] = p
+        expected_y = [Fraction(0)] * game.n_cols
+        for j, q in zip(reduced.col_indices, y):
+            expected_y[j] = q
+        assert list(solution.row_mix.probabilities()) == expected_x, context
+        assert list(solution.col_mix.probabilities()) == expected_y, context
+        for w in (*solution.row_mix.weights, *solution.col_mix.weights):
+            assert type(w) is Fraction, context
+
+    @classmethod
+    def _check_all(cls, games):
+        mixed = [game for game in games if not _has_pure_saddle(game)]
+        for index, game in enumerate(mixed):
+            cls._check(game, index)
+        return len(mixed)
+
+    def test_golden_solver_games(self):
+        assert self._check_all(_golden_games()) >= 100
+
+    @pytest.mark.parametrize("kind", ["mixed", "lot"])
+    def test_rational_games(self, kind):
+        rng = random.Random(f"simplex-reference-{kind}")
+        games = [rational_matrix(rng, kind, max_size=6) for _ in range(200)]
+        assert self._check_all(games) >= 100
+
+    def test_eight_by_eight_games(self):
+        rng = random.Random(208)
+        games = [
+            matrix([[rng.randint(-9, 9) for _ in range(8)] for _ in range(8)])
+            for _ in range(20)
+        ]
+        assert self._check_all(games) == 20
+
+    def test_threshold_game(self):
+        assert self._check_all([threshold_matrix()]) == 1
 
 
 if __name__ == "__main__":
