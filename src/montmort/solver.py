@@ -2,24 +2,29 @@
 
 Entries are Fractions and every answer is exact. There is one solving path:
 a pure saddle-point check first; failing that, iterated elimination of
-strictly dominated pure strategies in whole passes, then one rational simplex
+strictly dominated pure strategies in whole passes, then one exact simplex
 tableau for the column player's LP (Dantzig's matrix-game LP, with Bland's
 anti-cycling rule) over the reduced matrix. Either step yields a pair of
-probability vectors, which are zero-extended to the original strategies,
-stored as whole-number weights and certified against the original,
-unreduced matrix before being returned. The saddle check, dominance and the
-certificate compare and sum the ints L * A, L the lcm of A's denominators;
-as L > 0, every order and inequality among them is the one the entries give.
+token-weight vectors, which are zero-extended to the original strategies,
+stored as the smallest whole-number weights and certified against the
+original, unreduced matrix before being returned. A solve scales the game
+once to the ints L * A, L the lcm of A's denominators; as L > 0, every
+order and inequality among them is the one the entries give. The saddle
+check reads those ints, and the tableau is built from the reduced game's
+rows of them: it is the tableau of the entries mapped onto [1, 2] with each
+row multiplied by a positive constant, which changes no pivot Bland's rule
+takes. Dominance and the certificate, the public stages, scale the matrix
+for themselves and compare and sum ints too.
 
 The row player maximises; column payoffs are what the row player receives.
 Mixed strategies carry raw nonnegative weights (token counts, in the spirit
 of the historical bag of black and white tokens) and normalise on demand.
 Values are unique; optimal mixes need not be. Ties are broken
 deterministically and the same way for every positive affine map of the
-payoffs (the simplex runs on the entries rescaled onto [1, 2]).
+payoffs, which leaves the entries mapped onto [1, 2] unchanged.
 
-The module also holds the exact linear solve: fraction-free elimination on
-integers, which the pool calls directly, under a rational wrapper.
+The module also holds the pool's exact linear solve: fraction-free
+elimination on integers.
 """
 
 from __future__ import annotations
@@ -197,42 +202,6 @@ def _solve_integer_system(rows: list[list[int]]) -> tuple[list[int], int] | None
     return scaled, previous
 
 
-def solve_linear_system(
-    coefficients: list[list[Fraction]], constants: list[Fraction]
-) -> list[Fraction] | None:
-    """Solve a square system exactly; None when the matrix is singular.
-
-    Each matrix row is scaled to integers by the lcm of its own
-    denominators. The constants are put over one common denominator D_b of
-    their own, and each row's constant is then multiplied by that row's
-    scale, so the solution of the integer system, which
-    `_solve_integer_system` solves, is D_b times the original one.
-    D_b is kept out of the row scales on purpose: the constants can carry
-    far larger denominators than the matrix, and folding them into a row
-    scale would blow up the matrix entries and every minor computed from
-    them, where kept apart they only enlarge the one constant column. One
-    Fraction per unknown is built at the end. Floats and bools are refused
-    with the TypeError of `as_rational`.
-    """
-    size = len(coefficients)
-    if any(len(row) != size for row in coefficients) or len(constants) != size:
-        raise ValueError("system must be square with a matching constant vector")
-    constants = [as_rational(b) for b in constants]
-    rhs_scale = lcm(*(b.denominator for b in constants))
-    rows = []
-    for row, constant in zip(coefficients, constants):
-        row = [as_rational(x) for x in row]
-        scale = lcm(*(x.denominator for x in row))
-        rows.append(
-            [x.numerator * (scale // x.denominator) for x in row]
-            + [constant.numerator * (rhs_scale // constant.denominator) * scale]
-        )
-    if (solved := _solve_integer_system(rows)) is None:
-        return None
-    scaled, det = solved
-    return [Fraction(x, det * rhs_scale) for x in scaled]
-
-
 # ---------------------------------------------------------------------------
 # Payoffs and certificates
 # ---------------------------------------------------------------------------
@@ -324,49 +293,48 @@ def eliminate_dominated(matrix: GameMatrix) -> EliminationResult:
 # ---------------------------------------------------------------------------
 
 
-def _pure_saddle(matrix: GameMatrix) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None:
-    """Unit probability vectors on the first maximin row and minimax column.
+def _pure_saddle(scaled: list[list[int]]) -> tuple[int, int] | None:
+    """The first maximin row and minimax column of the ints L * A.
 
     None when maximin and minimax differ: the game has no pure saddle point.
-    Both are read off the ints L * A, which order as the entries do.
+    As L > 0, the ints order as the entries do.
     """
-    scaled, _ = _scaled(matrix.entries)
     row_mins = [min(row) for row in scaled]
     col_maxs = [max(col) for col in zip(*scaled)]
     maximin = max(row_mins)
-    minimax = min(col_maxs)
-    if maximin != minimax:
+    if maximin != min(col_maxs):
         return None
-    i = row_mins.index(maximin)
-    j = col_maxs.index(minimax)
-    return (
-        tuple(Fraction(k == i) for k in range(matrix.n_rows)),
-        tuple(Fraction(k == j) for k in range(matrix.n_cols)),
-    )
+    return row_mins.index(maximin), col_maxs.index(maximin)
 
 
-def _simplex(matrix: GameMatrix) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Exact optimal (row, column) mixes from one rational simplex tableau.
+def _simplex(scaled: list[list[int]]) -> tuple[list[Fraction], list[Fraction]]:
+    """Optimal (row, column) token weights from one exact simplex tableau.
 
-    The entries are mapped affinely onto [1, 2], so the game value is
-    positive and the column player's LP, maximise sum(t) subject to B t <= 1
-    and t >= 0, starts feasible from the slack basis and is bounded. Bland's
-    rule (enter the lowest column with a negative reduced cost; among tied
-    ratios, leave by the lowest basic index) guarantees termination. At the
-    optimum sum(t) = 1 / value of the mapped game, the column mix is
-    t / sum(t), and the slack reduced costs divided by sum(t) are the row
-    mix. A positive affine map of the payoffs leaves the mapped game, hence
-    every pivot and both mixes, unchanged.
+    `scaled` is the reduced game's rows of the ints S = L * A. With low and
+    span > 0 their min and max - min, row i of the column player's LP,
+    maximise sum(t) subject to B t <= 1 and t >= 0 for B = (S - low) / span
+    + 1 (the entries mapped onto [1, 2]), is multiplied by span:
+    (S_i - low + span) t + s_i <= span, its slack column left a unit
+    vector. The mapped game's value is positive, so the LP starts feasible
+    from the slack basis and is bounded. Multiplying the rows by span keeps
+    every t-column reduced cost and every ratio, and the slack reduced costs
+    only shrink by 1 / span, so Bland's rule (enter the lowest column with a
+    negative reduced cost; among tied ratios, leave by the lowest basic
+    index) takes the pivots it takes on B and terminates. At the optimum the
+    column weights are t and the row weights the slack reduced costs, each
+    a positive multiple of that player's optimal mix. A positive affine map
+    of the payoffs leaves B, hence every pivot and both mixes, unchanged.
+    The entries are built as Fractions, so each pivot divides exactly.
     """
-    m, n = matrix.n_rows, matrix.n_cols
-    low = min(min(row) for row in matrix.entries)
-    span = max(max(row) for row in matrix.entries) - low  # > 0: no saddle point
+    m, n = len(scaled), len(scaled[0])
+    low = min(min(row) for row in scaled)
+    span = max(max(row) for row in scaled) - low  # > 0: no saddle point
     one, zero = Fraction(1), Fraction(0)
     rows = [
-        [(x - low) / span + 1 for x in payoffs]
+        [Fraction(x - low + span) for x in payoffs]
         + [one if k == i else zero for k in range(m)]
-        + [one]
-        for i, payoffs in enumerate(matrix.entries)
+        + [Fraction(span)]
+        for i, payoffs in enumerate(scaled)
     ]
     objective = [-one] * n + [zero] * (m + 1)
     basis = list(range(n, n + m))
@@ -387,43 +355,45 @@ def _simplex(matrix: GameMatrix) -> tuple[tuple[Fraction, ...], tuple[Fraction, 
             if row is not pivot and factor:
                 row[:] = [x - factor * y for x, y in zip(row, pivot)]
         basis[leaving] = entering
-    total = objective[-1]
     t = [zero] * n
     for i, k in enumerate(basis):
         if k < n:
             t[k] = rows[i][-1]
-    return tuple(y / total for y in objective[n:n + m]), tuple(x / total for x in t)
+    return objective[n:n + m], t
 
 
 def _zero_extend(
-    size: int, indices: Iterable[int], probabilities: Iterable[Fraction]
-) -> list[Fraction]:
-    """Place probabilities at their original indices; every other one is 0."""
+    size: int, indices: Iterable[int], weights: Iterable[Fraction | int]
+) -> list[Fraction | int]:
+    """Place weights at their original indices; every other one is 0."""
     full = [Fraction(0)] * size
-    for index, p in zip(indices, probabilities):
-        full[index] = p
+    for index, w in zip(indices, weights):
+        full[index] = w
     return full
 
 
 def solve_zero_sum(matrix: GameMatrix) -> GameSolution:
     """Exact minimax value and optimal mixes for a zero-sum matrix game.
 
-    A pure saddle point gives unit probability vectors directly. Otherwise
-    strictly dominated strategies are eliminated (which preserves the value
-    and every equilibrium) and the reduced game is solved by one exact
-    simplex tableau. Either way the probabilities are zero-extended to the
-    original strategies, stored as whole-number weights, and the mixes are
-    certified against the original matrix.
+    The game is scaled once to ints. A pure saddle point gives its row and
+    its column a weight of 1. Otherwise strictly dominated strategies are
+    eliminated (which preserves the value and every equilibrium) and the
+    reduced game's ints are solved by one exact simplex tableau. Either way
+    the weights are zero-extended to the original strategies, stored as the
+    smallest whole-number weights, and the mixes are certified against the
+    original matrix.
     Where optimal mixes are not unique, the one returned is deterministic
     and unchanged by any positive affine map of the payoffs.
     """
-    rows, cols = range(matrix.n_rows), range(matrix.n_cols)
-    probabilities = _pure_saddle(matrix)
-    if probabilities is None:
+    scaled, _ = _scaled(matrix.entries)
+    saddle = _pure_saddle(scaled)
+    if saddle is None:
         reduced = eliminate_dominated(matrix)
         rows, cols = reduced.row_indices, reduced.col_indices
-        probabilities = _simplex(reduced.matrix)
-    x, y = probabilities
+        x, y = _simplex([[scaled[i][j] for j in cols] for i in rows])
+    else:
+        rows, cols = (saddle[0],), (saddle[1],)
+        x = y = (1,)
     row_mix = MixedStrategy.from_probabilities(_zero_extend(matrix.n_rows, rows, x))
     col_mix = MixedStrategy.from_probabilities(_zero_extend(matrix.n_cols, cols, y))
     check = verify_equilibrium(matrix, row_mix, col_mix)
