@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from montmort.cli import SIGMA_BAND, _sigma, _verdict, main
+from montmort.cli import MAX_SIMULATED_GAMES, SIGMA_BAND, _sigma, _verdict, main
 from montmort.leher import build_leher_matrix, mixed_value
 from montmort.montecarlo import leher_simulate
 from montmort.pool import PoolConfig, pool_simulate, pool_win_probabilities
@@ -290,6 +290,41 @@ class TestCli:
         monkeypatch.setattr("montmort.pool.pool_simulate", simulate)
         assert main(["pool", "simulate", "--players", "101", "--seed", "1", "--trials", "1"]) == 2
         assert "beyond the exact solve's reach" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, planned",
+        [
+            # E[games] = 1,001,001,001,001,001: every trial would hit the game cap.
+            (["--p", "1/1000", "--streak", "6", "--trials", "100000"], 10**11),
+            (["--p", "1/1000", "--streak", "6", "--trials", "2", "--max-games", "50000001"],
+             100000002),
+            # E[games] = 3 at the default streak and p = 1/2.
+            (["--trials", "33333334"], 100000002),
+        ],
+        ids=["capped", "max_games", "trials"],
+    )
+    def test_pool_simulate_too_long_refused_before_any_work(
+        self, extra, planned, monkeypatch, capsys
+    ):
+        def work(*args, **kwargs):
+            raise AssertionError("a run beyond the game budget was started")
+
+        monkeypatch.setattr("montmort.pool.pool_simulate", work)
+        monkeypatch.setattr("montmort.pool.pool_win_probabilities", work)
+        assert main(["pool", "simulate", "--players", "3", "--seed", "1", *extra]) == 2
+        assert capsys.readouterr().err == (
+            "montmort: error: pool simulate beyond reach: trials * min(expected games,"
+            f" max_games) = {planned} exceeds {MAX_SIMULATED_GAMES} games\n"
+        )
+
+    def test_pool_simulate_at_the_game_budget_runs(self, monkeypatch):
+        # 33,333,333 trials of E[games] = 3 expect 99,999,999 games: not refused.
+        def stop(*args, **kwargs):
+            raise RuntimeError("simulation reached")
+
+        monkeypatch.setattr("montmort.pool.pool_win_probabilities", stop)
+        with pytest.raises(RuntimeError, match="simulation reached"):
+            main(["pool", "simulate", "--players", "3", "--seed", "1", "--trials", "33333333"])
 
     def test_malformed_threshold_is_a_usage_error(self, capsys):
         argv = ["leher", "conditional", "--player", "pierre", "--card", "8", "--action", "draw"]
