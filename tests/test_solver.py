@@ -42,12 +42,16 @@ def rational_matrix(rng, kind, max_size=5):
 
     "mixed" entries have both signs and denominators 1 to 12, so entries
     such as 1/2 and 3/6 tie; "lot" entries are 2500-3000 over 5450-5550,
-    like Le Her's lots, so the common denominator is large.
+    like Le Her's lots, so the common denominator is large; "ties" entries
+    are -2..2 over 1, 2 or 3, so many games have several optimal mixes.
     """
     m, n = rng.randint(1, max_size), rng.randint(1, max_size)
     if kind == "mixed":
         def draw():
             return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+    elif kind == "ties":
+        def draw():
+            return Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3)))
     else:
         def draw():
             return Fraction(rng.randint(2500, 3000), rng.randint(5450, 5550))
@@ -861,7 +865,7 @@ class TestSimplexAgainstReference:
     def test_golden_solver_games(self):
         assert self._check_all(_golden_games()) >= 100
 
-    @pytest.mark.parametrize("kind", ["mixed", "lot"])
+    @pytest.mark.parametrize("kind", ["mixed", "lot", "ties"])
     def test_rational_games(self, kind):
         rng = random.Random(f"simplex-reference-{kind}")
         games = [rational_matrix(rng, kind, max_size=6) for _ in range(200)]
