@@ -40,9 +40,8 @@ from .rational import (
 )
 
 SIGMA_BAND = 4  # simulation verdicts: estimate within 4 standard errors
-#: Most games `pool simulate` takes on: trials * min(expected games, max_games).
-#: The trial loop plays a game in 0.5-1.2 us (CPython 3.11, shared 2-vCPU VM),
-#: so the longest accepted run takes about two minutes.
+#: Most games `pool simulate` expects to play, trials * min(E[games], max_games):
+#: at 0.5-1.2 us a game (CPython 3.11, 2-vCPU VM), about two minutes.
 MAX_SIMULATED_GAMES = 10**8
 
 
@@ -219,16 +218,13 @@ def _cmd_pool_solve(args: argparse.Namespace) -> int:
 
 def _cmd_pool_simulate(args: argparse.Namespace) -> int:
     config = _pool_config(args)
-    # The run arguments, and a run too long to finish, are refused before the
-    # exact targets' Fraction work.
+    # Run arguments and overlong runs are refused before the exact targets.
     require_integer("trials", args.trials, 1)
     require_integer("max_games", args.max_games, 1)
     planned = args.trials * min(pool.pool_expected_games(config), args.max_games)
     if planned > MAX_SIMULATED_GAMES:
-        raise ValueError(
-            f"pool simulate beyond reach: trials * min(expected games, max_games)"
-            f" = {ceil(planned)} exceeds {MAX_SIMULATED_GAMES} games"
-        )
+        raise ValueError(f"pool simulate beyond reach: trials * min(expected games, max_games)"
+                         f" = {ceil(planned)} exceeds {MAX_SIMULATED_GAMES} games")
     targets = pool.pool_win_probabilities(config)
     result = pool.pool_simulate(config, seed=args.seed, trials=args.trials, max_games=args.max_games)
     games = _value_payload(result.expected_games)

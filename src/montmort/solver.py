@@ -6,15 +6,13 @@ strictly dominated pure strategies in whole passes, then one exact simplex
 tableau for the column player's LP (Dantzig's matrix-game LP, with Bland's
 anti-cycling rule) over the reduced matrix. Either step yields a pair of
 token-weight vectors, which are zero-extended to the original strategies,
-stored as the smallest whole-number weights and certified against the
-original, unreduced matrix before being returned. A solve scales the game
-once to the ints L * A, L the lcm of A's denominators; as L > 0, every
-order and inequality among them is the one the entries give. The saddle
-check reads those ints, and the tableau is built from the reduced game's
-rows of them: it is the tableau of the entries mapped onto [1, 2] with each
-row multiplied by a positive constant, which changes no pivot Bland's rule
-takes. Dominance and the certificate, the public stages, scale the matrix
-for themselves and compare and sum ints too.
+stored as whole-number weights and certified against the original,
+unreduced matrix before being returned. Every stage reads the ints L * A,
+L the lcm of A's denominators; as L > 0, every order and inequality among
+them is the one the entries give. A solve scales the game once for the
+saddle check and the tableau, whose rows are those of the entries mapped
+onto [1, 2] times a positive constant, so Bland's rule takes the same
+pivots; dominance and the certificate, public stages, scale for themselves.
 
 The row player maximises; column payoffs are what the row player receives.
 Mixed strategies carry raw nonnegative weights (token counts, in the spirit
@@ -308,23 +306,20 @@ def _pure_saddle(scaled: list[list[int]]) -> tuple[int, int] | None:
 
 
 def _simplex(scaled: list[list[int]]) -> tuple[list[Fraction], list[Fraction]]:
-    """Optimal (row, column) token weights from one exact simplex tableau.
+    """Optimal (row, column) token weights from one exact Fraction tableau.
 
-    `scaled` is the reduced game's rows of the ints S = L * A. With low and
-    span > 0 their min and max - min, row i of the column player's LP,
-    maximise sum(t) subject to B t <= 1 and t >= 0 for B = (S - low) / span
-    + 1 (the entries mapped onto [1, 2]), is multiplied by span:
-    (S_i - low + span) t + s_i <= span, its slack column left a unit
-    vector. The mapped game's value is positive, so the LP starts feasible
-    from the slack basis and is bounded. Multiplying the rows by span keeps
-    every t-column reduced cost and every ratio, and the slack reduced costs
-    only shrink by 1 / span, so Bland's rule (enter the lowest column with a
-    negative reduced cost; among tied ratios, leave by the lowest basic
-    index) takes the pivots it takes on B and terminates. At the optimum the
-    column weights are t and the row weights the slack reduced costs, each
-    a positive multiple of that player's optimal mix. A positive affine map
+    `scaled` holds the reduced game's ints S = L * A, with min low and
+    max - min span > 0. The column player's LP, maximise sum(t) subject to
+    B t <= 1 and t >= 0, on B = (S - low) / span + 1 (the entries mapped
+    onto [1, 2]) has a positive value, so it starts feasible from the slack
+    basis and is bounded. Row i is built times span, (S_i - low + span) t
+    + s_i = span, its slack column a unit vector: every t-column reduced
+    cost and every ratio stays, the slack reduced costs shrink by 1 / span,
+    so Bland's rule (enter the lowest column with a negative reduced cost;
+    among tied ratios, leave by the lowest basic index) takes B's pivots
+    and terminates. At the optimum t and the slack reduced costs are
+    positive multiples of the column and row mixes. A positive affine map
     of the payoffs leaves B, hence every pivot and both mixes, unchanged.
-    The entries are built as Fractions, so each pivot divides exactly.
     """
     m, n = len(scaled), len(scaled[0])
     low = min(min(row) for row in scaled)
