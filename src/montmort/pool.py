@@ -21,7 +21,7 @@ level up and every loss lands on level 1, so the pool is one exact n x n
 system over the level-1 roles (the absorbing-chain argument of Kemeny and
 Snell), each row read off the role's win path through consecutive champion
 wins. A player gets a new chance only by challenging, and every loss sends
-its loser to the back of the queue, so one solve counts each role's
+its loser to the back of the queue, so one elimination counts each role's
 challenges, and its win chance and fee losses are that count read two ways.
 Games-weighted wins are a second right-hand side, and game one is one more
 step of the same law from streak 0. The upper levels are never formed and
@@ -42,7 +42,6 @@ from fractions import Fraction
 
 from .montecarlo import _pool_trials
 from .rational import require_integer, require_rational
-from .solver import _solve_integer_system
 
 DEFAULT_TRIAL_GAME_CAP = 1_000_000
 #: Largest players * max(players, streak_required - 1) the exact solve takes on.
@@ -104,11 +103,42 @@ def _moves(players: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (0, players - 1, *waiting), (players - 1, 0, *waiting)
 
 
-def _solve(rows: list[list[int]]) -> tuple[list[int], int]:
-    solved = _solve_integer_system(rows)
-    if solved is None:
-        raise PoolDivergenceError("the pool's linear system is singular; no certain finish")
-    return solved
+def _eliminate(rows: list[list[int]]) -> None:
+    """Bareiss forward elimination of the int rows in place, with no pivot search.
+
+    Each row below step k's pivot row becomes (pivot * x - factor * y) //
+    previous pivot, exact as each entry is then a minor (Bareiss 1968). Rows
+    keep their factors and the diagonal its pivots, the last being det, so
+    `_solve` can replay the steps on constants: that gives the minors of an
+    augmented column, and det * x is minors too (Cramer). No pivot is needed:
+    with p = a/b and K = R - 1, row r is b^K e_r less entries a^j (b - a)
+    b^(K-1-j) >= 0 that telescope to b^K - a^K, strictly diagonally dominant
+    by a^K > 0 if p > 0 (p = 0 only at R = 1, where the rows are I). That
+    survives elimination (Golub and Van Loan), and a Bareiss entry is the
+    Gaussian one times a positive leading minor: every pivot is positive.
+    """
+    previous = 1
+    for col, pivot_row in enumerate(rows):
+        pivot, tail = pivot_row[col], pivot_row[col + 1:]
+        for row in rows[col + 1:]:
+            factor = row[col]
+            row[col + 1:] = [(pivot * x - factor * y) // previous
+                             for x, y in zip(row[col + 1:], tail)]
+        previous = pivot
+
+
+def _solve(rows: list[list[int]], constants: list[int]) -> tuple[list[int], int]:
+    """(det * x, det) with A x = constants, from A's rows after `_eliminate`."""
+    size, column, previous = len(rows), list(constants), 1
+    for col in range(size):
+        pivot, y = rows[col][col], column[col]
+        for r in range(col + 1, size):
+            column[r] = (pivot * column[r] - rows[r][col] * y) // previous
+        previous = pivot
+    for r in range(size - 1, -1, -1):  # back-substitution, in place
+        done = sum(x * s for x, s in zip(rows[r][r + 1:], column[r + 1:]))
+        column[r] = (previous * column[r] - done) // rows[r][r]
+    return column, previous
 
 
 def _level_one(config: PoolConfig) -> tuple[
@@ -133,10 +163,10 @@ def _level_one(config: PoolConfig) -> tuple[
     with probability (q C + [r = 0]) p^(R-1) and loses C + [r = 0] less
     that. With R = 1 every path is empty and C = 0.
 
-    With p = a/b and K = R - 1, row r times b^K is the integer row b^K e_r -
-    sum_j a^j (b - a) b^(K-1-j) e_lost[won^j r], constant sum_j a^j b^(K-j)
-    [won^j r = 1]. Returned: the rows, each row's (j + 1) a^j b^(K-1-j) by
-    landing role, the win chances and losses over level = b^(K+1) det, level.
+    With p = a/b and K = R - 1, row r times b^K is b^K e_r - sum_j a^j (b - a)
+    b^(K-1-j) e_lost[won^j r], constant sum_j a^j b^(K-j) [won^j r = 1].
+    Returned: the eliminated rows, each row's (j + 1) a^j b^(K-1-j) by landing
+    role, the win chances and losses over level = b^(K+1) det, level.
     """
     _require_within_reach(config)
     n, k = config.players, config.streak_required - 1
@@ -155,7 +185,8 @@ def _level_one(config: PoolConfig) -> tuple[
         rows.append(row)
         landings.append(landing)
         challenges.append(b * challenge)
-    counts, det = _solve([row + [c] for row, c in zip(rows, challenges)])
+    _eliminate(rows)
+    counts, det = _solve(rows, challenges)
     counts[0] += det  # role 0 also holds its current reign
     reign, scale = a**k, b ** (k + 1)
     win = [reign * ((b - a) * held + a * det * (r == 0)) for r, held in enumerate(counts)]
@@ -214,8 +245,8 @@ def pool_solve(config: PoolConfig) -> PoolSolution:
     """Complete exact solution: win chances, duration, payments and nets.
 
     A seat's payment is its ante plus the fee times its expected losses. Its
-    pot share is E[(n * ante + fee * G) 1{seat wins}]. One solve of the
-    level-1 system counts challenges, which give the win chances and the
+    pot share is E[(n * ante + fee * G) 1{seat wins}]. One elimination of
+    the level-1 system counts challenges, which give the win chances and the
     losses; the coupled term E[G 1{seat wins}] is a second right-hand side,
     and game one is one more step of the same law. Before any Fraction is
     built, the losses and the games-weighted wins are certified to sum to
@@ -234,7 +265,7 @@ def pool_solve(config: PoolConfig) -> PoolSolution:
     # path takes the pot after K games. Game one adds a game to every win.
     coupled = [(b - a) * sum(x * w for x, w in zip(landing, level_win)) for landing in landings]
     coupled[0] += k * a**k * level
-    games_won, det = _solve([row + [c] for row, c in zip(rows, coupled)])
+    games_won, det = _solve(rows, coupled)
     games_won = _game_one(config, games_won, [w * det for w in win])
     games = pool_expected_games(config)
     sums = [sum(losses) * games.denominator, sum(games_won) * games.denominator]

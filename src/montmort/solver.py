@@ -20,9 +20,6 @@ of the historical bag of black and white tokens) and normalise on demand.
 Values are unique; optimal mixes need not be. Ties are broken
 deterministically and the same way for every positive affine map of the
 payoffs, which leaves the entries mapped onto [1, 2] unchanged.
-
-The module also holds the pool's exact linear solve: fraction-free
-elimination on integers.
 """
 
 from __future__ import annotations
@@ -154,50 +151,6 @@ class EliminationResult:
     matrix: GameMatrix
     row_indices: tuple[int, ...]
     col_indices: tuple[int, ...]
-
-
-# ---------------------------------------------------------------------------
-# Exact linear algebra
-# ---------------------------------------------------------------------------
-
-
-def _solve_integer_system(rows: list[list[int]]) -> tuple[list[int], int] | None:
-    """(det * x, det) for the augmented int rows [A | b], or None if A is singular.
-
-    Fraction-free Gaussian elimination in place (Bareiss 1968, "Sylvester's
-    identity and multistep integer-preserving Gaussian elimination").
-    Column by column, the pivot is the first row at or below the diagonal
-    with a nonzero entry there; the solution is unique, so which nonzero
-    pivot is taken does not change it. Every row below is updated as
-    (pivot * x - factor * y) // previous pivot. By Sylvester's identity each
-    entry after step k is a (k + 1) x (k + 1) minor of the row-permuted
-    matrix, so every division is exact. When a column has no nonzero entry
-    left at or below the diagonal, its leading columns are linearly
-    dependent: the matrix is singular exactly then. Otherwise the last pivot
-    is det, the row-permuted matrix's determinant, and by Cramer's rule
-    det * x is a vector of minors, so back-substitution divides exactly.
-    """
-    size = len(rows)
-    previous = 1
-    for col in range(size):
-        pivot_index = next((r for r in range(col, size) if rows[r][col]), None)
-        if pivot_index is None:
-            return None
-        rows[col], rows[pivot_index] = rows[pivot_index], rows[col]
-        pivot_row = rows[col]
-        pivot, tail = pivot_row[col], pivot_row[col + 1:]
-        for row in rows[col + 1:]:
-            factor = row[col]
-            row[col + 1:] = [
-                (pivot * x - factor * y) // previous for x, y in zip(row[col + 1:], tail)
-            ]
-        previous = pivot
-    scaled = [0] * size
-    for r in range(size - 1, -1, -1):
-        row = rows[r]
-        total = previous * row[size] - sum(row[k] * scaled[k] for k in range(r + 1, size))
-        scaled[r] = total // row[r]
-    return scaled, previous
 
 
 # ---------------------------------------------------------------------------

@@ -286,7 +286,8 @@ def pool_solve_reference(config: PoolConfig) -> PoolSolution:
     C + [r = 0] less those; the second, with a right-hand side read off the
     win paths, gives the games-weighted wins. Game one is one more step
     from streak 0, and the duration is 1 plus the sum of p^-j, j = 1..R-1.
-    A singular system raises `PoolDivergenceError`, as the engine does.
+    A singular system, which p = 0 gives with R > 1, raises
+    `PoolDivergenceError`, which the engine raises for it before any solve.
     """
     n, p, streak = config.players, config.champion_win_prob, config.streak_required
     q, reign = 1 - p, p ** (streak - 1)

@@ -1,6 +1,7 @@
+import random
 import time
 from fractions import Fraction
-from math import sqrt
+from math import lcm, sqrt
 
 import pytest
 
@@ -24,6 +25,7 @@ from oracles import (
     opening_state,
     pool_solve_reference,
     simulate_pool_reference,
+    solve_linear_system_reference,
     unlumped_win_probabilities,
 )
 
@@ -113,11 +115,30 @@ class TestWinProbabilities:
         with pytest.raises(PoolDivergenceError):
             pool_solve(PoolConfig(4, Fraction(0)))
 
-    def test_singular_system_is_refused(self, monkeypatch):
-        monkeypatch.setattr(pool, "_solve_integer_system", lambda rows: None)
-        for solve in (pool_solve, pool_win_probabilities):
-            with pytest.raises(PoolDivergenceError, match="singular"):
-                solve(FAIR3)
+    def test_every_pivot_is_positive(self, monkeypatch):
+        # With p = a/b and K = R - 1 each level-1 row's diagonal exceeds its
+        # off-diagonal magnitudes by a^K, and elimination keeps that margin
+        # positive, so the elimination needs no pivot search.
+        eliminate, margin, checked = pool._eliminate, [], []
+
+        def checked_eliminate(rows):
+            for r, row in enumerate(rows):
+                off_diagonal = sum(abs(x) for j, x in enumerate(row) if j != r)
+                assert row[r] - off_diagonal == margin[0], (rows, r)
+            eliminate(rows)
+            assert all(row[r] > 0 for r, row in enumerate(rows)), rows
+            checked.append(len(rows))
+
+        monkeypatch.setattr(pool, "_eliminate", checked_eliminate)
+        chances = (Fraction(1, 10**6), Fraction(1, 3), Fraction(1, 2), Fraction(999999, 10**6), Fraction(1))
+        configs = [
+            PoolConfig(n, p, streak_required=r)
+            for n in range(2, 13) for r in range(1, 2 * n + 2) for p in chances
+        ] + [PoolConfig(n, Fraction(0), streak_required=1) for n in range(2, 13)]
+        for config in configs:
+            margin[:] = [config.champion_win_prob.numerator ** (config.streak_required - 1)]
+            pool_win_probabilities(config)
+        assert checked == [config.players for config in configs]
 
     def test_streak_one_with_spectators(self):
         probs = pool_win_probabilities(PoolConfig(5, Fraction(2, 3), streak_required=1))
@@ -494,20 +515,23 @@ class TestPoolSolve:
         ],
     )
     def test_eliminations_per_call(self, config, monkeypatch):
-        # One elimination counts the challenges, which give the win chances
-        # and the losses; one more gives the games-weighted wins.
-        calls, solve = [], pool._solve_integer_system
+        # One elimination serves both right-hand sides: the challenge counts,
+        # which give the win chances and the losses, and the games-weighted
+        # wins, which only `pool_solve` needs.
+        calls = []
+        for name in ("_eliminate", "_solve"):
 
-        def counted(rows):
-            calls.append(len(rows))
-            return solve(rows)
+            def counted(*args, name=name, run=getattr(pool, name)):
+                calls.append((name, len(args[0])))
+                return run(*args)
 
-        monkeypatch.setattr(pool, "_solve_integer_system", counted)
+            monkeypatch.setattr(pool, name, counted)
+        n = config.players
         pool_solve(config)
-        assert calls == [config.players] * 2
+        assert calls == [("_eliminate", n), ("_solve", n), ("_solve", n)]
         calls.clear()
         pool_win_probabilities(config)
-        assert calls == [config.players]
+        assert calls == [("_eliminate", n), ("_solve", n)]
 
     @pytest.mark.parametrize("config", [FAIR3, PoolConfig(5, Fraction(2, 5), streak_required=3)])
     @pytest.mark.parametrize(
@@ -519,19 +543,159 @@ class TestPoolSolve:
         # Each solve's result is nudged in turn, as a kernel fault would:
         # a wrong challenge count breaks the win chances' sum, a wrong
         # coupled solve the games-weighted wins'.
-        calls, solve = [], pool._solve_integer_system
+        calls, solve = [], pool._solve
 
-        def nudged(rows):
-            scaled, det = solve(rows)
+        def nudged(rows, constants):
+            scaled, det = solve(rows, constants)
             if len(calls) == wrong_call:
                 scaled[0] += 1
             calls.append(len(rows))
             return scaled, det
 
-        monkeypatch.setattr(pool, "_solve_integer_system", nudged)
+        monkeypatch.setattr(pool, "_solve", nudged)
         with pytest.raises(RuntimeError, match=law):
             pool_solve(config)
         assert len(calls) == wrong_call + 1
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel: one elimination, any number of right-hand sides
+# ---------------------------------------------------------------------------
+
+
+def _integer_system(a, b):
+    """[a | b] as int rows and int constants, each row times its lcm of denominators."""
+    rows = []
+    for row, constant in zip(a, b):
+        row = [Fraction(x) for x in (*row, constant)]
+        scale = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+    return [row[:-1] for row in rows], [row[-1] for row in rows]
+
+
+def _kernel_solve(a, b):
+    """x with a x = b through `pool._eliminate` and `pool._solve`.
+
+    Scaling a row and its constant leaves x unchanged, and the kernel's
+    det * x is divided by det.
+    """
+    rows, constants = _integer_system(a, b)
+    pool._eliminate(rows)
+    scaled, det = pool._solve(rows, constants)
+    return [Fraction(x, det) for x in scaled]
+
+
+def _back_substitute(augmented):
+    """(det * x, det) read off the rows [A | c] after one elimination of them all."""
+    size = len(augmented)
+    det, x = augmented[-1][-2] if augmented else 1, [0] * size
+    for r in range(size - 1, -1, -1):
+        row = augmented[r]
+        x[r] = (det * row[-1] - sum(row[k] * x[k] for k in range(r + 1, size))) // row[r]
+    return x, det
+
+
+# Denominators of the kind the engine meets: 5525 = 5^2 * 13 * 17 is the
+# Le Her lots' denominator, and its divisors share factors with one another.
+_DENOMINATORS = (1, 1, 1, 2, 3, 4, 5, 7, 12, 13, 17, 25, 65, 221, 425, 1105, 5525)
+
+
+def _random_entry(rng, rational, zero_share=0.3):
+    """An int, or with `rational` an int or Fraction; zero about zero_share of the time."""
+    if rng.random() < zero_share:
+        return rng.choice((0, Fraction(0)))
+    numerator = rng.choice((-1, 1)) * rng.randint(1, 40)
+    denominator = rng.choice(_DENOMINATORS) if rational else 1
+    if denominator == 1 and rng.random() < 0.5:
+        return numerator
+    return Fraction(numerator, denominator)
+
+
+def _dominant_system(rng, rational, max_size=5):
+    """A seeded square system whose rows are strictly diagonally dominant.
+
+    Each diagonal entry, of either sign, exceeds the row's off-diagonal
+    magnitudes by a positive margin, so every leading block is nonsingular
+    and the elimination needs no pivot search.
+    """
+    size = rng.randint(0, max_size)
+    a = [[_random_entry(rng, rational) for _ in range(size)] for _ in range(size)]
+    for r, row in enumerate(a):
+        off_diagonal = sum(abs(x) for j, x in enumerate(row) if j != r)
+        row[r] = rng.choice((-1, 1)) * (off_diagonal + abs(_random_entry(rng, rational, 0)))
+    return a, [_random_entry(rng, rational) for _ in range(size)]
+
+
+class TestLinearSystem:
+    def test_exact_solution(self):
+        a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
+        b = [Fraction(5), Fraction(10)]
+        assert _kernel_solve(a, b) == [Fraction(1), Fraction(3)]
+
+    def test_random_systems_reconstruct(self):
+        rng = random.Random(9)
+        for _ in range(25):
+            a, _ = _dominant_system(rng, rational=False)
+            x = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in a]
+            b = [sum(a_ij * x_j for a_ij, x_j in zip(row, x)) for row in a]
+            assert _kernel_solve(a, b) == x
+
+    def test_second_right_hand_side_replays_the_elimination(self):
+        # A second vector of constants, solved by replaying the elimination's
+        # steps, gives what eliminating [A | c] from the start gives; a
+        # first solve leaves the eliminated rows as they were.
+        rng = random.Random(31)
+        for index in range(500):
+            a, b = _dominant_system(rng, rational=index % 2 == 1)
+            rows, first = _integer_system(a, b)
+            second = [rng.randint(-10**6, 10**6) for _ in rows]
+            augmented = [row + [c] for row, c in zip(rows, second)]
+            pool._eliminate(rows)
+            pool._solve(rows, first)
+            pool._eliminate(augmented)
+            assert [row[:-1] for row in augmented] == rows
+            assert pool._solve(rows, second) == _back_substitute(augmented), (a, second)
+
+
+def _reference(a, b):
+    """The former elimination, fed Fractions: on ints its `1 / pivot` is a float."""
+    return solve_linear_system_reference(
+        [[Fraction(x) for x in row] for row in a], [Fraction(x) for x in b]
+    )
+
+
+class TestLinearSystemAgainstReference:
+    """The fraction-free kernel against the former Fraction elimination."""
+
+    def test_seeded_systems_match(self):
+        rng = random.Random(20260412)
+        sizes = {"int": set(), "rational": set()}
+        for index in range(2500):
+            kind = "rational" if index % 2 else "int"
+            a, b = _dominant_system(rng, rational=kind == "rational")
+            before = ([list(row) for row in a], list(b))
+            assert _kernel_solve(a, b) == _reference(a, b), (a, b)
+            assert (a, b) == before
+            sizes[kind].add(len(a))
+        assert sizes == {"int": set(range(6)), "rational": set(range(6))}
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            ([[2, 0], [0, Fraction(1, 3)]], [4, 1], [2, 3]),
+            # The former elimination divided int by int here and returned 0.5.
+            ([[2]], [1], [Fraction(1, 2)]),
+        ],
+    )
+    def test_results_are_fractions(self, a, b, expected):
+        solved = _kernel_solve(a, b)
+        assert solved == expected
+        assert all(type(x) is Fraction for x in solved)
+
+    # The empty system: no unknowns, and det 1.
+    @pytest.mark.parametrize("a, b", [([], [])])
+    def test_named_shapes_match(self, a, b):
+        assert _kernel_solve(a, b) == _reference(a, b)
 
 
 _REFERENCE_PS = tuple(

@@ -1,7 +1,6 @@
 import json
 import random
 from fractions import Fraction
-from math import lcm
 from pathlib import Path
 
 import pytest
@@ -9,7 +8,6 @@ from oracles import (
     certificate_reference,
     negated_transpose,
     simplex_reference,
-    solve_linear_system_reference,
     strict_elimination_reference,
     support_enumeration_solve,
 )
@@ -20,7 +18,6 @@ from montmort.rational import format_rational, parse_rational
 from montmort.solver import (
     GameMatrix,
     MixedStrategy,
-    _solve_integer_system,
     eliminate_dominated,
     solve_zero_sum,
     verify_equilibrium,
@@ -221,151 +218,6 @@ class TestMixedStrategy:
         assert mix.weights == (Fraction(1), Fraction(1, 2))
         assert all(type(w) is Fraction for w in mix.weights)
         assert verify_equilibrium(matrix([[1, 0], [0, 1]]), mix, mix).value == Fraction(5, 9)
-
-
-# ---------------------------------------------------------------------------
-# Linear solving
-# ---------------------------------------------------------------------------
-
-
-def _kernel_solve(a, b):
-    """x with a x = b through the integer kernel; None when a is singular.
-
-    Each row and its constant are multiplied by the lcm of their
-    denominators, which leaves x unchanged, and the kernel's det * x is
-    divided by det.
-    """
-    rows = []
-    for row, constant in zip(a, b):
-        row = [Fraction(x) for x in (*row, constant)]
-        scale = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (scale // x.denominator) for x in row])
-    if (solved := _solve_integer_system(rows)) is None:
-        return None
-    scaled, det = solved
-    return [Fraction(x, det) for x in scaled]
-
-
-class TestLinearSystem:
-    def test_exact_solution(self):
-        a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-        b = [Fraction(5), Fraction(10)]
-        assert _kernel_solve(a, b) == [Fraction(1), Fraction(3)]
-
-    def test_singular_returns_none(self):
-        a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-        assert _kernel_solve(a, [Fraction(1), Fraction(2)]) is None
-
-    def test_random_systems_reconstruct(self):
-        rng = random.Random(9)
-        for _ in range(25):
-            size = rng.randint(1, 5)
-            a = [[Fraction(rng.randint(-6, 6)) for _ in range(size)] for _ in range(size)]
-            x = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(size)]
-            b = [sum(a[i][j] * x[j] for j in range(size)) for i in range(size)]
-            solved = _kernel_solve(a, b)
-            if solved is not None:
-                assert solved == x
-
-
-# Denominators of the kind the engine meets: 5525 = 5^2 * 13 * 17 is the
-# Le Her lots' denominator, and its divisors share factors with one another.
-_DENOMINATORS = (1, 1, 1, 2, 3, 4, 5, 7, 12, 13, 17, 25, 65, 221, 425, 1105, 5525)
-
-
-def _random_entry(rng, zero_share=0.3):
-    """An int or Fraction, zero about zero_share of the time."""
-    if rng.random() < zero_share:
-        return rng.choice((0, Fraction(0)))
-    numerator = rng.choice((-1, 1)) * rng.randint(1, 40)
-    denominator = rng.choice(_DENOMINATORS)
-    if denominator == 1 and rng.random() < 0.5:
-        return numerator
-    return Fraction(numerator, denominator)
-
-
-def _random_system(rng, case):
-    """One seeded square system; `case` picks the shape the kernel must meet.
-
-    0: general, about 30% zeros; 1: one row a combination of two others
-    (singular); 2: a product of n x r and r x n factors with r < n (rank
-    deficient); 3: zero leading entries in the first rows, so the first
-    column's pivot sits lower down; 4: a negative diagonal.
-    """
-    size = rng.randint(1, 10)
-    a = [[_random_entry(rng) for _ in range(size)] for _ in range(size)]
-    if case == 1 and size >= 2:
-        i, j, k = (rng.randrange(size) for _ in range(3))
-        c1, c2 = _random_entry(rng, 0), _random_entry(rng, 0.5)
-        a[k] = [c1 * x + c2 * y for x, y in zip(a[i], a[j])]
-    elif case == 2 and size >= 2:
-        rank = rng.randint(1, size - 1)
-        left = [[_random_entry(rng, 0.1) for _ in range(rank)] for _ in range(size)]
-        right = [[_random_entry(rng, 0.1) for _ in range(size)] for _ in range(rank)]
-        a = [
-            [sum(left[i][t] * right[t][j] for t in range(rank)) for j in range(size)]
-            for i in range(size)
-        ]
-    elif case == 3:
-        for i in range(rng.randint(1, size)):
-            if i < size - 1:
-                a[i][0] = 0
-    elif case == 4:
-        for i in range(size):
-            a[i][i] = -abs(_random_entry(rng, 0)) - rng.randint(0, 3)
-    b = [_random_entry(rng) for _ in range(size)]
-    return a, b
-
-
-def _reference(a, b):
-    """The former elimination, fed Fractions: on ints its `1 / pivot` is a float."""
-    return solve_linear_system_reference(
-        [[Fraction(x) for x in row] for row in a], [Fraction(x) for x in b]
-    )
-
-
-class TestLinearSystemAgainstReference:
-    """The fraction-free kernel against the former Fraction elimination."""
-
-    def test_seeded_systems_match(self):
-        rng = random.Random(20260412)
-        outcomes = {"solved": 0, "singular": 0}
-        for index in range(2500):
-            a, b = _random_system(rng, index % 5)
-            before = ([list(row) for row in a], list(b))
-            expected = _reference(a, b)
-            assert _kernel_solve(a, b) == expected, (a, b)
-            assert (a, b) == before
-            outcomes["singular" if expected is None else "solved"] += 1
-        assert min(outcomes.values()) >= 400
-
-    @pytest.mark.parametrize(
-        "a, b, expected",
-        [
-            ([[2, 0], [0, Fraction(1, 3)]], [4, 1], [2, 3]),
-            # The former elimination divided int by int here and returned 0.5.
-            ([[2]], [1], [Fraction(1, 2)]),
-        ],
-    )
-    def test_results_are_fractions(self, a, b, expected):
-        solved = _kernel_solve(a, b)
-        assert solved == expected
-        assert all(type(x) is Fraction for x in solved)
-
-    @pytest.mark.parametrize(
-        "a, b",
-        [
-            # Two zero leading entries: the first pivot is the third row.
-            ([[0, 1, 2], [0, 3, 1], [-4, 0, 1]], [Fraction(1, 5525), 2, Fraction(-3, 13)]),
-            # A zero column: no pivot is ever found there.
-            ([[1, 0], [2, 0]], [1, 1]),
-            # A nonzero first column, then nothing left in the second.
-            ([[2, 4], [1, 2]], [Fraction(1, 3), 5]),
-            ([], []),
-        ],
-    )
-    def test_named_shapes_match(self, a, b):
-        assert _kernel_solve(a, b) == _reference(a, b)
 
 
 # ---------------------------------------------------------------------------
