@@ -43,6 +43,9 @@ SIGMA_BAND = 4  # simulation verdicts: estimate within 4 standard errors
 #: Most games `pool simulate` expects to play, trials * min(E[games], max_games):
 #: at 0.5-1.2 us a game (CPython 3.11, 2-vCPU VM), about two minutes.
 MAX_SIMULATED_GAMES = 10**8
+#: Most trials `simulate leher` plays: at 2.0-2.2 us a trial (CPython 3.11,
+#: 2-vCPU VM), about two minutes.
+MAX_LEHER_TRIALS = 5 * 10**7
 
 
 def _argument_type(parse: Callable[[str], object]) -> Callable[[str], object]:
@@ -270,6 +273,9 @@ def _cmd_etrennes_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate_leher(args: argparse.Namespace) -> int:
+    if args.trials > MAX_LEHER_TRIALS:
+        raise ValueError(f"simulate leher beyond reach: trials = {args.trials}"
+                         f" exceeds {MAX_LEHER_TRIALS}")
     exact = leher.mixed_value(args.a, args.b, args.c, args.d)
     result = montecarlo.leher_simulate(
         args.a, args.b, args.c, args.d, seed=args.seed, trials=args.trials

@@ -18,10 +18,21 @@ import string
 from fractions import Fraction
 
 DEFAULT_DECIMAL_DIGITS = 6
+#: Most digits an integer, numerator or denominator may be written with; far
+#: below CPython's own int-string limit (4,300 digits from 3.11 and 3.10.7).
+MAX_DIGITS = 1_000
 
 _NUMERATOR_RE = re.compile(r"[+-]?[0-9]+")
 _DENOMINATOR_RE = re.compile(r"[0-9]+")
 _Bound = int | None  # one side of an argument's range; None leaves it open
+
+
+def _require_digits(name: str, digits: str) -> str:
+    """`digits` itself if it has at most MAX_DIGITS digits; the refusal does not echo them."""
+    count = len(digits.lstrip("+-"))
+    if count > MAX_DIGITS:
+        raise ValueError(f"{name} must have at most {MAX_DIGITS} digits, got {count}")
+    return digits
 
 
 def parse_integer(text: str) -> int:
@@ -29,14 +40,15 @@ def parse_integer(text: str) -> int:
     body = text.strip(string.whitespace)
     if not _NUMERATOR_RE.fullmatch(body):
         raise ValueError(f"invalid int value: {text!r}")
-    return int(body)
+    return int(_require_digits("integer", body))
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the "p/q" wire form, or a bare integer "p" meaning p/1.
 
     The sign, if any, goes on p; q must be a plain positive integer. Digits
-    and the surrounding whitespace are ASCII only.
+    and the surrounding whitespace are ASCII only, and p and q have at most
+    `MAX_DIGITS` digits each.
 
     >>> parse_rational("-3/6")
     Fraction(-1, 2)
@@ -45,13 +57,15 @@ def parse_rational(text: str) -> Fraction:
     numerator, slash, denominator = body.partition("/")
     if not _NUMERATOR_RE.fullmatch(numerator):
         raise ValueError(f"malformed rational {text!r}: expected 'p' or 'p/q'")
+    numerator = int(_require_digits("numerator", numerator))
     if not slash:
-        return Fraction(int(numerator))
+        return Fraction(numerator)
     if not _DENOMINATOR_RE.fullmatch(denominator):
         raise ValueError(f"malformed rational {text!r}: denominator must be a plain integer")
-    if int(denominator) == 0:
+    denominator = int(_require_digits("denominator", denominator))
+    if denominator == 0:
         raise ValueError(f"malformed rational {text!r}: denominator must be positive")
-    return Fraction(int(numerator), int(denominator))
+    return Fraction(numerator, denominator)
 
 
 def format_rational(value: Fraction) -> str:

@@ -10,10 +10,12 @@ from montmort.etrennes import EtrennesConfig
 from montmort.montecarlo import leher_simulate
 from montmort.pool import PoolConfig
 from montmort.rational import (
+    MAX_DIGITS,
     approx_string,
     as_rational,
     decimal_string,
     format_rational,
+    parse_integer,
     parse_rational,
     require_integer,
     require_rational,
@@ -76,6 +78,24 @@ class TestParse:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+    def test_digit_limit_is_inclusive(self):
+        longest = "9" * MAX_DIGITS
+        assert parse_integer("-" + longest) == -int(longest)
+        assert parse_rational(f"+{longest}/{longest}") == 1
+        for text, name in [
+            ("1" * (MAX_DIGITS + 1), "integer"),
+            ("-" + "1" * (MAX_DIGITS + 1), "integer"),
+        ]:
+            with pytest.raises(ValueError, match=f"{name} must have at most {MAX_DIGITS} digits"):
+                parse_integer(text)
+        for text, name in [
+            ("1" * (MAX_DIGITS + 1), "numerator"),
+            ("1" * (MAX_DIGITS + 1) + "/2", "numerator"),
+            ("1/" + "1" * (MAX_DIGITS + 1), "denominator"),
+        ]:
+            with pytest.raises(ValueError, match=f"{name} must have at most {MAX_DIGITS} digits"):
+                parse_rational(text)
 
 
 class TestFormat:

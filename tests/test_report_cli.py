@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from montmort.cli import MAX_SIMULATED_GAMES, SIGMA_BAND, _sigma, _verdict, main
+from montmort.cli import MAX_LEHER_TRIALS, MAX_SIMULATED_GAMES, SIGMA_BAND, _sigma, _verdict, main
 from montmort.leher import build_leher_matrix, mixed_value
 from montmort.montecarlo import leher_simulate
 from montmort.pool import PoolConfig, pool_simulate, pool_win_probabilities
@@ -325,6 +325,50 @@ class TestCli:
         monkeypatch.setattr("montmort.pool.pool_win_probabilities", stop)
         with pytest.raises(RuntimeError, match="simulation reached"):
             main(["pool", "simulate", "--players", "3", "--seed", "1", "--trials", "33333333"])
+
+    @pytest.mark.parametrize("trials", [MAX_LEHER_TRIALS + 1, 10**10])
+    def test_simulate_leher_too_long_refused_before_any_work(self, trials, monkeypatch, capsys):
+        def work(*args, **kwargs):
+            raise AssertionError("a run beyond the trial budget was started")
+
+        monkeypatch.setattr("montmort.montecarlo.leher_simulate", work)
+        monkeypatch.setattr("montmort.leher.mixed_value", work)
+        argv = ["simulate", "leher", "--a", "1", "--b", "1", "--c", "1", "--d", "1", "--seed", "1"]
+        started = time.perf_counter()
+        assert main([*argv, "--trials", str(trials)]) == 2
+        assert time.perf_counter() - started < 0.1
+        assert capsys.readouterr().err == (
+            f"montmort: error: simulate leher beyond reach: trials = {trials}"
+            f" exceeds {MAX_LEHER_TRIALS}\n"
+        )
+
+    def test_simulate_leher_at_the_trial_budget_runs(self, monkeypatch):
+        def stop(*args, **kwargs):
+            raise RuntimeError("simulation reached")
+
+        monkeypatch.setattr("montmort.montecarlo.leher_simulate", stop)
+        argv = ["simulate", "leher", "--a", "1", "--b", "1", "--c", "1", "--d", "1", "--seed", "1"]
+        with pytest.raises(RuntimeError, match="simulation reached"):
+            main([*argv, "--trials", str(MAX_LEHER_TRIALS)])
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--players", "1" * 5000, "integer must have at most 1000 digits, got 5000"),
+            ("--p", "1/" + "3" * 5000, "denominator must have at most 1000 digits, got 5000"),
+            ("--ante", "-" + "7" * 1001, "numerator must have at most 1000 digits, got 1001"),
+        ],
+        ids=["integer", "denominator", "numerator"],
+    )
+    def test_overlong_number_gets_montmorts_refusal(self, option, value, message, capsys):
+        argv = ["pool", "solve", "--players", "3", option, value]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: {message}\n" in err
+        assert "4300" not in err and "set_int_max_str_digits" not in err
+        assert value[-50:] not in err
 
     def test_malformed_threshold_is_a_usage_error(self, capsys):
         argv = ["leher", "conditional", "--player", "pierre", "--card", "8", "--action", "draw"]
