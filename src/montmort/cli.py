@@ -3,19 +3,19 @@
 Exact fractions are always the primary output; decimals are annotations.
 Rationals on the command line use the "p/q" form (a bare integer works too).
 Strategies are "threshold:t" or a 13-letter table, rank 1 (ace) through 13
-(king). Formats: text (default), json, csv; each handler formats every
-figure once and hands the JSON payload, CSV rows and text lines built from
-those same strings to `_emit`, which prints one. `montmort reproduce` recomputes
-the whole historical battery and exits 0 only when every figure matches,
-so it can gate CI directly. Every command's stdout, result and exit code
-ignore the environment. Only argparse's own text reads it: usage and errors
-on stderr, and `--help`, are wrapped to `COLUMNS` and translated through
-gettext, which reads the locale variables.
+(king). Formats: text (default), json, csv; each handler prints nothing: it
+formats every figure once and returns its exit code, JSON payload, CSV rows
+and text lines built from those same strings, and `main` hands them to
+`_emit`, which writes one as UTF-8. `montmort reproduce` recomputes the
+whole historical battery and exits 0 only when every figure matches, so it
+can gate CI directly. Every command's stdout, result and exit code ignore
+the environment, the stream encoding included. Only argparse's own text
+reads it: usage and errors on stderr, and `--help`, are wrapped to
+`COLUMNS` and translated through gettext, which reads the locale variables.
 
-`main` builds only the parsers on the argv's command path (top, group,
-leaf), from the same command table as the full `build_parser()`. Help,
-`--version` and every argv the path's parsers cannot take whole go to the
-full parser, so their text is unchanged.
+`main` builds only the argv's leaf parser, from the same command table as
+the full `build_parser()`. Help, `--version` and every argv the leaf parser
+cannot take whole go to the full parser, so their text is unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import io
 import json
 import sys
 from collections import namedtuple
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from fractions import Fraction
 from math import ceil, sqrt
 
@@ -67,15 +67,20 @@ _pierre_strategy = _argument_type(leher.PierreStrategy.parse)
 
 
 def _emit(fmt: str, payload: dict | list, rows: list[list[str]], text: list[str]) -> None:
-    """Print one result in the chosen format: the JSON payload, CSV rows or text lines."""
+    """Write one result to stdout as UTF-8: the JSON payload, CSV rows or text lines."""
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        out = json.dumps(payload, indent=2) + "\n"
     elif fmt == "csv":
         buffer = io.StringIO()
         csv.writer(buffer).writerows(rows)
-        print(buffer.getvalue(), end="")
+        out = buffer.getvalue()
     else:
-        print("\n".join(text))
+        out = "\n".join(text) + "\n"
+    if hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(out.encode("utf-8"))
+    else:
+        sys.stdout.write(out)
 
 
 def _value_payload(value: Fraction) -> dict:
@@ -109,7 +114,8 @@ def _rank_name(rank: int) -> str:
     return names.get(rank, f"a {rank}")
 
 
-def _emit_solution(solution: solver.GameSolution, matrix: solver.GameMatrix, fmt: str) -> None:
+def _solution_output(solution: solver.GameSolution, matrix: solver.GameMatrix) -> tuple:
+    """A solved game's JSON payload, CSV rows and text lines."""
     value = _value_payload(solution.value)
     row_mix = dict(zip(matrix.row_labels, map(format_rational, solution.row_mix.weights)))
     col_mix = dict(zip(matrix.col_labels, map(format_rational, solution.col_mix.weights)))
@@ -130,7 +136,7 @@ def _emit_solution(solution: solver.GameSolution, matrix: solver.GameMatrix, fmt
         f"{side} weights: " + ", ".join(f"{label} = {weight}" for label, weight in mix.items())
         for side, mix in (("row", row_mix), ("col", col_mix))
     ]
-    _emit(fmt, payload, rows, text)
+    return payload, rows, text
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +144,7 @@ def _emit_solution(solution: solver.GameSolution, matrix: solver.GameMatrix, fmt
 # ---------------------------------------------------------------------------
 
 
-def _cmd_leher_table(args: argparse.Namespace) -> int:
+def _cmd_leher_table(args: argparse.Namespace) -> tuple:
     matrix = leher.threshold_matrix() if args.all_thresholds else leher.build_leher_matrix()
     payload = matrix.to_json_dict()
     rows = [["row\\col", *payload["cols"]]]
@@ -147,17 +153,15 @@ def _cmd_leher_table(args: argparse.Namespace) -> int:
     text = [
         "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() for row in rows
     ]
-    _emit(args.format, payload, rows, text)
-    return 0
+    return 0, payload, rows, text
 
 
-def _cmd_leher_solve(args: argparse.Namespace) -> int:
+def _cmd_leher_solve(args: argparse.Namespace) -> tuple:
     matrix = leher.threshold_matrix() if args.all_thresholds else leher.build_leher_matrix()
-    _emit_solution(solver.solve_zero_sum(matrix), matrix, args.format)
-    return 0
+    return 0, *_solution_output(solver.solve_zero_sum(matrix), matrix)
 
 
-def _cmd_leher_conditional(args: argparse.Namespace) -> int:
+def _cmd_leher_conditional(args: argparse.Namespace) -> tuple:
     if args.player == "paul":
         if args.action not in ("hold", "switch"):
             raise ValueError("Paul's action must be hold or switch")
@@ -172,14 +176,12 @@ def _cmd_leher_conditional(args: argparse.Namespace) -> int:
         label = f"Pierre's lot holding {_rank_name(args.card)} and playing {args.action} (Paul stood)"
     value = _value_payload(lot)
     rows = [["label", "lot"], [label, value["exact"]]]
-    _emit(args.format, {"label": label, "lot": value}, rows, [f"{label}: {_approx(value)}"])
-    return 0
+    return 0, {"label": label, "lot": value}, rows, [f"{label}: {_approx(value)}"]
 
 
-def _cmd_leher_value(args: argparse.Namespace) -> int:
+def _cmd_leher_value(args: argparse.Namespace) -> tuple:
     value = _value_payload(leher.mixed_value(args.a, args.b, args.c, args.d))
-    _emit(args.format, {"value": value}, [["value"], [value["exact"]]], [_approx(value)])
-    return 0
+    return 0, {"value": value}, [["value"], [value["exact"]]], [_approx(value)]
 
 
 def _pool_config(args: argparse.Namespace) -> pool.PoolConfig:
@@ -192,7 +194,7 @@ def _pool_config(args: argparse.Namespace) -> pool.PoolConfig:
     )
 
 
-def _cmd_pool_solve(args: argparse.Namespace) -> int:
+def _cmd_pool_solve(args: argparse.Namespace) -> tuple:
     solution = pool.pool_solve(_pool_config(args))
     games = _value_payload(solution.expected_games)
     seats = [
@@ -215,11 +217,10 @@ def _cmd_pool_solve(args: argparse.Namespace) -> int:
         f"pays {_approx(seat['expected_payment'])}; net {_approx(seat['expected_net'])}"
         for seat in seats
     ]
-    _emit(args.format, {"expected_games": games, "seats": seats}, rows, text)
-    return 0
+    return 0, {"expected_games": games, "seats": seats}, rows, text
 
 
-def _cmd_pool_simulate(args: argparse.Namespace) -> int:
+def _cmd_pool_simulate(args: argparse.Namespace) -> tuple:
     config = _pool_config(args)
     # Run arguments and overlong runs are refused before the exact targets.
     require_integer("trials", args.trials, 1)
@@ -261,18 +262,18 @@ def _cmd_pool_simulate(args: argparse.Namespace) -> int:
         f"(target {seat['target']}, sigma {seat['sigma']:.6f}) {seat['verdict']}"
         for seat in seats
     ]
-    _emit(args.format, payload, rows, text)
-    return 0 if all(seat["verdict"] == "pass" for seat in seats) else 1
+    return (0 if all(seat["verdict"] == "pass" for seat in seats) else 1), payload, rows, text
 
 
-def _cmd_etrennes_solve(args: argparse.Namespace) -> int:
+def _cmd_etrennes_solve(args: argparse.Namespace) -> tuple:
     config = etrennes.EtrennesConfig(even_prize=args.even, odd_prize=args.odd)
     matrix = etrennes.etrennes_matrix(config)
-    _emit_solution(etrennes.etrennes_solve(config), matrix, args.format)
-    return 0
+    return 0, *_solution_output(solver.solve_zero_sum(matrix), matrix)
 
 
-def _cmd_simulate_leher(args: argparse.Namespace) -> int:
+def _cmd_simulate_leher(args: argparse.Namespace) -> tuple:
+    # Run arguments and overlong runs are refused before the exact target.
+    require_integer("trials", args.trials, 1)
     if args.trials > MAX_LEHER_TRIALS:
         raise ValueError(f"simulate leher beyond reach: trials = {args.trials}"
                          f" exceeds {MAX_LEHER_TRIALS}")
@@ -296,11 +297,10 @@ def _cmd_simulate_leher(args: argparse.Namespace) -> int:
         f"Paul won {result.wins} of {result.trials}: {_approx(estimate)} "
         f"(target {_approx(target)}, sigma {sigma:.6f}) {verdict}"
     ]
-    _emit(args.format, payload, rows, text)
-    return 0 if verdict == "pass" else 1
+    return 0 if verdict == "pass" else 1, payload, rows, text
 
 
-def _cmd_reproduce(args: argparse.Namespace) -> int:
+def _cmd_reproduce(args: argparse.Namespace) -> tuple:
     entries = report.build_reproduction_report()
     payload = [
         {
@@ -321,19 +321,12 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     ]
     passed = sum(entry.passed for entry in entries)
     text.append(f"{passed}/{len(entries)} historical figures reproduced exactly")
-    _emit(args.format, payload, rows, text)
-    return 0 if passed == len(entries) else 1
+    return 0 if passed == len(entries) else 1, payload, rows, text
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
-
-
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text", help="output format"
-    )
 
 
 def _all_thresholds_option(parser: argparse.ArgumentParser) -> None:
@@ -411,9 +404,10 @@ _GROUP_HELP = {
 _Command = namedtuple("_Command", "path help handler options")
 
 # Every leaf command in help order: its path (a tuple of names), help,
-# handler (Namespace -> exit code) and option groups (each adds to a leaf
-# parser; each leaf then takes --format last). The full parser and a single
-# path's parser are both built from these rows, so each option is defined once.
+# handler (Namespace -> exit code, JSON payload, CSV rows and text lines; it
+# prints nothing) and option groups (each adds to a leaf parser; each leaf
+# then takes --format last). The full parser and a single leaf's parser are
+# both built from these rows, so each option is defined once.
 _COMMANDS = (
     _Command(("leher", "table"), "print the table of Paul's lots", _cmd_leher_table,
              (_all_thresholds_option,)),
@@ -435,57 +429,62 @@ _COMMANDS = (
 )
 
 
-def _build(commands: Iterable[_Command]) -> argparse.ArgumentParser:
-    """The top parser with `commands` and the groups they sit in, in table order."""
+def _fill_leaf(leaf: argparse.ArgumentParser, command: _Command) -> argparse.ArgumentParser:
+    """Give a leaf parser its command's options, then --format, and its handler."""
+    for add_options in command.options:
+        add_options(leaf)
+    leaf.add_argument("--format", choices=("text", "json", "csv"), default="text",
+                      help="output format")
+    leaf.set_defaults(handler=command.handler)
+    return leaf
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: the top parser, its four groups and every leaf, in table order."""
     parser = argparse.ArgumentParser(
         prog="montmort",
         description="Exact engine for Le Her, the problem of the pool, and Les Etrennes.",
     )
     parser.add_argument("--version", action="version", version=f"montmort {__version__}")
     subcommands = {(): parser.add_subparsers(dest="command", required=True)}
-    for command in commands:
-        group = command.path[:-1]
-        if group not in subcommands:
-            group_parser = subcommands[()].add_parser(group[0], help=_GROUP_HELP[group[0]])
-            subcommands[group] = group_parser.add_subparsers(dest="subcommand", required=True)
-        leaf = subcommands[group].add_parser(command.path[-1], help=command.help)
-        for add_options in command.options:
-            add_options(leaf)
-        _add_format(leaf)
-        leaf.set_defaults(handler=command.handler)
+    for name, help_text in _GROUP_HELP.items():
+        group_parser = subcommands[()].add_parser(name, help=help_text)
+        subcommands[(name,)] = group_parser.add_subparsers(dest="subcommand", required=True)
+    for command in _COMMANDS:
+        leaf = subcommands[command.path[:-1]].add_parser(command.path[-1], help=command.help)
+        _fill_leaf(leaf, command)
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _build(_COMMANDS)
-
-
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse `argv` through only the parsers on its command path.
+    """Parse `argv` with only its leaf command's parser when that parser takes it whole.
 
     Building all 14 parsers costs far more than parsing, so an argv that
-    opens with a leaf's exact path is parsed by the top, group and leaf
-    parsers alone. Each is built by the same calls as in the full parser, so
-    `prog`, usage and every error the leaf raises are the same. Any other
-    argv (help, --version, an unknown or abbreviated command) and a path
-    parse that leaves extras go to the full parser, which prints the help or
-    error text the full parser always printed.
+    opens with a leaf's exact path is parsed by that leaf's parser alone,
+    built by the same calls as in the full parser. Nothing precedes the
+    subcommands positionally, so the full parser's leaf is also named
+    `montmort <path>`, and usage and every error the leaf raises are the
+    same. Any other argv (help, --version, an unknown or abbreviated command)
+    and a leaf parse that leaves extras go to the full parser.
     """
-    path = [command for command in _COMMANDS if tuple(argv[: len(command.path)]) == command.path]
-    if path:
-        args, extras = _build(path).parse_known_args(argv)
-        if not extras:
-            return args
+    for command in _COMMANDS:
+        if tuple(argv[: len(command.path)]) == command.path:
+            leaf = argparse.ArgumentParser(prog=" ".join(("montmort", *command.path)))
+            args, extras = _fill_leaf(leaf, command).parse_known_args(argv[len(command.path):])
+            if not extras:
+                return args
     return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.handler(args)
+        code, payload, rows, text = args.handler(args)
     except ValueError as error:
         print(f"montmort: error: {error}", file=sys.stderr)
         return 2
+    _emit(args.format, payload, rows, text)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """`cli.main` parses every argv exactly as the full parser does.
 
-`main` builds only the top, group and leaf parsers on an argv's command path
-and falls back to the full parser for help, --version and errors. Each case
-here runs through `main` and through the full `build_parser().parse_args`
-followed by the handler, and both must print the same stdout and stderr and
+`main` builds only the leaf parser of an argv's command and falls back to
+the full parser for help, --version and errors. Each case here runs
+through `main` and through the full `build_parser().parse_args` followed by
+the handler and `_emit`, and both must print the same stdout and stderr and
 return (or exit with) the same code. Usage and help wrap at `COLUMNS`, so CI
 also runs this file under a narrow terminal and the C locale.
 """
@@ -61,13 +61,15 @@ CASES = [
 
 
 def _full_parser_main(argv):
-    """The reference: parse with every parser built, then run the handler as `main` does."""
+    """The reference: parse with every parser built, then run and emit as `main` does."""
     args = cli.build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code, payload, rows, text = args.handler(args)
     except ValueError as error:
         print(f"montmort: error: {error}", file=sys.stderr)
         return 2
+    cli._emit(args.format, payload, rows, text)
+    return code
 
 
 def _outcome(run, argv, capsys):

@@ -5,8 +5,8 @@ command, so an engine change that alters any printed figure, label, number
 format or line ending shows up here, not only in the figures the other
 tests compare as Fractions. Each case also pins the command's exit code:
 a simulation whose estimate misses its exact target exits 1, and the
-parsers `main` builds: only the top, group and leaf parsers on the
-command's path.
+parsers `main` builds: only the command's leaf parser. The bytes are UTF-8
+whatever encoding the environment asks stdout for.
 """
 
 import os
@@ -138,8 +138,18 @@ def test_stdout_matches_golden(name, capsys, built_parsers):
     code, argv = CASES[name]
     assert main(argv) == code
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN_DIR / name).read_bytes()
-    path = list(takewhile(lambda token: not token.startswith("-"), argv))
-    assert built_parsers == [" ".join(["montmort", *path[:depth]]) for depth in range(len(path) + 1)]
+    path = takewhile(lambda token: not token.startswith("-"), argv)
+    assert built_parsers == [" ".join(["montmort", *path])]
+
+
+@pytest.mark.parametrize("name", ["leher_value_3_5_5_3.txt", "pool_solve_3.txt"])
+def test_stdout_is_utf8_under_an_ascii_stream_encoding(name):
+    code, argv = CASES[name]
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR), PYTHONIOENCODING="ascii")
+    command = [sys.executable, "-m", "montmort.cli", *argv]
+    run = subprocess.run(command, env=env, capture_output=True)
+    golden = (GOLDEN_DIR / name).read_bytes()
+    assert (run.returncode, run.stdout, run.stderr) == (code, golden, b"")
 
 
 def test_fresh_process_imports_no_typing():

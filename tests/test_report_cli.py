@@ -283,6 +283,18 @@ class TestCli:
         assert main(["pool", "simulate", "--seed", "1", *extra]) == 2
         assert f"montmort: error: {message}\n" == capsys.readouterr().err
 
+    def test_simulate_leher_run_arguments_refused_before_the_exact_target(
+        self, monkeypatch, capsys
+    ):
+        def exact_target(*args):
+            raise AssertionError("exact target computed for a run that is refused")
+
+        monkeypatch.setattr("montmort.leher.mixed_value", exact_target)
+        argv = ["simulate", "leher", "--a", "1", "--b", "1", "--c", "1", "--d", "1", "--seed", "1"]
+        assert main([*argv, "--trials", "0"]) == 2
+        message = "trials must be an integer >= 1, got 0"
+        assert capsys.readouterr().err == f"montmort: error: {message}\n"
+
     def test_pool_simulate_beyond_reach_refused_before_any_draw(self, monkeypatch, capsys):
         def simulate(*args, **kwargs):
             raise AssertionError("a pool beyond the exact solve's reach was simulated")
