@@ -6,7 +6,12 @@ Strategies are "threshold:t" or a 13-letter table, rank 1 (ace) through 13
 (king). Formats: text (default), json, csv; each handler prints nothing: it
 formats every figure once and returns its exit code, JSON payload, CSV rows
 and text lines built from those same strings, and `main` hands them to
-`_emit`, which writes one as UTF-8. `montmort reproduce` recomputes the
+`_emit`, which writes one as UTF-8. JSON comes from `_json_text`, which
+returns exactly `json.dumps(payload, indent=2)` (two-space indent,
+non-ASCII escaped) without the stdlib's generator-based encoder, which
+`json.dumps` falls back to whenever `indent` is set. The simulate
+commands refuse every run argument, the 2**64 draw bound included, before
+they compute the exact target. `montmort reproduce` recomputes the
 whole historical battery and exits 0 only when every figure matches, so it
 can gate CI directly. Every command's stdout, result and exit code ignore
 the environment, the stream encoding included. Only argparse's own text
@@ -28,6 +33,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import ceil, sqrt
 
 from . import __version__, etrennes, leher, montecarlo, pool, report, solver
@@ -66,10 +72,52 @@ _paul_strategy = _argument_type(leher.PaulStrategy.parse)
 _pierre_strategy = _argument_type(leher.PierreStrategy.parse)
 
 
+def _json_chunks(value: object, indent: str, out: list[str]) -> None:
+    """Append `value`'s indent-2 JSON to `out`; `indent` is a newline and its depth's spaces."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner, opener = indent + "  ", "{"
+        for key, item in value.items():
+            out.append(opener + inner + encode_basestring_ascii(key) + ": ")
+            _json_chunks(item, inner, out)
+            opener = ","
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner, opener = indent + "  ", "["
+        for item in value:
+            out.append(opener + inner)
+            _json_chunks(item, inner, out)
+            opener = ","
+        out.append(indent + "]")
+    else:
+        out.append(json.dumps(value))
+
+
+def _json_text(value: object) -> str:
+    """`json.dumps(value, indent=2)`, for str-keyed dicts, lists, tuples and scalars.
+
+    The stdlib's C encoder serves only `indent=None`; with an indent,
+    `json.dumps` runs a chain of Python generators instead. This writer
+    lays out the containers itself in one list of chunks, joined once, and
+    hands every key and string to the C string encoder that `json.dumps`
+    also uses, and any other scalar to `json.dumps`.
+    """
+    out: list[str] = []
+    _json_chunks(value, "\n", out)
+    return "".join(out)
+
+
 def _emit(fmt: str, payload: dict | list, rows: list[list[str]], text: list[str]) -> None:
     """Write one result to stdout as UTF-8: the JSON payload, CSV rows or text lines."""
     if fmt == "json":
-        out = json.dumps(payload, indent=2) + "\n"
+        out = _json_text(payload) + "\n"
     elif fmt == "csv":
         buffer = io.StringIO()
         csv.writer(buffer).writerows(rows)
@@ -222,15 +270,16 @@ def _cmd_pool_solve(args: argparse.Namespace) -> tuple:
 
 def _cmd_pool_simulate(args: argparse.Namespace) -> tuple:
     config = _pool_config(args)
-    # Run arguments and overlong runs are refused before the exact targets.
+    # Run arguments and overlong runs are refused before the exact targets;
+    # the simulator refuses a draw bound above 2**64 before its first draw.
     require_integer("trials", args.trials, 1)
     require_integer("max_games", args.max_games, 1)
     planned = args.trials * min(pool.pool_expected_games(config), args.max_games)
     if planned > MAX_SIMULATED_GAMES:
         raise ValueError(f"pool simulate beyond reach: trials * min(expected games, max_games)"
                          f" = {ceil(planned)} exceeds {MAX_SIMULATED_GAMES} games")
-    targets = pool.pool_win_probabilities(config)
     result = pool.pool_simulate(config, seed=args.seed, trials=args.trials, max_games=args.max_games)
+    targets = pool.pool_win_probabilities(config)
     games = _value_payload(result.expected_games)
     # An abandoned trial pays no seat, so a capped run estimates another game
     # than the targets describe: no seat's frequency can pass against them.
@@ -272,15 +321,16 @@ def _cmd_etrennes_solve(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_simulate_leher(args: argparse.Namespace) -> tuple:
-    # Run arguments and overlong runs are refused before the exact target.
+    # Run arguments and overlong runs are refused before the exact target;
+    # the simulator refuses a draw bound above 2**64 before its first draw.
     require_integer("trials", args.trials, 1)
     if args.trials > MAX_LEHER_TRIALS:
         raise ValueError(f"simulate leher beyond reach: trials = {args.trials}"
                          f" exceeds {MAX_LEHER_TRIALS}")
-    exact = leher.mixed_value(args.a, args.b, args.c, args.d)
     result = montecarlo.leher_simulate(
         args.a, args.b, args.c, args.d, seed=args.seed, trials=args.trials
     )
+    exact = leher.mixed_value(args.a, args.b, args.c, args.d)
     estimate, target = _value_payload(result.frequency), _value_payload(exact)
     verdict = _verdict(result.frequency, exact, result.trials)
     sigma = _sigma(result.frequency, result.trials)

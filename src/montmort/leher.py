@@ -31,7 +31,8 @@ form. The one cached table is stored row-wise, the way the lots read it:
 for each Paul rank, flag and side, the 13 cells where Pierre holds,
 Pierre's 13 per-rank draw increments and the holding total.
 The historical 2 x 2 is the four named strategy pairs' full lots; the
-14 x 14 threshold game comes from one threshold builder over the row sums.
+14 x 14 threshold game comes from the rows' prefix sums, one per rank and
+flag, since a Pierre threshold draws on a prefix of the ranks.
 """
 
 from __future__ import annotations
@@ -356,20 +357,25 @@ def build_leher_matrix() -> GameMatrix:
 def threshold_matrix() -> GameMatrix:
     """Paul's lot for every threshold pair (t_paul, t_pierre) in 0..13 squared.
 
-    Against each Pierre threshold, Paul's hold and switch row weights at each
-    of the 13 ranks are summed once, and moving Paul's threshold from s - 1
-    to s trades rank s's hold weight for its switch weight.
+    Pierre's threshold t draws on the ranks 1..t, so Paul's row weight at a
+    rank against it is the row's holding total plus its first t draw
+    increments: one prefix sum per rank and flag gives all 14 at once. Then,
+    against each Pierre threshold, moving Paul's threshold from s - 1 to s
+    trades rank s's hold weight for its switch weight.
     """
-    thresholds = range(RANK_COUNT + 1)
-    ranks = range(1, RANK_COUNT + 1)
-    columns = []
-    for t in thresholds:
-        draw = _threshold_flags(t)
-        hold = [_row_weight(a, False, draw) for a in ranks]
-        switch = [_row_weight(a, True, draw) for a in ranks]
-        weights = accumulate(map(operator.sub, switch, hold), initial=sum(hold))
-        columns.append([Fraction(w, ORDERED_DEALS) for w in weights])
-    labels = tuple(f"threshold:{t}" for t in thresholds)
+    table = _weight_table()
+    # hold[t][a - 1] and switch[t][a - 1]: Paul's weight at rank a against threshold t.
+    hold, switch = (
+        zip(*(accumulate(increments, initial=total)
+              for _, increments, total in (row[flag][0] for row in table)))
+        for flag in (False, True)
+    )
+    columns = (
+        [Fraction(w, ORDERED_DEALS)
+         for w in accumulate(map(operator.sub, switch_t, hold_t), initial=sum(hold_t))]
+        for hold_t, switch_t in zip(hold, switch)
+    )
+    labels = tuple(f"threshold:{t}" for t in range(RANK_COUNT + 1))
     return GameMatrix.from_rows(zip(*columns), labels, labels)
 
 

@@ -130,10 +130,10 @@ def decimal_string(value: Fraction, digits: int = DEFAULT_DECIMAL_DIGITS) -> str
     '0.511855'
     """
     require_integer("digits", digits, 0)
-    sign = "-" if value < 0 else ""
-    magnitude = abs(value)
+    numerator, denominator = value.numerator, value.denominator
+    sign = "-" if numerator < 0 else ""
     scale = 10**digits
-    whole, places = divmod(magnitude.numerator * scale // magnitude.denominator, scale)
+    whole, places = divmod(abs(numerator) * scale // denominator, scale)
     if digits == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}.{places:0{digits}d}"

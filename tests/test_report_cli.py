@@ -11,12 +11,47 @@ import pytest
 from montmort.cli import MAX_LEHER_TRIALS, MAX_SIMULATED_GAMES, SIGMA_BAND, _sigma, _verdict, main
 from montmort.leher import build_leher_matrix, mixed_value
 from montmort.montecarlo import leher_simulate
-from montmort.pool import PoolConfig, pool_simulate, pool_win_probabilities
-from montmort.rational import parse_rational
+from montmort.pool import MAX_EXACT_POOL_SIZE, PoolConfig, pool_simulate, pool_win_probabilities
+from montmort.rational import MAX_DIGITS, parse_rational
 from montmort.report import ReportEntry, build_reproduction_report
 from montmort.solver import solve_zero_sum
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden_cli"
+
+_SIMULATE_LEHER = ["simulate", "leher", "--c", "1", "--d", "1", "--seed", "1"]
+_BOUND = 2**64 + 1  # one past the largest denominator a 64-bit draw can sample
+# One argv just past each cap, and its refusal.
+_CAP_REFUSALS = {
+    "exact_pool_size": (
+        ["pool", "solve", "--players", "101"],
+        "pool beyond the exact solve's reach: players * max(players, streak - 1)"
+        f" = {101 * 101} exceeds {MAX_EXACT_POOL_SIZE}",
+    ),
+    "simulated_games": (
+        # E[games] = 3 at the default streak and p = 1/2.
+        ["pool", "simulate", "--players", "3", "--seed", "1", "--trials", "33333334"],
+        "pool simulate beyond reach: trials * min(expected games, max_games)"
+        f" = 100000002 exceeds {MAX_SIMULATED_GAMES} games",
+    ),
+    "leher_trials": (
+        [*_SIMULATE_LEHER, "--a", "1", "--b", "1", "--trials", str(MAX_LEHER_TRIALS + 1)],
+        f"simulate leher beyond reach: trials = {MAX_LEHER_TRIALS + 1} exceeds {MAX_LEHER_TRIALS}",
+    ),
+    "digits": (
+        ["pool", "solve", "--players", "3", "--p", "1/" + "3" * (MAX_DIGITS + 1)],
+        f"argument --p: denominator must have at most {MAX_DIGITS} digits, got {MAX_DIGITS + 1}",
+    ),
+    "pool_draw_bound": (
+        ["pool", "simulate", "--players", "3", "--p", f"1/{_BOUND}",
+         "--seed", "1", "--trials", "1"],
+        f"bound must lie in 1..2**64, got {_BOUND}",
+    ),
+    # Paul switches with chance 1 / (1 + 2**64).
+    "leher_draw_bound": (
+        [*_SIMULATE_LEHER, "--a", "1", "--b", str(_BOUND - 1), "--trials", "1"],
+        f"bound must lie in 1..2**64, got {_BOUND}",
+    ),
+}
 
 
 class TestReport:
@@ -334,7 +369,7 @@ class TestCli:
         def stop(*args, **kwargs):
             raise RuntimeError("simulation reached")
 
-        monkeypatch.setattr("montmort.pool.pool_win_probabilities", stop)
+        monkeypatch.setattr("montmort.pool.pool_simulate", stop)
         with pytest.raises(RuntimeError, match="simulation reached"):
             main(["pool", "simulate", "--players", "3", "--seed", "1", "--trials", "33333333"])
 
@@ -362,6 +397,20 @@ class TestCli:
         argv = ["simulate", "leher", "--a", "1", "--b", "1", "--c", "1", "--d", "1", "--seed", "1"]
         with pytest.raises(RuntimeError, match="simulation reached"):
             main([*argv, "--trials", str(MAX_LEHER_TRIALS)])
+
+    @pytest.mark.parametrize("argv, message", _CAP_REFUSALS.values(), ids=list(_CAP_REFUSALS))
+    def test_every_cap_refuses_before_any_exact_work(self, argv, message, monkeypatch, capsys):
+        def exact_work(*args):
+            raise AssertionError("exact work started for an argv past a cap")
+
+        monkeypatch.setattr("montmort.pool._eliminate", exact_work)
+        monkeypatch.setattr("montmort.leher.mixed_value", exact_work)
+        try:
+            code = main(argv)
+        except SystemExit as usage_error:  # argparse refuses an over-long number
+            code = usage_error.code
+        assert code == 2
+        assert capsys.readouterr().err.endswith(f": error: {message}\n")
 
     @pytest.mark.parametrize(
         "option, value, message",
