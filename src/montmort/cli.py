@@ -19,8 +19,9 @@ reads it: usage and errors on stderr, and `--help`, are wrapped to
 `COLUMNS` and translated through gettext, which reads the locale variables.
 
 `main` builds only the argv's leaf parser, from the same command table as
-the full `build_parser()`. Help, `--version` and every argv the leaf parser
-cannot take whole go to the full parser, so their text is unchanged.
+the full `build_parser()`. The leaf parser never prints: help, `--version`
+and every argv it refuses or cannot take whole go to the full parser, so
+every usage line, error and help text is the full parser's.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ import sys
 from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
+from functools import partial
 from json.encoder import encode_basestring_ascii
-from math import ceil, sqrt
+from math import ceil, isfinite, sqrt
 
 from . import __version__, etrennes, leher, montecarlo, pool, report, solver
 from .rational import (
@@ -96,6 +98,16 @@ def _json_chunks(value: object, indent: str, out: list[str]) -> None:
             _json_chunks(item, inner, out)
             opener = ","
         out.append(indent + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float) and isfinite(value):
+        out.append(float.__repr__(value))
     else:
         out.append(json.dumps(value))
 
@@ -107,7 +119,9 @@ def _json_text(value: object) -> str:
     `json.dumps` runs a chain of Python generators instead. This writer
     lays out the containers itself in one list of chunks, joined once, and
     hands every key and string to the C string encoder that `json.dumps`
-    also uses, and any other scalar to `json.dumps`.
+    also uses. Ints and finite floats are written by `int.__repr__` and
+    `float.__repr__`, as the stdlib encoder writes them; anything else,
+    NaN and the infinities included, goes to `json.dumps`.
     """
     out: list[str] = []
     _json_chunks(value, "\n", out)
@@ -506,21 +520,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _LeafRefused(Exception):
+    """A leaf parser's error: the full parser parses the argv again and says why."""
+
+
+class _LeafParser(argparse.ArgumentParser):
+    """A leaf parser that only parses: it has no -h and never prints or exits."""
+
+    def __init__(self, prog: str) -> None:
+        # A fixed width spares a terminal query per `add_argument`, which
+        # builds a `HelpFormatter` to check the option's metavar; the leaf
+        # never prints, so the width never shows.
+        formatter = partial(argparse.HelpFormatter, width=80)
+        super().__init__(prog=prog, add_help=False, formatter_class=formatter)
+
+    def error(self, message: str) -> None:
+        raise _LeafRefused(message)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     """Parse `argv` with only its leaf command's parser when that parser takes it whole.
 
     Building all 14 parsers costs far more than parsing, so an argv that
-    opens with a leaf's exact path is parsed by that leaf's parser alone,
-    built by the same calls as in the full parser. Nothing precedes the
-    subcommands positionally, so the full parser's leaf is also named
-    `montmort <path>`, and usage and every error the leaf raises are the
-    same. Any other argv (help, --version, an unknown or abbreviated command)
-    and a leaf parse that leaves extras go to the full parser.
+    opens with a leaf's exact path is parsed by that leaf's options alone,
+    added by the same calls as in the full parser. That leaf parser only
+    parses: it has no -h, never asks the terminal for its width, and refuses
+    instead of printing an error. Every other argv (help, --version, an
+    unknown or abbreviated command), a leaf parse that leaves extras and a
+    refused one go to the full parser, so every usage line, error and help
+    text is the full parser's.
     """
     for command in _COMMANDS:
         if tuple(argv[: len(command.path)]) == command.path:
-            leaf = argparse.ArgumentParser(prog=" ".join(("montmort", *command.path)))
-            args, extras = _fill_leaf(leaf, command).parse_known_args(argv[len(command.path):])
+            leaf = _LeafParser(" ".join(("montmort", *command.path)))
+            try:
+                args, extras = _fill_leaf(leaf, command).parse_known_args(argv[len(command.path):])
+            except _LeafRefused:
+                break
             if not extras:
                 return args
     return build_parser().parse_args(argv)

@@ -19,6 +19,7 @@ strings = st.text(st.one_of(_special, st.characters(exclude_categories=())))
 leaves = st.one_of(
     strings,
     st.integers(),
+    st.integers(min_value=2**64) | st.integers(max_value=-(2**64)),
     st.booleans(),
     st.none(),
     st.floats(),
@@ -44,5 +45,7 @@ def test_golden_json_is_rewritten_byte_for_byte(path):
 @example({})
 @example({"": [[], {}, [{}], {"a": []}]})
 @example([[[[]]], {"\ud800": {"x": {}}}])
+@example([True, False, None, 0, -1, 2**64, -(2**64) - 1, 10**40, 0.1, -0.0, 1e300])
+@example({"nan": math.nan, "inf": [math.inf, -math.inf], "big": 2**64 + 1})
 def test_writer_equals_json_dumps_indent_2(value):
     assert _json_text(value) == json.dumps(value, indent=2)

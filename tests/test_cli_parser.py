@@ -1,16 +1,19 @@
 """`cli.main` parses every argv exactly as the full parser does.
 
-`main` builds only the leaf parser of an argv's command and falls back to
-the full parser for help, --version and errors. Each case here runs
-through `main` and through the full `build_parser().parse_args` followed by
-the handler and `_emit`, and both must print the same stdout and stderr and
-return (or exit with) the same code. Usage and help wrap at `COLUMNS`, so CI
-also runs this file under a narrow terminal and the C locale.
+`main` builds only the leaf parser of an argv's command, which only
+parses, and falls back to the full parser for help, --version and every
+argv the leaf refuses. Each case here runs through `main` and through the
+full `build_parser().parse_args` followed by the handler and `_emit`, and
+both must print the same stdout and stderr and return (or exit with) the
+same code. Usage and help wrap at `COLUMNS`, so CI also runs this file
+under a narrow terminal and the C locale.
 """
 
 import argparse
 import gc
+import shutil
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -29,6 +32,12 @@ CASES = [
     ["--version"],
     *([group, "-h"] for group in _GROUPS),
     *([*path, "-h"] for path in _PATHS),
+    [*_POOL, "--help"],
+    [*_POOL, "--he"],
+    [*_POOL[:3], "-h"],
+    [*_POOL, "--p=-h"],
+    ["simulate", "leher", "--a", "1", "--b", "1", "-h", "--c", "1", "--d", "1", "--seed", "3",
+     "--trials", "40"],
     # Leaf errors.
     ["pool", "solve"],
     ["leher", "conditional", "--player", "paul", "--card", "7"],
@@ -109,10 +118,33 @@ def test_help_builds_every_parser(built_parsers, capsys):
     assert len(built_parsers) == 1 + len(_GROUPS) + len(_PATHS) == 14
 
 
+def test_the_leaf_parser_only_parses(built_parsers, monkeypatch, capsys):
+    def no_terminal():
+        raise AssertionError("the leaf parser asked for the terminal size")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(shutil, "get_terminal_size", no_terminal)
+        args = cli._parse([*_POOL, "--p", "1/3"])
+    assert (args.players, args.p, args.handler) == (3, Fraction(1, 3), cli._cmd_pool_solve)
+    assert built_parsers == ["montmort pool solve"]
+    assert capsys.readouterr() == ("", "")
+    # A refused argv: the leaf, then all 14 parsers, and the full parser's error.
+    built_parsers.clear()
+    with pytest.raises(SystemExit) as exit:
+        cli._parse(["pool", "solve", "--players", "x"])
+    assert exit.value.code == 2
+    assert built_parsers[:2] == ["montmort pool solve", "montmort"]
+    assert len(built_parsers) == 1 + 14
+    err = capsys.readouterr().err
+    assert err.startswith("usage: montmort pool solve") and "argument --players" in err
+
+
 def test_no_parser_outlives_main(capsys):
     assert cli.main(_VALUE) == 0
     with pytest.raises(SystemExit):
         cli.main(["--format", "json", "reproduce"])
+    with pytest.raises(SystemExit):
+        cli.main(["pool", "solve", "--players", "x"])
     gc.collect()
     survivors = [
         thing.prog for thing in gc.get_objects()

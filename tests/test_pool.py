@@ -306,25 +306,29 @@ def _cleared_losses(players, streak, p):
 
 
 def holds_for_every_p(players, streak, law, bound, extra=3, cleared=_cleared_win_chances):
-    """Whether `law(p, cleared)` holds at every p in (0, 1], from exact points.
+    """Whether `law` holds at every p in (0, 1], from exact points.
 
     `cleared(players, streak, p)` gives each seat's quantity times D(p), then
-    D(p): by default the win chances, or `_cleared_losses`. The law must
-    clear to a polynomial identity in p of degree at most `bound`: it then holds
-    everywhere once it holds at bound + 1 distinct points. It is evaluated
-    at k / m for k = 1..m, m = bound + 1 + extra. The `extra` points beyond
-    bound + 1 check the bound itself: every cleared quantity's
-    (bound + 1)-th finite differences over those points must vanish, so a
-    bound that is too small fails here instead of proving nothing.
+    D(p): by default the win chances, or `_cleared_losses`. `law(p, values)`
+    returns the law's two cleared sides, each a tuple of polynomials in p of
+    degree at most `bound`, evaluated at p: the law holds everywhere once
+    the sides agree at bound + 1 distinct points. They are evaluated at
+    k / m for k = 1..m, m = bound + 1 + extra. The `extra` points beyond
+    bound + 1 check the bound itself: every side's (bound + 1)-th finite
+    differences over those points must vanish, so a bound that is too small
+    fails here instead of proving nothing. With no extra point there is
+    nothing to check, so `extra` must be at least 1.
     """
+    if extra < 1:
+        raise ValueError(f"extra = {extra} points check no degree; at least 1 is needed")
     count = bound + 1 + extra
     points = [Fraction(k, count) for k in range(1, count + 1)]
-    samples = [cleared(players, streak, p) for p in points]
-    for values in zip(*samples):
+    sides = [law(p, cleared(players, streak, p)) for p in points]
+    for values in zip(*(left + right for left, right in sides)):
         for _ in range(bound + 1):
             values = [b - a for a, b in zip(values, values[1:])]
-        assert not any(values), f"a cleared quantity has degree above {bound}"
-    return all(law(p, cleared) for p, cleared in zip(points, samples))
+        assert not any(values), f"a side of the law has degree above {bound}"
+    return all(left == right for left, right in sides)
 
 
 class TestPoolLawsForEveryP:
@@ -343,10 +347,11 @@ class TestPoolLawsForEveryP:
     <= (n - 1)(R - 1) + R - 2 over D. A level-1 win chance is
     (q C_r + [r = 0]) p^(R-1) and game one multiplies by p or q, so every
     N_s, and D (degree <= n(R - 1)), has degree <= (n + 1)(R - 1) + 1.
-    - Sum of the win chances = 1 clears to sum(N_s) - D, of the same degree.
+    Each law below clears to two sides, and the bound covers both.
+    - Sum of the win chances = 1 clears to sum(N_s) = D, of the same degree.
     - The default-streak ratio law w[k+1] (1 + q p^(n-2)) = w[k] clears to
-      N_{k+1} (1 + q p^(n-2)) - N_k; with R = n - 1 its degree is
-      <= (n + 1)(n - 2) + 1 + (n - 1) = n^2 - 2.
+      N_{k+1} (1 + q p^(n-2)) = N_k; with R = n - 1 the left side's degree
+      is <= (n + 1)(n - 2) + 1 + (n - 1) = n^2 - 2.
     - Sum of the expected losses = E[G], as each game has one loser. With
       K = R - 1, a level-1 role loses C_r + [r = 0] less its win chance, so
       its losses times D are C_r D (1 - q p^K) + [r = 0] D (1 - p^K), of
@@ -354,33 +359,36 @@ class TestPoolLawsForEveryP:
       a reward (q D for seat 0, p D for seat 1) and multiplies by p or q:
       each seat's cleared losses L_s D, like N_s, have degree
       <= (n + 1)(R - 1) + 1. E[G] = (1 - p^(K+1)) / (q p^K), so the law
-      clears to q p^K sum(L_s D) - D (1 - p^(K+1)), of degree
-      <= (n + 1)(R - 1) + 1 + 1 + K = (n + 1)(R - 1) + R + 1.
+      clears to q p^K sum(L_s D) = D (1 - p^(K+1)), whose left side has
+      degree <= (n + 1)(R - 1) + 1 + 1 + K = (n + 1)(R - 1) + R + 1 and
+      right side n(R - 1) + K + 1 at most.
     """
 
     GRID = [(n, streak) for n in range(2, 7) for streak in range(1, n + 2)]
 
     @staticmethod
+    def sum_law(p, cleared):
+        return (sum(cleared[:-1]),), cleared[-1:]
+
+    @staticmethod
     def ratio_law(n, power):
         def law(p, cleared):
             factor = 1 + (1 - p) * p**power
-            return all(cleared[k + 1] * factor == cleared[k] for k in range(1, n - 1))
+            return tuple(cleared[k + 1] * factor for k in range(1, n - 1)), cleared[1:n - 1]
 
         return law
 
     @staticmethod
     def games_law(power):
         def law(p, cleared):
-            return (1 - p) * p**power * sum(cleared[:-1]) == cleared[-1] * (1 - p ** (power + 1))
+            left = (1 - p) * p**power * sum(cleared[:-1])
+            return (left,), (cleared[-1] * (1 - p ** (power + 1)),)
 
         return law
 
     @pytest.mark.parametrize("n, streak", GRID)
     def test_win_chances_sum_to_one(self, n, streak):
-        def law(p, cleared):
-            return sum(cleared[:-1]) == cleared[-1]
-
-        assert holds_for_every_p(n, streak, law, (n + 1) * (streak - 1) + 1)
+        assert holds_for_every_p(n, streak, self.sum_law, (n + 1) * (streak - 1) + 1)
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_default_streak_ratio(self, n):
@@ -404,11 +412,21 @@ class TestPoolLawsForEveryP:
 
     def test_a_bound_too_small_is_caught(self):
         with pytest.raises(AssertionError, match="degree above 6"):
-            holds_for_every_p(4, 3, lambda p, cleared: True, 6)
+            holds_for_every_p(4, 3, self.sum_law, 6)
 
     def test_a_bound_too_small_for_the_losses_is_caught(self):
         with pytest.raises(AssertionError, match="degree above 8"):
-            holds_for_every_p(4, 3, lambda p, cleared: True, 8, cleared=_cleared_losses)
+            holds_for_every_p(4, 3, self.games_law(2), 8, cleared=_cleared_losses)
+
+    def test_a_bound_below_the_laws_degree_is_caught(self):
+        # Each cleared quantity here has degree 9 at most, but the law's
+        # left side has degree 11.
+        with pytest.raises(AssertionError, match="degree above 10"):
+            holds_for_every_p(4, 3, self.games_law(2), 10, cleared=_cleared_losses)
+
+    def test_no_extra_point_is_refused(self):
+        with pytest.raises(ValueError, match="extra = 0"):
+            holds_for_every_p(4, 3, self.games_law(2), 11, extra=0, cleared=_cleared_losses)
 
 
 class TestExpectedGames:
