@@ -9,7 +9,9 @@ and text lines built from those same strings, and `main` hands them to
 `_emit`, which writes one as UTF-8. JSON comes from `_json_text`, which
 returns exactly `json.dumps(payload, indent=2)` (two-space indent,
 non-ASCII escaped) without the stdlib's generator-based encoder, which
-`json.dumps` falls back to whenever `indent` is set. The simulate
+`json.dumps` falls back to whenever `indent` is set. `_json_text` writes
+strings, plain ints and finite plain floats itself and hands every other
+scalar (booleans, None, NaN, the infinities) to `json.dumps`. The simulate
 commands refuse every run argument, the 2**64 draw bound included, before
 they compute the exact target. `montmort reproduce` recomputes the
 whole historical battery and exits 0 only when every figure matches, so it
@@ -98,16 +100,8 @@ def _json_chunks(value: object, indent: str, out: list[str]) -> None:
             _json_chunks(item, inner, out)
             opener = ","
         out.append(indent + "]")
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float) and isfinite(value):
-        out.append(float.__repr__(value))
+    elif type(value) is int or (type(value) is float and isfinite(value)):
+        out.append(repr(value))
     else:
         out.append(json.dumps(value))
 
@@ -119,9 +113,10 @@ def _json_text(value: object) -> str:
     `json.dumps` runs a chain of Python generators instead. This writer
     lays out the containers itself in one list of chunks, joined once, and
     hands every key and string to the C string encoder that `json.dumps`
-    also uses. Ints and finite floats are written by `int.__repr__` and
-    `float.__repr__`, as the stdlib encoder writes them; anything else,
-    NaN and the infinities included, goes to `json.dumps`.
+    also uses. A plain int or a finite plain float (exact type, so never a
+    bool) is written by `repr`, as the stdlib encoder writes it; every
+    other scalar, booleans, None, NaN and the infinities included, goes to
+    `json.dumps`.
     """
     out: list[str] = []
     _json_chunks(value, "\n", out)

@@ -27,12 +27,15 @@ Each class reads the law from `_before_draw`, which also settles single
 deals and feeds the simulator, so the table states no rule of its own. A
 settled class counts all 50 third cards at once, and a class that reaches
 Pierre's redraw counts each player's winning third cards with one closed
-form. The one cached table is stored row-wise, the way the lots read it:
-for each Paul rank, flag and side, the 13 cells where Pierre holds,
-Pierre's 13 per-rank draw increments and the holding total.
+form. The table is stored row-wise, the way the lots read it: for each
+Paul rank, flag and side, the 13 cells where Pierre holds, Pierre's 13
+per-rank draw increments and the holding total.
 The historical 2 x 2 is the four named strategy pairs' full lots; the
 14 x 14 threshold game comes from the rows' prefix sums, one per rank and
-flag, since a Pierre threshold draws on a prefix of the ranks.
+flag, since a Pierre threshold draws on a prefix of the ranks. The table
+and three games are cached, each built once: the historical 2 x 2, the
+threshold game and Paul's conditional 2 x 2 with a seven, which
+`conditional_mixed_lot_paul7` mixes.
 """
 
 from __future__ import annotations
@@ -379,17 +382,13 @@ def threshold_matrix() -> GameMatrix:
     return GameMatrix.from_rows(zip(*columns), labels, labels)
 
 
+@lru_cache(maxsize=None)
 def _paul7_game() -> GameMatrix:
     """Paul's conditional 2 x 2 with a seven, as `conditional_mixed_lot_paul7` mixes it."""
     return GameMatrix.from_rows(
         [conditional_lot_paul(7, action, pierre) for pierre in PIERRE_TABLE_STRATEGIES]
         for action in (PaulAction.SWITCH, PaulAction.HOLD)
     )
-
-
-def _paul7_mixed_lot(game: GameMatrix, p: Fraction, q: Fraction) -> Fraction:
-    """The profile payoff of the bags (p, 1 - p) and (q, 1 - q) over `_paul7_game()`."""
-    return verify_equilibrium(game, MixedStrategy((p, 1 - p)), MixedStrategy((q, 1 - q))).value
 
 
 def conditional_mixed_lot_paul7(
@@ -407,7 +406,8 @@ def conditional_mixed_lot_paul7(
     """
     p = require_rational("p_switch", p_switch, 0, 1)
     q = require_rational("p_pierre_draw8", p_pierre_draw8, 0, 1)
-    return _paul7_mixed_lot(_paul7_game(), p, q)
+    bags = MixedStrategy((p, 1 - p)), MixedStrategy((q, 1 - q))
+    return verify_equilibrium(_paul7_game(), *bags).value
 
 
 def _token_weights(

@@ -146,10 +146,8 @@ def _solve(rows: list[list[int]], constants: list[int]) -> tuple[list[int], int]
 def pool_win_probabilities(config: PoolConfig) -> tuple[Fraction, ...]:
     """Exact probability that each seat eventually takes the pot.
 
-    This is `pool_solve(config).win_prob`, the one exact solve. In process it
-    takes about 40, 55 and 72 us at n = 3, 4 and 5 with the default p and
-    streak (CPython 3.11.7, a shared 2-vCPU VM), some 20-40 us more than a
-    solve for the challenge counts alone.
+    This is `pool_solve(config).win_prob`: the one exact solve, which also
+    finds every seat's payment and the expected number of games.
 
     >>> pool_win_probabilities(PoolConfig(3))
     (Fraction(5, 14), Fraction(5, 14), Fraction(2, 7))

@@ -22,6 +22,11 @@ DEFAULT_DECIMAL_DIGITS = 6
 #: below CPython's own int-string limit (4,300 digits from 3.11 and 3.10.7).
 MAX_DIGITS = 1_000
 
+#: Most digits `_digits` hands to one `str` call: under 640, the lowest
+#: int-string limit CPython accepts, so no `PYTHONINTMAXSTRDIGITS` refuses a figure.
+_PIECE_DIGITS = 600
+_PIECE = 10**_PIECE_DIGITS
+
 _NUMERATOR_RE = re.compile(r"[+-]?[0-9]+")
 _DENOMINATOR_RE = re.compile(r"[0-9]+")
 _Bound = int | None  # one side of an argument's range; None leaves it open
@@ -68,11 +73,38 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(numerator, denominator)
 
 
+def _digits(n: int) -> str:
+    """`str(n)` at any size: CPython's `str` refuses ints past 4,300 digits by default.
+
+    An int under 600 digits is one plain `str`. A longer one is split at
+    the powers 10**(600 * 2**k), divide and conquer (Knuth, TAOCP vol. 2,
+    section 4.4), so `str` only ever sees pieces of at most 600 digits and no
+    interpreter setting is read or changed.
+    """
+    if -_PIECE < n < _PIECE:
+        return str(n)
+    if n < 0:
+        return "-" + _digits(-n)
+    powers = [_PIECE]  # powers[k] = 10**(600 * 2**k), up to the first above n
+    while powers[-1] <= n:
+        powers.append(powers[-1] * powers[-1])
+    return _padded(n, powers, len(powers) - 2).lstrip("0")
+
+
+def _padded(n: int, powers: list[int], k: int) -> str:
+    """`n`, 0 <= n < powers[k + 1], as exactly 600 * 2**(k + 1) digits, zero-padded."""
+    if k < 0:
+        return f"{n:0{_PIECE_DIGITS}d}"
+    high, low = divmod(n, powers[k])
+    return _padded(high, powers, k - 1) + _padded(low, powers, k - 1)
+
+
 def format_rational(value: Fraction) -> str:
     """Render in the "p/q" wire form; integers come out as a bare "p"."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    numerator, denominator = value.numerator, value.denominator
+    if denominator == 1:
+        return _digits(numerator)
+    return f"{_digits(numerator)}/{_digits(denominator)}"
 
 
 def _outside(value: int | Fraction, low: _Bound, high: _Bound) -> bool:
@@ -135,8 +167,8 @@ def decimal_string(value: Fraction, digits: int = DEFAULT_DECIMAL_DIGITS) -> str
     scale = 10**digits
     whole, places = divmod(abs(numerator) * scale // denominator, scale)
     if digits == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{places:0{digits}d}"
+        return sign + _digits(whole)
+    return f"{sign}{_digits(whole)}.{_digits(places).zfill(digits)}"
 
 
 def approx_string(value: Fraction, digits: int = DEFAULT_DECIMAL_DIGITS) -> str:

@@ -29,9 +29,9 @@ from .leher import (
     PIERRE_TABLE_STRATEGIES,
     PierreAction,
     _paul7_game,
-    _paul7_mixed_lot,
     build_leher_matrix,
     conditional_lot_pierre,
+    conditional_mixed_lot_paul7,
     pierre_win_probability,
 )
 from .solver import solve_zero_sum
@@ -83,8 +83,7 @@ def build_reproduction_report() -> list[ReportEntry]:
     ]
 
     # Paul's three listed lots with a seven and both token lots read one 2 x 2.
-    paul7 = _paul7_game()
-    (lot_switch, _), (lot_hold_vs_switch, lot_hold_vs_hold) = paul7.entries
+    (lot_switch, _), (lot_hold_vs_switch, lot_hold_vs_hold) = _paul7_game().entries
     entries += [
         ReportEntry(
             "Paul with a 7, switching", Fraction(780, 51 * 50), lot_switch, _WALDEGRAVE_1712
@@ -128,13 +127,13 @@ def build_reproduction_report() -> list[ReportEntry]:
         ReportEntry(
             "Paul's lot with a 7, both tossing even tokens",
             Fraction(774, 51 * 50),
-            _paul7_mixed_lot(paul7, Fraction(1, 2), Fraction(1, 2)),
+            conditional_mixed_lot_paul7(Fraction(1, 2), Fraction(1, 2)),
             _BERNOULLI_TOKENS,
         ),
         ReportEntry(
             "Paul's guaranteed lot with a 7, always switching",
             Fraction(780, 51 * 50),
-            _paul7_mixed_lot(paul7, Fraction(1), Fraction(0)),
+            conditional_mixed_lot_paul7(Fraction(1), Fraction(0)),
             _BERNOULLI_TOKENS,
         ),
     ]

@@ -38,7 +38,8 @@ never checked against itself. The reference pool solve is the engine's
 former one, the dense level-1 system built and solved as Fractions. The
 decimal-rendering reference is the engine's former digit-by-digit long
 division. `seed_with_output` runs the stream backwards from a chosen raw
-output, so a test can force the rare rejected draw.
+output, so a test can force the rare rejected draw. `read_rational` reads a
+"p/q" of any length back in short chunks, so no int-string limit applies.
 """
 
 from __future__ import annotations
@@ -672,6 +673,21 @@ def decimal_string_reference(value: Fraction, digits: int) -> str:
         digit, remainder = divmod(remainder, magnitude.denominator)
         places.append(str(digit))
     return f"{sign}{whole}." + "".join(places)
+
+
+def _read_integer(text: str) -> int:
+    body = text.lstrip("-")
+    value = 0
+    for start in range(0, len(body), 500):
+        chunk = body[start:start + 500]
+        value = value * 10**len(chunk) + int(chunk)
+    return -value if text.startswith("-") else value
+
+
+def read_rational(text: str) -> Fraction:
+    """The Fraction a "p/q" or bare "p" names, read 500 digits at a time."""
+    numerator, _, denominator = text.partition("/")
+    return Fraction(_read_integer(numerator), _read_integer(denominator or "1"))
 
 
 def _equalisation_mix(

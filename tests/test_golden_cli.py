@@ -9,6 +9,9 @@ parsers `main` builds: only the command's leaf parser. The bytes are UTF-8
 whatever encoding the environment asks stdout for.
 """
 
+import contextlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -17,7 +20,9 @@ from pathlib import Path
 
 import pytest
 
+from montmort import pool
 from montmort.cli import main
+from oracles import read_rational
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden_cli"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -140,6 +145,48 @@ def test_stdout_matches_golden(name, capsys, built_parsers):
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN_DIR / name).read_bytes()
     path = takewhile(lambda token: not token.startswith("-"), argv)
     assert built_parsers == [" ".join(["montmort", *path])]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_text_stream_matches_golden(name):
+    """A stdout with no `buffer`, such as an `io.StringIO`, gets the golden text."""
+    code, argv = CASES[name]
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert main(argv) == code
+    assert stdout.getvalue().encode("utf-8") == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_figures_past_the_int_string_limit_print(capsys):
+    """A solved pool prints figures longer than CPython's `str` limit in every format."""
+    argv = ["pool", "solve", "--players", "10", "--streak", "1000"]
+    outputs = {}
+    for fmt in ("text", "json", "csv"):
+        assert main([*argv, "--format", fmt]) == 0
+        out, err = capsys.readouterr()
+        assert "set_int_max_str_digits" not in out + err
+        outputs[fmt] = out
+    payload = json.loads(outputs["json"])
+    games = payload["expected_games"]
+    solution = pool.pool_solve(pool.PoolConfig(players=10, streak_required=1000))
+    assert read_rational(games["exact"]) == solution.expected_games
+    for figure in ("win_prob", "expected_payment", "expected_net"):
+        exact = [seat[figure]["exact"] for seat in payload["seats"]]
+        assert list(map(read_rational, exact)) == list(getattr(solution, figure))
+    net = payload["seats"][0]["expected_net"]["exact"]
+    assert max(map(len, net.split("/"))) > 4_300
+    assert outputs["text"].startswith(f"expected games: {games['exact']} ≈ {games['decimal']}\n")
+    assert f"\r\nexpected_games,{games['exact']},,\r\n" in outputs["csv"]
+
+
+def test_lowest_int_string_limit_prints_the_same_bytes(capsys):
+    """Under the lowest limit CPython accepts, 640 digits, a 1,414-digit figure still prints."""
+    argv = ["pool", "solve", "--players", "3", "--p", "1/1000000000", "--streak", "40"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode("utf-8")
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR), PYTHONINTMAXSTRDIGITS="640")
+    run = subprocess.run([sys.executable, "-m", "montmort.cli", *argv], env=env, capture_output=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, expected, b"")
+    assert max(map(len, expected.split())) > 1_000
 
 
 @pytest.mark.parametrize("name", ["leher_value_3_5_5_3.txt", "pool_solve_3.txt"])

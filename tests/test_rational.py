@@ -1,9 +1,10 @@
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from montmort.etrennes import EtrennesConfig
@@ -11,6 +12,7 @@ from montmort.montecarlo import leher_simulate
 from montmort.pool import PoolConfig
 from montmort.rational import (
     MAX_DIGITS,
+    _digits,
     approx_string,
     as_rational,
     decimal_string,
@@ -20,11 +22,32 @@ from montmort.rational import (
     require_integer,
     require_rational,
 )
-from oracles import decimal_string_reference
+from oracles import decimal_string_reference, read_rational
 
 rationals = st.fractions(
     min_value=Fraction(-10**9), max_value=Fraction(10**9), max_denominator=10**6
 )
+#: Most digits `str` writes here: 4,300 by default, none before 3.10.7.
+STR_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4_300
+
+
+def _from_runs(runs: list[tuple[int, int]]) -> int:
+    """The int whose digits are the runs (digit, length), most significant first."""
+    n = 0
+    for digit, length in runs:
+        n = n * 10**length + digit * (10**length - 1) // 9
+    return n
+
+
+def signed_ints(run_digits: int):
+    """Ints of at most 8 * run_digits + 1 digits: up to eight runs of one digit (so
+    zeros and nines straddle split points) plus an irregular tail, either sign."""
+    return st.builds(
+        lambda runs, tail, sign: sign * (_from_runs(runs) + tail),
+        st.lists(st.tuples(st.integers(0, 9), st.integers(1, run_digits)), min_size=1, max_size=8),
+        st.integers(0, 10**run_digits - 1),
+        st.sampled_from((1, -1)),
+    )
 
 
 def test_textbook_addition():
@@ -110,6 +133,28 @@ class TestFormat:
         assert format_rational(Fraction(-1, 49)) == "-1/49"
 
 
+@given(signed_ints((STR_LIMIT - 1) // 8))
+@example(10**600 - 1)
+@example(10**600)
+@example(-(10**600))
+@example(0)
+def test_digits_is_str_under_the_limit(n):
+    assert _digits(n) == str(n)
+
+
+@given(signed_ints(3_000), st.integers(0, 3 * STR_LIMIT))
+@example(1, 1_199)
+@example(-1, 2_400)
+@example(10**599, 3 * STR_LIMIT)
+def test_digits_reads_back_at_any_size(n, shift):
+    """Past the limit `str` refuses, so the digits are read back 500 at a time."""
+    big = (n or 1) * 10**shift + n
+    text = _digits(big)
+    assert re.fullmatch(r"-?(0|[1-9][0-9]*)", text)
+    assert read_rational(text) == big
+    assert read_rational(format_rational(Fraction(big, 7))) == Fraction(big, 7)
+
+
 class TestAsRational:
     def test_accepts_int_str_fraction(self):
         assert as_rational(3) == Fraction(3)
@@ -145,6 +190,11 @@ class TestDecimalString:
 
     def test_integer_value(self):
         assert decimal_string(Fraction(3)) == "3.000000"
+
+    def test_past_the_int_string_limit(self):
+        """Both parts print past the 4,300 digits CPython's `str` takes by default."""
+        assert decimal_string(Fraction(10**5000 + 1, 3), 2) == "3" * 5000 + ".66"
+        assert decimal_string(Fraction(-1, 3), 5000) == "-0." + "3" * 5000
 
     def test_negative_digit_count_rejected(self):
         with pytest.raises(ValueError):
