@@ -24,24 +24,28 @@ reads it: usage and errors on stderr, and `--help`, are wrapped to
 the full `build_parser()`. The leaf parser never prints: help, `--version`
 and every argv it refuses or cannot take whole go to the full parser, so
 every usage line, error and help text is the full parser's.
+
+Each command imports only the modules it runs. Every handler imports its
+engine modules itself, so beside `montmort`, `cli` and `rational` a `pool
+solve` loads only `pool`, and `reproduce` only `report`, `leher` and
+`solver`. The `--paul` and `--pierre` defaults are strategy strings that
+argparse passes through the argument type, which imports Le Her when it
+parses one. `_emit` imports `json` only for JSON and `csv` only for CSV.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
-from json.encoder import encode_basestring_ascii
 from math import ceil, isfinite, sqrt
 
-from . import __version__, etrennes, leher, montecarlo, pool, report, solver
+from . import __version__
 from .rational import (
+    _digits,
     decimal_string,
     format_rational,
     parse_integer,
@@ -72,22 +76,31 @@ def _argument_type(parse: Callable[[str], object]) -> Callable[[str], object]:
 
 _integer = _argument_type(parse_integer)
 _rational = _argument_type(parse_rational)
-_paul_strategy = _argument_type(leher.PaulStrategy.parse)
-_pierre_strategy = _argument_type(leher.PierreStrategy.parse)
 
 
-def _json_chunks(value: object, indent: str, out: list[str]) -> None:
+def _leher_strategy(kind: str, text: str) -> object:
+    """`leher.<kind>.parse(text)`: Le Her is imported only when a strategy is parsed."""
+    from . import leher
+
+    return getattr(leher, kind).parse(text)
+
+
+_paul_strategy = _argument_type(partial(_leher_strategy, "PaulStrategy"))
+_pierre_strategy = _argument_type(partial(_leher_strategy, "PierreStrategy"))
+
+
+def _json_chunks(value: object, indent: str, out: list[str], quote: Callable[[str], str]) -> None:
     """Append `value`'s indent-2 JSON to `out`; `indent` is a newline and its depth's spaces."""
     if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
+        out.append(quote(value))
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
             return
         inner, opener = indent + "  ", "{"
         for key, item in value.items():
-            out.append(opener + inner + encode_basestring_ascii(key) + ": ")
-            _json_chunks(item, inner, out)
+            out.append(opener + inner + quote(key) + ": ")
+            _json_chunks(item, inner, out, quote)
             opener = ","
         out.append(indent + "}")
     elif isinstance(value, (list, tuple)):
@@ -97,13 +110,17 @@ def _json_chunks(value: object, indent: str, out: list[str]) -> None:
         inner, opener = indent + "  ", "["
         for item in value:
             out.append(opener + inner)
-            _json_chunks(item, inner, out)
+            _json_chunks(item, inner, out, quote)
             opener = ","
         out.append(indent + "]")
-    elif type(value) is int or (type(value) is float and isfinite(value)):
+    elif type(value) is int:
+        out.append(_digits(value))
+    elif type(value) is float and isfinite(value):
         out.append(repr(value))
     else:
-        out.append(json.dumps(value))
+        from json import dumps
+
+        out.append(dumps(value))
 
 
 def _json_text(value: object) -> str:
@@ -113,21 +130,30 @@ def _json_text(value: object) -> str:
     `json.dumps` runs a chain of Python generators instead. This writer
     lays out the containers itself in one list of chunks, joined once, and
     hands every key and string to the C string encoder that `json.dumps`
-    also uses. A plain int or a finite plain float (exact type, so never a
-    bool) is written by `repr`, as the stdlib encoder writes it; every
-    other scalar, booleans, None, NaN and the infinities included, goes to
-    `json.dumps`.
+    also uses, imported here so that only JSON output loads `json`. A plain
+    int (exact type, so never a bool) is written by `rational._digits`,
+    which prints `str`'s digits at any size, and a finite plain float by
+    `repr`, as the stdlib encoder writes them; every other scalar, booleans,
+    None, NaN and the infinities included, goes to `json.dumps`.
     """
+    from json.encoder import encode_basestring_ascii
+
     out: list[str] = []
-    _json_chunks(value, "\n", out)
+    _json_chunks(value, "\n", out, encode_basestring_ascii)
     return "".join(out)
 
 
 def _emit(fmt: str, payload: dict | list, rows: list[list[str]], text: list[str]) -> None:
-    """Write one result to stdout as UTF-8: the JSON payload, CSV rows or text lines."""
+    """Write one result to stdout as UTF-8: the JSON payload, CSV rows or text lines.
+
+    Each format imports its own writer, so text output loads neither `json` nor `csv`.
+    """
     if fmt == "json":
         out = _json_text(payload) + "\n"
     elif fmt == "csv":
+        import csv
+        import io
+
         buffer = io.StringIO()
         csv.writer(buffer).writerows(rows)
         out = buffer.getvalue()
@@ -171,8 +197,8 @@ def _rank_name(rank: int) -> str:
     return names.get(rank, f"a {rank}")
 
 
-def _solution_output(solution: solver.GameSolution, matrix: solver.GameMatrix) -> tuple:
-    """A solved game's JSON payload, CSV rows and text lines."""
+def _solution_output(solution, matrix) -> tuple:
+    """The JSON payload, CSV rows and text lines of a `GameSolution` of `matrix`."""
     value = _value_payload(solution.value)
     row_mix = dict(zip(matrix.row_labels, map(format_rational, solution.row_mix.weights)))
     col_mix = dict(zip(matrix.col_labels, map(format_rational, solution.col_mix.weights)))
@@ -202,6 +228,8 @@ def _solution_output(solution: solver.GameSolution, matrix: solver.GameMatrix) -
 
 
 def _cmd_leher_table(args: argparse.Namespace) -> tuple:
+    from . import leher
+
     matrix = leher.threshold_matrix() if args.all_thresholds else leher.build_leher_matrix()
     payload = matrix.to_json_dict()
     rows = [["row\\col", *payload["cols"]]]
@@ -214,11 +242,15 @@ def _cmd_leher_table(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_leher_solve(args: argparse.Namespace) -> tuple:
+    from . import leher, solver
+
     matrix = leher.threshold_matrix() if args.all_thresholds else leher.build_leher_matrix()
     return 0, *_solution_output(solver.solve_zero_sum(matrix), matrix)
 
 
 def _cmd_leher_conditional(args: argparse.Namespace) -> tuple:
+    from . import leher
+
     if args.player == "paul":
         if args.action not in ("hold", "switch"):
             raise ValueError("Paul's action must be hold or switch")
@@ -237,11 +269,16 @@ def _cmd_leher_conditional(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_leher_value(args: argparse.Namespace) -> tuple:
+    from . import leher
+
     value = _value_payload(leher.mixed_value(args.a, args.b, args.c, args.d))
     return 0, {"value": value}, [["value"], [value["exact"]]], [_approx(value)]
 
 
-def _pool_config(args: argparse.Namespace) -> pool.PoolConfig:
+def _pool_config(args: argparse.Namespace):
+    """The `pool.PoolConfig` of a pool command's arguments."""
+    from . import pool
+
     return pool.PoolConfig(
         players=args.players,
         champion_win_prob=args.p,
@@ -252,6 +289,8 @@ def _pool_config(args: argparse.Namespace) -> pool.PoolConfig:
 
 
 def _cmd_pool_solve(args: argparse.Namespace) -> tuple:
+    from . import pool
+
     solution = pool.pool_solve(_pool_config(args))
     games = _value_payload(solution.expected_games)
     seats = [
@@ -278,6 +317,8 @@ def _cmd_pool_solve(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_pool_simulate(args: argparse.Namespace) -> tuple:
+    from . import pool
+
     config = _pool_config(args)
     # Run arguments and overlong runs are refused before the exact targets;
     # the simulator refuses a draw bound above 2**64 before its first draw.
@@ -313,7 +354,7 @@ def _cmd_pool_simulate(args: argparse.Namespace) -> tuple:
     rows = [["seat", "win_freq", "sigma", "target", "verdict"]]
     rows += [[str(x) for x in seat.values()] for seat in seats]
     text = [
-        f"{result.trials} pools, seed {args.seed}, truncated {truncated}",
+        f"{result.trials} pools, seed {_digits(args.seed)}, truncated {truncated}",
         f"mean games: {_approx(games)}",
     ] + [
         f"seat {seat['seat']}: win freq {seat['win_freq']} "
@@ -324,12 +365,16 @@ def _cmd_pool_simulate(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_etrennes_solve(args: argparse.Namespace) -> tuple:
+    from . import etrennes, solver
+
     config = etrennes.EtrennesConfig(even_prize=args.even, odd_prize=args.odd)
     matrix = etrennes.etrennes_matrix(config)
     return 0, *_solution_output(solver.solve_zero_sum(matrix), matrix)
 
 
 def _cmd_simulate_leher(args: argparse.Namespace) -> tuple:
+    from . import leher, montecarlo
+
     # Run arguments and overlong runs are refused before the exact target;
     # the simulator refuses a draw bound above 2**64 before its first draw.
     require_integer("trials", args.trials, 1)
@@ -351,7 +396,7 @@ def _cmd_simulate_leher(args: argparse.Namespace) -> tuple:
         "seed": args.seed,
         "verdict": verdict,
     }
-    rows = [list(payload), [str(x) for x in payload.values()]]
+    rows = [list(payload), [_digits(x) if type(x) is int else str(x) for x in payload.values()]]
     text = [
         f"Paul won {result.wins} of {result.trials}: {_approx(estimate)} "
         f"(target {_approx(target)}, sigma {sigma:.6f}) {verdict}"
@@ -360,6 +405,8 @@ def _cmd_simulate_leher(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> tuple:
+    from . import report
+
     entries = report.build_reproduction_report()
     payload = [
         {
@@ -404,11 +451,11 @@ def _conditional_options(parser: argparse.ArgumentParser) -> None:
         help="hold/switch for Paul, hold/draw for Pierre",
     )
     parser.add_argument(
-        "--pierre", type=_pierre_strategy, default=leher.PierreStrategy.threshold(8),
+        "--pierre", type=_pierre_strategy, default="threshold:8",
         help="Pierre's strategy when Paul is conditioned (default threshold:8)",
     )
     parser.add_argument(
-        "--paul", type=_paul_strategy, default=leher.PaulStrategy.threshold(7),
+        "--paul", type=_paul_strategy, default="threshold:7",
         help="Paul's strategy when Pierre is conditioned (default threshold:7)",
     )
 
@@ -440,6 +487,8 @@ def _run_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _max_games_option(parser: argparse.ArgumentParser) -> None:
+    from . import pool
+
     parser.add_argument("--max-games", type=_integer, default=pool.DEFAULT_TRIAL_GAME_CAP,
                         help="abandon a trial after this many games; any abandoned "
                         "trial fails every seat")

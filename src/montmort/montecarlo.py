@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import leher
 from .rational import require_integer
 
 MASK64 = (1 << 64) - 1
@@ -90,12 +89,6 @@ def _rejection_limit(bound: int) -> int:
     return _TWO64 - _TWO64 % bound
 
 
-#: The 52 cards as ranks in rank order; a deal's picks index it, skipping cards dealt.
-_DECK = tuple(
-    rank for rank in range(1, leher.RANK_COUNT + 1) for _ in range(leher.COPIES_PER_RANK)
-)
-
-
 @dataclass(frozen=True)
 class LeherSimulation:
     """Empirical Paul win frequency under token-bag mixing."""
@@ -125,6 +118,8 @@ def leher_simulate(
     trial only applies Pierre's redraw, in which a drawn king is thrown back.
     A token denominator above 2**64 is refused as `next_below` refuses it.
     """
+    from . import leher  # only here, so the pool's simulator runs without Le Her
+
     require_integer("trials", trials, 1)
     a, b, c, d = leher._token_weights(a, b, c, d)
     state = RandomStream(seed).state
@@ -147,8 +142,12 @@ def leher_simulate(
         for paul in leher.PAUL_TABLE_STRATEGIES
     ]
 
+    # The 52 cards as ranks in rank order; a deal's picks index it, skipping cards dealt.
+    deck = tuple(
+        rank for rank in range(1, leher.RANK_COUNT + 1) for _ in range(leher.COPIES_PER_RANK)
+    )
+    king = leher.KING
     # Each draw is `next_below`'s loop written out on the local state.
-    deck, king = _DECK, leher.KING
     mask, multiplier = MASK64, XORSHIFT_MULTIPLIER
     wins = 0
     for _ in range(trials):

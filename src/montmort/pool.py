@@ -42,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .montecarlo import _pool_trials
 from .rational import require_integer, require_rational
 
 DEFAULT_TRIAL_GAME_CAP = 1_000_000
@@ -308,6 +307,8 @@ def pool_simulate(
     pins it against the oracle `advance` in `tests/oracles.py`. A
     denominator of p above 2**64 is refused as `next_below` refuses it.
     """
+    from .montecarlo import _pool_trials  # only here, so an exact solve never loads it
+
     require_integer("trials", trials, 1)
     require_integer("max_games", max_games, 1)
     _require_absorbing(config)

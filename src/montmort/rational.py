@@ -32,12 +32,24 @@ _DENOMINATOR_RE = re.compile(r"[0-9]+")
 _Bound = int | None  # one side of an argument's range; None leaves it open
 
 
-def _require_digits(name: str, digits: str) -> str:
-    """`digits` itself if it has at most MAX_DIGITS digits; the refusal does not echo them."""
-    count = len(digits.lstrip("+-"))
+def _read_digits(name: str, digits: str) -> int:
+    """The int an optionally signed ASCII digit string spells, of at most MAX_DIGITS digits.
+
+    The inverse of `_digits`: a string of more than 600 digits is read in
+    pieces of at most 600, so no `PYTHONINTMAXSTRDIGITS` refuses an
+    argument. The refusal does not echo the digits.
+    """
+    body = digits.lstrip("+-")
+    count = len(body)
     if count > MAX_DIGITS:
         raise ValueError(f"{name} must have at most {MAX_DIGITS} digits, got {count}")
-    return digits
+    if count <= _PIECE_DIGITS:
+        return int(digits)
+    value = 0
+    for start in range(0, count, _PIECE_DIGITS):
+        piece = body[start:start + _PIECE_DIGITS]
+        value = value * 10**len(piece) + int(piece)
+    return -value if digits.startswith("-") else value
 
 
 def parse_integer(text: str) -> int:
@@ -45,7 +57,7 @@ def parse_integer(text: str) -> int:
     body = text.strip(string.whitespace)
     if not _NUMERATOR_RE.fullmatch(body):
         raise ValueError(f"invalid int value: {text!r}")
-    return int(_require_digits("integer", body))
+    return _read_digits("integer", body)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -62,12 +74,12 @@ def parse_rational(text: str) -> Fraction:
     numerator, slash, denominator = body.partition("/")
     if not _NUMERATOR_RE.fullmatch(numerator):
         raise ValueError(f"malformed rational {text!r}: expected 'p' or 'p/q'")
-    numerator = int(_require_digits("numerator", numerator))
+    numerator = _read_digits("numerator", numerator)
     if not slash:
         return Fraction(numerator)
     if not _DENOMINATOR_RE.fullmatch(denominator):
         raise ValueError(f"malformed rational {text!r}: denominator must be a plain integer")
-    denominator = int(_require_digits("denominator", denominator))
+    denominator = _read_digits("denominator", denominator)
     if denominator == 0:
         raise ValueError(f"malformed rational {text!r}: denominator must be positive")
     return Fraction(numerator, denominator)

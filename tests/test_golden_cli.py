@@ -189,6 +189,30 @@ def test_lowest_int_string_limit_prints_the_same_bytes(capsys):
     assert max(map(len, expected.split())) > 1_000
 
 
+_LONG_DIGITS = "3" * 700  # past the lowest int-string limit, within MAX_DIGITS
+
+
+@pytest.mark.parametrize("argv, echoed", [
+    (["pool", "solve", "--players", "3", "--p", f"1/{_LONG_DIGITS}"], ()),
+    (["pool", "simulate", "--players", "3", "--seed", _LONG_DIGITS, "--trials", "100"],
+     ("text", "json")),
+    (["simulate", "leher", "--a", "3", "--b", "5", "--c", "5", "--d", "3",
+      "--seed", _LONG_DIGITS, "--trials", "100"], ("json", "csv")),
+])
+def test_long_arguments_read_under_the_lowest_int_string_limit(argv, echoed):
+    """A 700-digit argument is read, and a 700-digit seed echoed, under a 640-digit limit."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = str(SRC_DIR)
+    for fmt in ("text", "json", "csv"):
+        command = [sys.executable, "-m", "montmort.cli", *argv, "--format", fmt]
+        plain = subprocess.run(command, env=env, capture_output=True)
+        limited = subprocess.run(command, env=dict(env, PYTHONINTMAXSTRDIGITS="640"),
+                                 capture_output=True)
+        assert (limited.returncode, limited.stdout) == (plain.returncode, plain.stdout)
+        assert plain.returncode in (0, 1) and plain.stderr == limited.stderr == b""
+        assert (_LONG_DIGITS.encode() in plain.stdout) == (fmt in echoed)
+
+
 @pytest.mark.parametrize("name", ["leher_value_3_5_5_3.txt", "pool_solve_3.txt"])
 def test_stdout_is_utf8_under_an_ascii_stream_encoding(name):
     code, argv = CASES[name]
@@ -213,3 +237,39 @@ def test_fresh_process_imports_no_typing():
     run = subprocess.run(argv, env=env, capture_output=True)
     assert run.returncode == 0
     assert run.stdout == (GOLDEN_DIR / "reproduce.json").read_bytes()
+
+
+# golden -> the engine modules and output writers, beyond `montmort`, `.cli`
+# and `.rational`, that a fresh process running its command loads
+_COMMAND_MODULES = {
+    "leher_table.txt": {"leher", "solver"},
+    "leher_solve.txt": {"leher", "solver"},
+    "leher_conditional_pierre_8_draw.txt": {"leher", "solver"},
+    "leher_value_3_5_5_3.txt": {"leher", "solver"},
+    "pool_solve_3.txt": {"pool"},
+    "pool_solve_3.json": {"pool", "json"},
+    "pool_solve_3.csv": {"pool", "csv"},
+    "pool_simulate_3_seed_42.txt": {"montecarlo", "pool"},
+    "etrennes_solve.txt": {"etrennes", "solver"},
+    "simulate_leher_seed_17.txt": {"leher", "montecarlo", "solver"},
+    "reproduce.txt": {"leher", "report", "solver"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COMMAND_MODULES))
+def test_each_command_loads_only_its_modules(name):
+    """A fresh `python -S` process running one command imports only what that command runs."""
+    code, argv = CASES[name]
+    probe = (
+        "import sys, montmort.cli\n"
+        f"code = montmort.cli.main({argv!r})\n"
+        "loaded = [m for m in sys.modules if m.startswith('montmort.') or m in ('csv', 'json')]\n"
+        "print(' '.join(sorted(loaded)), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    run = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True)
+    expected = {"cli", "rational", *_COMMAND_MODULES[name]}
+    loaded = {m.removeprefix("montmort.") for m in run.stderr.decode().split()}
+    assert (run.returncode, loaded) == (code, expected)
+    assert run.stdout == (GOLDEN_DIR / name).read_bytes()

@@ -155,6 +155,24 @@ def test_digits_reads_back_at_any_size(n, shift):
     assert read_rational(format_rational(Fraction(big, 7))) == Fraction(big, 7)
 
 
+@given(signed_ints(124), st.sampled_from(("", "+", "000")))
+@example(10**600 - 1, "")
+@example(10**600, "")
+@example(-(10**(MAX_DIGITS - 1)), "")
+@example(10**MAX_DIGITS - 1, "+")
+def test_parse_reads_digits_back(n, prefix):
+    """`parse_integer` and `parse_rational` invert `_digits` up to MAX_DIGITS digits.
+
+    Past 600 digits they read in pieces, so the string limit never applies.
+    """
+    text = _digits(n)
+    if n >= 0 and len(prefix + text) <= MAX_DIGITS:
+        text = prefix + text
+    assert parse_integer(text) == n
+    denominator = abs(n) // 3 + 1
+    assert parse_rational(f"{text}/{_digits(denominator)}") == Fraction(n, denominator)
+
+
 class TestAsRational:
     def test_accepts_int_str_fraction(self):
         assert as_rational(3) == Fraction(3)
