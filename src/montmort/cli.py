@@ -327,7 +327,7 @@ def _cmd_pool_simulate(args: argparse.Namespace) -> tuple:
     planned = args.trials * min(pool.pool_expected_games(config), args.max_games)
     if planned > MAX_SIMULATED_GAMES:
         raise ValueError(f"pool simulate beyond reach: trials * min(expected games, max_games)"
-                         f" = {ceil(planned)} exceeds {MAX_SIMULATED_GAMES} games")
+                         f" = {_digits(ceil(planned))} exceeds {MAX_SIMULATED_GAMES} games")
     result = pool.pool_simulate(config, seed=args.seed, trials=args.trials, max_games=args.max_games)
     targets = pool.pool_win_probabilities(config)
     games = _value_payload(result.expected_games)
@@ -379,7 +379,7 @@ def _cmd_simulate_leher(args: argparse.Namespace) -> tuple:
     # the simulator refuses a draw bound above 2**64 before its first draw.
     require_integer("trials", args.trials, 1)
     if args.trials > MAX_LEHER_TRIALS:
-        raise ValueError(f"simulate leher beyond reach: trials = {args.trials}"
+        raise ValueError(f"simulate leher beyond reach: trials = {_digits(args.trials)}"
                          f" exceeds {MAX_LEHER_TRIALS}")
     result = montecarlo.leher_simulate(
         args.a, args.b, args.c, args.d, seed=args.seed, trials=args.trials

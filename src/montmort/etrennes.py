@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import require_rational
+from .rational import format_rational, require_rational
 from .solver import GameMatrix, GameSolution, solve_zero_sum
 
 GUESS_LABELS = ("even", "odd")
@@ -34,7 +34,7 @@ class EtrennesConfig:
         for name in ("even_prize", "odd_prize"):
             prize = require_rational(name, getattr(self, name))
             if prize <= 0:
-                raise ValueError(f"{name} must be > 0, got {prize}")
+                raise ValueError(f"{name} must be > 0, got {format_rational(prize)}")
             object.__setattr__(self, name, prize)
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import require_integer
+from .rational import _digits, require_integer
 
 MASK64 = (1 << 64) - 1
 XORSHIFT_MULTIPLIER = 2685821657736338717  # 0x2545F4914F6CDD1D
@@ -85,7 +85,8 @@ def _rejection_limit(bound: int) -> int:
     draw would ever be taken.
     """
     if type(bound) is not int or not 1 <= bound <= _TWO64:
-        raise ValueError(f"bound must lie in 1..2**64, got {bound!r}")
+        got = _digits(bound) if type(bound) is int else repr(bound)
+        raise ValueError(f"bound must lie in 1..2**64, got {got}")
     return _TWO64 - _TWO64 % bound
 
 

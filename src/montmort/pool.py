@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import require_integer, require_rational
+from .rational import _digits, require_integer, require_rational
 
 DEFAULT_TRIAL_GAME_CAP = 1_000_000
 #: Largest players * max(players, streak_required - 1) the exact solve takes on.
@@ -94,7 +94,7 @@ def _require_within_reach(config: PoolConfig) -> None:
     if size > MAX_EXACT_POOL_SIZE:
         raise ValueError(
             f"pool beyond the exact solve's reach: players * max(players, streak - 1)"
-            f" = {size} exceeds {MAX_EXACT_POOL_SIZE}"
+            f" = {_digits(size)} exceeds {MAX_EXACT_POOL_SIZE}"
         )
 
 

@@ -88,27 +88,20 @@ def parse_rational(text: str) -> Fraction:
 def _digits(n: int) -> str:
     """`str(n)` at any size: CPython's `str` refuses ints past 4,300 digits by default.
 
-    An int under 600 digits is one plain `str`. A longer one is split at
-    the powers 10**(600 * 2**k), divide and conquer (Knuth, TAOCP vol. 2,
-    section 4.4), so `str` only ever sees pieces of at most 600 digits and no
-    interpreter setting is read or changed.
+    The inverse of `_read_digits`: an int under 600 digits is one plain
+    `str`. A longer one is cut into 600-digit pieces from the low end, each
+    zero-padded, and its top piece written plainly, so `str` only ever sees
+    at most 600 digits and no interpreter setting is read or changed.
     """
     if -_PIECE < n < _PIECE:
         return str(n)
     if n < 0:
         return "-" + _digits(-n)
-    powers = [_PIECE]  # powers[k] = 10**(600 * 2**k), up to the first above n
-    while powers[-1] <= n:
-        powers.append(powers[-1] * powers[-1])
-    return _padded(n, powers, len(powers) - 2).lstrip("0")
-
-
-def _padded(n: int, powers: list[int], k: int) -> str:
-    """`n`, 0 <= n < powers[k + 1], as exactly 600 * 2**(k + 1) digits, zero-padded."""
-    if k < 0:
-        return f"{n:0{_PIECE_DIGITS}d}"
-    high, low = divmod(n, powers[k])
-    return _padded(high, powers, k - 1) + _padded(low, powers, k - 1)
+    pieces = []
+    while n >= _PIECE:
+        n, piece = divmod(n, _PIECE)
+        pieces.append(f"{piece:0{_PIECE_DIGITS}d}")
+    return str(n) + "".join(reversed(pieces))
 
 
 def format_rational(value: Fraction) -> str:
@@ -133,7 +126,8 @@ def _bounds(low: _Bound, high: _Bound, between: str) -> str:
 def require_integer(name: str, value: object, low: _Bound = None, high: _Bound = None) -> int:
     """`value` itself if it is an int, not a bool, in [low, high]; a None bound is open."""
     if not isinstance(value, int) or isinstance(value, bool) or _outside(value, low, high):
-        raise ValueError(f"{name} must be an integer{_bounds(low, high, '{}..{}')}, got {value!r}")
+        got = _digits(value) if type(value) is int else repr(value)
+        raise ValueError(f"{name} must be an integer{_bounds(low, high, '{}..{}')}, got {got}")
     return value
 
 
@@ -144,7 +138,7 @@ def require_rational(name: str, value: object, low: _Bound = None, high: _Bound 
     except (TypeError, ValueError) as refused:
         raise type(refused)(f"{name}: {refused}") from None
     if _outside(rational, low, high):
-        raise ValueError(f"{name} must be{_bounds(low, high, '[{}, {}]')}, got {rational}")
+        raise ValueError(f"{name} must be{_bounds(low, high, '[{}, {}]')}, got {format_rational(rational)}")
     return rational
 
 

@@ -213,6 +213,36 @@ def test_long_arguments_read_under_the_lowest_int_string_limit(argv, echoed):
         assert (_LONG_DIGITS.encode() in plain.stdout) == (fmt in echoed)
 
 
+@pytest.mark.parametrize("argv", [
+    ["pool", "solve", "--players", _LONG_DIGITS],
+    ["pool", "solve", "--players", "3", "--streak", _LONG_DIGITS],
+    ["pool", "solve", "--players", "3", "--p", _LONG_DIGITS],
+    ["pool", "simulate", "--players", "3", "--seed", "1", "--trials", _LONG_DIGITS],
+    ["pool", "simulate", "--players", "3", "--p", f"1/{_LONG_DIGITS}", "--seed", "1",
+     "--trials", "1"],
+    ["simulate", "leher", "--a", "1", "--b", "1", "--c", "1", "--d", "1", "--seed", "1",
+     "--trials", _LONG_DIGITS],
+    ["simulate", "leher", "--a", f"1/{_LONG_DIGITS}", "--b", "1", "--c", "1", "--d", "1",
+     "--seed", "1", "--trials", "1"],
+    ["etrennes", "solve", "--even", f"-{_LONG_DIGITS}"],
+    ["leher", "conditional", "--player", "paul", "--card", _LONG_DIGITS, "--action", "hold"],
+], ids=["players", "streak", "p", "pool-trials", "pool-bound", "leher-trials", "leher-bound",
+        "prize", "card"])
+def test_refusals_echo_long_numbers_under_the_lowest_int_string_limit(argv):
+    """A refusal writes a 700-digit number by `_digits`: the int-string limit changes no byte."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = str(SRC_DIR)
+    command = [sys.executable, "-m", "montmort.cli", *argv]
+    plain = subprocess.run(command, env=env, capture_output=True)
+    assert (plain.returncode, plain.stdout) == (2, b"")
+    assert plain.stderr.startswith(b"montmort: error: ")
+    assert b"Exceeds the limit" not in plain.stderr
+    if hasattr(sys, "get_int_max_str_digits"):
+        limited = subprocess.run(command, env=dict(env, PYTHONINTMAXSTRDIGITS="640"),
+                                 capture_output=True)
+        assert (limited.returncode, limited.stdout, limited.stderr) == (2, b"", plain.stderr)
+
+
 @pytest.mark.parametrize("name", ["leher_value_3_5_5_3.txt", "pool_solve_3.txt"])
 def test_stdout_is_utf8_under_an_ascii_stream_encoding(name):
     code, argv = CASES[name]

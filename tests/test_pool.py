@@ -288,10 +288,10 @@ def _determinant(rows):
     return determinant
 
 
-def _cleared(config, values):
-    """Each of `values` times D(p) = det(I - M(p)) of `config`, then D(p) itself."""
+def _cleared(config, values, power=1):
+    """Each of `values` times D(p)**power, D(p) = det(I - M(p)) of `config`, then D(p)."""
     determinant = _determinant(level_one_reference(config)[0])
-    return (*(v * determinant for v in values), determinant)
+    return (*(v * determinant**power for v in values), determinant)
 
 
 def _cleared_win_chances(players, streak, p):
@@ -305,19 +305,27 @@ def _cleared_losses(players, streak, p):
     return _cleared(config, pool_solve(config).expected_payment)
 
 
+def _cleared_nets(players, streak, p):
+    # The games-weighted wins solve a second system whose right-hand side
+    # holds the win chances over D, so the nets clear by D(p)**2.
+    config = PoolConfig(players, p, ante=Fraction(3, 2), fee=2, streak_required=streak)
+    return _cleared(config, pool_solve(config).expected_net, power=2)
+
+
 def holds_for_every_p(players, streak, law, bound, extra=3, cleared=_cleared_win_chances):
     """Whether `law` holds at every p in (0, 1], from exact points.
 
-    `cleared(players, streak, p)` gives each seat's quantity times D(p), then
-    D(p): by default the win chances, or `_cleared_losses`. `law(p, values)`
-    returns the law's two cleared sides, each a tuple of polynomials in p of
-    degree at most `bound`, evaluated at p: the law holds everywhere once
-    the sides agree at bound + 1 distinct points. They are evaluated at
-    k / m for k = 1..m, m = bound + 1 + extra. The `extra` points beyond
-    bound + 1 check the bound itself: every side's (bound + 1)-th finite
-    differences over those points must vanish, so a bound that is too small
-    fails here instead of proving nothing. With no extra point there is
-    nothing to check, so `extra` must be at least 1.
+    `cleared(players, streak, p)` gives each seat's quantity cleared of its
+    denominator, then D(p): by default the win chances times D(p), or
+    `_cleared_losses` (times D(p)) or `_cleared_nets` (times D(p)**2).
+    `law(p, values)` returns the law's two cleared sides, each a tuple of
+    polynomials in p of degree at most `bound`, evaluated at p: the law
+    holds everywhere once the sides agree at bound + 1 distinct points.
+    They are evaluated at k / m for k = 1..m, m = bound + 1 + extra. The
+    `extra` points beyond bound + 1 check the bound itself: every side's
+    (bound + 1)-th finite differences over those points must vanish, so a
+    bound that is too small fails here instead of proving nothing. With no
+    extra point there is nothing to check, so `extra` must be at least 1.
     """
     if extra < 1:
         raise ValueError(f"extra = {extra} points check no degree; at least 1 is needed")
@@ -332,7 +340,7 @@ def holds_for_every_p(players, streak, law, bound, extra=3, cleared=_cleared_win
 
 
 class TestPoolLawsForEveryP:
-    """Three pool laws proven for every p in (0, 1], not only at sampled p.
+    """Four pool laws proven for every p in (0, 1], not only at sampled p.
 
     No denominator vanishes. The level-1 system is (I - M(p)) C = c(p), with
     M's entries q p^j (j <= R - 2). Each row of M sums to
@@ -362,9 +370,25 @@ class TestPoolLawsForEveryP:
       clears to q p^K sum(L_s D) = D (1 - p^(K+1)), whose left side has
       degree <= (n + 1)(R - 1) + 1 + 1 + K = (n + 1)(R - 1) + R + 1 and
       right side n(R - 1) + K + 1 at most.
+    - Sum of the nets = 0, with nonzero ante and fee, as the winner takes
+      the n antes and every fee. Seat s nets n ante w_s + fee g_s less
+      ante + fee L_s, with g_s = E[G 1{s wins}]. The level-1 games-weighted
+      wins x solve (I - M) x = h, whose right-hand side
+      h_r = sum_j q p^j (j + 1) W_lost[won^j r] + [r = 0] K p^K holds the
+      level-1 win chances W over D. So h D has degree
+      <= 1 + (R - 2) + (n + 1)(R - 1) = (n + 2)(R - 1), and by Cramer's rule
+      x D^2 = adj(I - M) h D has degree
+      <= (n - 1)(R - 1) + (n + 2)(R - 1) = (2n + 1)(R - 1). Game one adds
+      w_s and multiplies by p or q, so g_s D^2 has degree
+      <= (2n + 1)(R - 1) + 1, as have w_s D^2 = N_s D and L_s D^2; the
+      ante's D^2 has degree <= 2n(R - 1). The law clears to
+      net_0 D^2 = -sum_{s > 0} net_s D^2: both sides are nonzero, so the
+      degree check sees the bound. With the first and third laws it proves
+      sum(g_s) = E[G].
     """
 
     GRID = [(n, streak) for n in range(2, 7) for streak in range(1, n + 2)]
+    NETS_GRID = [(n, streak) for n, streak in GRID if n <= 5]
 
     @staticmethod
     def sum_law(p, cleared):
@@ -385,6 +409,15 @@ class TestPoolLawsForEveryP:
             return (left,), (cleared[-1] * (1 - p ** (power + 1)),)
 
         return law
+
+    @staticmethod
+    def nets_law(p, cleared):
+        return cleared[:1], (-sum(cleared[1:-1]),)
+
+    @staticmethod
+    def opening_law(p, cleared):
+        """The opening seats' nets agree: true at p = 1/2, where they are exchangeable."""
+        return cleared[:1], cleared[1:2]
 
     @pytest.mark.parametrize("n, streak", GRID)
     def test_win_chances_sum_to_one(self, n, streak):
@@ -409,6 +442,24 @@ class TestPoolLawsForEveryP:
         bound = (n + 1) * (streak - 1) + streak + 1
         law = self.games_law(streak)
         assert not holds_for_every_p(n, streak, law, bound, cleared=_cleared_losses)
+
+    @pytest.mark.parametrize("n, streak", NETS_GRID)
+    def test_nets_sum_to_zero(self, n, streak):
+        """Every p, on n 2-5 x R 1..n+1, and so every ante and fee.
+
+        The nets sum to n ante (sum(w_s) - 1) + fee (sum(g_s) - E[G]) and the
+        win chances sum to 1, so one nonzero fee fixes sum(g_s) = E[G].
+        """
+        bound = (2 * n + 1) * (streak - 1) + 1
+        assert holds_for_every_p(n, streak, self.nets_law, bound, cleared=_cleared_nets)
+
+    @pytest.mark.parametrize("n, streak", NETS_GRID)
+    def test_nets_law_true_only_at_even_odds_fails(self, n, streak):
+        """Agreement at one sampled p, here 1/2, proves nothing: the law fails."""
+        left, right = self.opening_law(None, _cleared_nets(n, streak, Fraction(1, 2)))
+        assert left == right
+        bound = (2 * n + 1) * (streak - 1) + 1
+        assert not holds_for_every_p(n, streak, self.opening_law, bound, cleared=_cleared_nets)
 
     def test_a_bound_too_small_is_caught(self):
         with pytest.raises(AssertionError, match="degree above 6"):

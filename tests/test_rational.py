@@ -8,8 +8,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from montmort.etrennes import EtrennesConfig
+from montmort.leher import PaulAction, PierreStrategy, conditional_lot_paul
 from montmort.montecarlo import leher_simulate
-from montmort.pool import PoolConfig
+from montmort.pool import MAX_EXACT_POOL_SIZE, PoolConfig, pool_solve
 from montmort.rational import (
     MAX_DIGITS,
     _digits,
@@ -153,6 +154,34 @@ def test_digits_reads_back_at_any_size(n, shift):
     assert re.fullmatch(r"-?(0|[1-9][0-9]*)", text)
     assert read_rational(text) == big
     assert read_rational(format_rational(Fraction(big, 7))) == Fraction(big, 7)
+
+
+_PIECE_EDGES = {
+    "0": 0,
+    "10^600-1": 10**600 - 1,
+    "-(10^600-1)": -(10**600 - 1),
+    "10^600": 10**600,
+    "-10^600": -(10**600),
+    "10^600+1": 10**600 + 1,
+    "10^1200+1": 10**1200 + 1,  # an all-zero middle piece: its padding must stay
+    "10^1800-1": 10**1800 - 1,
+}
+
+
+@pytest.mark.parametrize("n", _PIECE_EDGES.values(), ids=_PIECE_EDGES.keys())
+def test_digits_at_the_piece_edges(n):
+    """`_digits` is `str` where its pieces meet, and reads back up to MAX_DIGITS digits."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        expected = str(n)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert _digits(n) == expected
+    if len(expected.lstrip("-")) <= MAX_DIGITS:
+        assert parse_integer(_digits(n)) == n
 
 
 @given(signed_ints(124), st.sampled_from(("", "+", "000")))
@@ -312,9 +341,24 @@ class TestRequire:
                 (ValueError, "odd_prize: malformed rational 'x': expected 'p' or 'p/q'"),
             ),
             (lambda: EtrennesConfig(odd_prize=0), (ValueError, "odd_prize must be > 0, got 0")),
+            # Past CPython's default int-string limit the refusal still echoes the value.
+            (
+                lambda: pool_solve(PoolConfig(10**5000)),
+                (ValueError, "pool beyond the exact solve's reach: players * max(players,"
+                             f" streak - 1) = 1{'0' * 10_000} exceeds {MAX_EXACT_POOL_SIZE}"),
+            ),
+            (
+                lambda: conditional_lot_paul(10**5000, PaulAction.HOLD, PierreStrategy.threshold(8)),
+                (ValueError, f"rank must be an integer in 1..13, got 1{'0' * 5_000}"),
+            ),
+            (
+                lambda: PoolConfig(3, 10**5000),
+                (ValueError, f"champion_win_prob must be in [0, 1], got 1{'0' * 5_000}"),
+            ),
         ],
         ids=["PoolConfig", "leher_simulate", "EtrennesConfig-float", "EtrennesConfig-text",
-             "EtrennesConfig-zero"],
+             "EtrennesConfig-zero", "pool_solve-long", "conditional_lot_paul-long",
+             "PoolConfig-long"],
     )
     def test_engine_refusals_name_the_argument(self, call, outcome):
         self.check(call, (), outcome)
