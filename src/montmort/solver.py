@@ -13,6 +13,9 @@ them is the one the entries give. A solve scales the game once for the
 saddle check and the tableau, whose rows are those of the entries mapped
 onto [1, 2] times a positive constant, so Bland's rule takes the same
 pivots; dominance and the certificate, public stages, scale for themselves.
+A pivot touches only the pivot row's nonzero columns: in exact arithmetic
+0 / s = 0 and x - f * 0 = x, so the columns it skips keep their values and
+every entry, hence every pivot, is the one a full-row update gives.
 
 The row player maximises; column payoffs are what the row player receives.
 Mixed strategies carry raw nonnegative weights (token counts, in the spirit
@@ -273,6 +276,12 @@ def _simplex(scaled: list[list[int]]) -> tuple[list[Fraction], list[Fraction]]:
     and terminates. At the optimum t and the slack reduced costs are
     positive multiples of the column and row mixes. A positive affine map
     of the payoffs leaves B, hence every pivot and both mixes, unchanged.
+    A pivot divides only the pivot row's nonzero entries, and updates the
+    other rows with a nonzero entering entry, the objective included, only
+    at those columns: a zero column of the pivot row would divide to 0 and
+    subtract nothing, so every entry stays the Fraction a full-row update
+    gives and Bland's rule sees the same tableau. Early pivot rows are mostly
+    zero (the slack identity block, the t-columns not yet basic).
     """
     m, n = len(scaled), len(scaled[0])
     low = min(min(row) for row in scaled)
@@ -297,11 +306,14 @@ def _simplex(scaled: list[list[int]]) -> tuple[list[Fraction], list[Fraction]]:
         )
         pivot = rows[leaving]
         scale = pivot[entering]
-        pivot[:] = [x / scale for x in pivot]
+        nonzero = [(k, x / scale) for k, x in enumerate(pivot) if x]
+        for k, y in nonzero:
+            pivot[k] = y
         for row in rows + [objective]:
             factor = row[entering]
             if row is not pivot and factor:
-                row[:] = [x - factor * y for x, y in zip(row, pivot)]
+                for k, y in nonzero:
+                    row[k] -= factor * y
         basis[leaving] = entering
     t = [zero] * n
     for i, k in enumerate(basis):
@@ -332,6 +344,19 @@ def solve_zero_sum(matrix: GameMatrix) -> GameSolution:
     original matrix.
     Where optimal mixes are not unique, the one returned is deterministic
     and unchanged by any positive affine map of the payoffs.
+
+    Montmort's table of Paul's lots (rows: switch or hold the 7; columns:
+    Pierre switches or holds the 8) gives Waldegrave's solution, 3 : 5
+    tokens for Paul and 5 : 3 for Pierre:
+
+    >>> lots = GameMatrix.from_rows(
+    ...     [["2828/5525", "2838/5525"], ["2834/5525", "2828/5525"]]
+    ... )
+    >>> solution = solve_zero_sum(lots)
+    >>> solution.value
+    Fraction(11327, 22100)
+    >>> solution.row_mix.weights, solution.col_mix.weights
+    ((Fraction(3, 1), Fraction(5, 1)), (Fraction(5, 1), Fraction(3, 1)))
     """
     scaled, _ = _scaled(matrix.entries)
     saddle = _pure_saddle(scaled)

@@ -565,6 +565,47 @@ class TestSolverProperties:
             assert moved.row_mix == base.row_mix
             assert moved.col_mix == base.col_mix
 
+    @pytest.mark.parametrize("kind", ["integer", "lot"])
+    def test_row_and_column_permutation(self, kind):
+        """Permuting rows and columns keeps the value and the certificate.
+
+        The returned mixes are not compared: where optimal mixes are not
+        unique, the tie rule depends on row order, so the permuted game may
+        return another optimal mix. The base mixes, permuted, stay optimal
+        with the permuted certificate, and the permuted game's own solution
+        pays the value at every strategy they play.
+        """
+        rng = random.Random(f"permutation-{kind}")
+        for index in range(80):
+            if kind == "integer":
+                game = random_matrix(rng, max_size=6)
+            else:
+                game = rational_matrix(rng, "lot", max_size=6)
+            rows = rng.sample(range(game.n_rows), game.n_rows)
+            cols = rng.sample(range(game.n_cols), game.n_cols)
+            permuted = matrix([[game.entries[i][j] for j in cols] for i in rows])
+            base = solve_zero_sum(game)
+            moved = solve_zero_sum(permuted)
+            assert moved.value == base.value, index
+            row_weights = [base.row_mix.weights[i] for i in rows]
+            col_weights = [base.col_mix.weights[j] for j in cols]
+            ok, value, certificate = verify_equilibrium(
+                permuted, MixedStrategy(row_weights), MixedStrategy(col_weights)
+            )
+            assert ok and value == base.value, index
+            assert certificate.row_payoffs == tuple(
+                base.certificate.row_payoffs[i] for i in rows
+            ), index
+            assert certificate.col_payoffs == tuple(
+                base.certificate.col_payoffs[j] for j in cols
+            ), index
+            for k, w in enumerate(row_weights):
+                if w:
+                    assert moved.certificate.row_payoffs[k] == base.value, index
+            for k, w in enumerate(col_weights):
+                if w:
+                    assert moved.certificate.col_payoffs[k] == base.value, index
+
     def test_strict_elimination_preserves_value(self):
         rng = random.Random(105)
         for _ in range(30):
@@ -639,6 +680,11 @@ class TestStrictEliminationOracle:
         self._check(threshold_matrix())
 
 
+def _twelve_by_twelve_game():
+    rng = random.Random(207)
+    return matrix([[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)])
+
+
 class TestSupportEnumerationOracle:
     """The simplex tableau against the old exponential search, kept as an oracle."""
 
@@ -657,8 +703,7 @@ class TestSupportEnumerationOracle:
 
     def test_twelve_by_twelve_solves_and_certifies(self):
         # Support enumeration would try up to C(24, 12) - 1 = 2,704,155 support pairs.
-        rng = random.Random(207)
-        game = matrix([[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)])
+        game = _twelve_by_twelve_game()
         solution = solve_zero_sum(game)
         ok, value, _ = verify_equilibrium(game, solution.row_mix, solution.col_mix)
         assert ok and value == solution.value
@@ -718,6 +763,28 @@ class TestSimplexAgainstReference:
             for _ in range(20)
         ]
         assert self._check_all(games) == 20
+
+    @pytest.mark.parametrize("rows, cols", [(3, 10), (10, 3)])
+    def test_wide_and_tall_games(self, rows, cols):
+        rng = random.Random(f"simplex-reference-{rows}x{cols}")
+        games = [
+            matrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+            for _ in range(60)
+        ]
+        assert self._check_all(games) >= 50
+
+    def test_five_prize_diagonal_games(self):
+        rng = random.Random("simplex-reference-diagonal")
+        games = []
+        for _ in range(40):
+            prizes = [rng.randint(1, 20) for _ in range(5)]
+            games.append(
+                matrix([[prizes[i] if i == j else 0 for j in range(5)] for i in range(5)])
+            )
+        assert self._check_all(games) == 40
+
+    def test_twelve_by_twelve_game(self):
+        assert self._check_all([_twelve_by_twelve_game()]) == 1
 
     def test_threshold_game(self):
         assert self._check_all([threshold_matrix()]) == 1
