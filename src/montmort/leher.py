@@ -35,7 +35,8 @@ The historical 2 x 2 is the four named strategy pairs' full lots; the
 flag, since a Pierre threshold draws on a prefix of the ranks. The table
 and three games are cached, each built once: the historical 2 x 2, the
 threshold game and Paul's conditional 2 x 2 with a seven, which
-`conditional_mixed_lot_paul7` mixes.
+`conditional_mixed_lot_paul7` mixes. Each game is built from its integer
+counts over one denominator, which the solver reads without rescaling.
 """
 
 from __future__ import annotations
@@ -49,13 +50,15 @@ from functools import lru_cache
 from itertools import accumulate, compress
 
 from .rational import parse_integer, require_integer, require_rational
-from .solver import GameMatrix, MixedStrategy, verify_equilibrium
+from .solver import GameMatrix, MixedStrategy, _count_matrix, verify_equilibrium
 
 KING = 13
 RANK_COUNT = 13
 COPIES_PER_RANK = 4
 DECK_SIZE = RANK_COUNT * COPIES_PER_RANK
 ORDERED_DEALS = DECK_SIZE * (DECK_SIZE - 1) * (DECK_SIZE - 2)
+#: Ordered deals that give Paul one given rank: the denominator of his conditional lots.
+_DEALS_PER_PAUL_RANK = COPIES_PER_RANK * (DECK_SIZE - 1) * (DECK_SIZE - 2)
 
 class PaulAction(enum.Enum):
     HOLD = "hold"
@@ -208,9 +211,12 @@ def _weight_table() -> tuple[tuple[tuple[_Row, _Row], tuple[_Row, _Row]], ...]:
     the 13 cells where Pierre holds his rank b, the 13 amounts by which
     drawing on b changes them, and the total of the holding cells.
 
-    Each class takes Paul's final card P, Pierre's current card C and
-    whether Pierre draws from `_before_draw`, looked up in the module on
-    every call. A cell counts the ordered deals with first ranks (a, b) and
+    The table is built in one pass per Paul rank and flag, each cell going
+    straight into the row's hold or draw list. The law is bound from the
+    module once per build, so a build after `_before_draw` is patched reads
+    the patched law. Each class asks it, for Pierre holding and for Pierre
+    drawing, Paul's final card P, Pierre's current card C and whether Pierre
+    draws. A cell counts the ordered deals with first ranks (a, b) and
     any third card, 4 * (4 - [a = b]) * 50 of them, that each player wins,
     each by its own predicate (strictly higher for Paul, at least as high
     for Pierre), so the complementarity law checked in the tests is a real
@@ -222,35 +228,33 @@ def _weight_table() -> tuple[tuple[tuple[_Row, _Row], tuple[_Row, _Row]], ...]:
     plus the kings when P > C, and Pierre on 4(13 - P) - [P <= a < 13] -
     [P <= b < 13] cards plus the kings when C >= P.
     """
+    law = _before_draw
     ranks = range(1, RANK_COUNT + 1)
     settled = DECK_SIZE - 2
     table = []
     for a in ranks:
-        deals_ab = [COPIES_PER_RANK * (COPIES_PER_RANK - (b == a)) for b in ranks]
         flags = []
         for switch in (False, True):
-            cells = []  # per Pierre rank b: (Paul, Pierre) holding, then drawing, per deal
+            paul_hold, pierre_hold, paul_draw, pierre_draw = [], [], [], []
+            cells = ((False, paul_hold, pierre_hold), (True, paul_draw, pierre_draw))
             for b in ranks:
+                deals = COPIES_PER_RANK * (COPIES_PER_RANK - (b == a))
                 kings = COPIES_PER_RANK - (a == KING) - (b == KING)
-                cell = ()
-                for draw in (False, True):
-                    paul, pierre, draws = _before_draw(a, b, switch, draw)
+                for draw, paul_cells, pierre_cells in cells:
+                    paul, pierre, draws = law(a, b, switch, draw)
                     if draws:
-                        cell += (
+                        paul_cells.append(deals * (
                             COPIES_PER_RANK * (paul - 1) - (a < paul) - (b < paul)
-                            + kings * (paul > pierre),
+                            + kings * (paul > pierre)))
+                        pierre_cells.append(deals * (
                             COPIES_PER_RANK * (KING - paul) - (paul <= a < KING)
-                            - (paul <= b < KING) + kings * (pierre >= paul),
-                        )
+                            - (paul <= b < KING) + kings * (pierre >= paul)))
                     else:
-                        cell += settled * (paul > pierre), settled * (pierre >= paul)
-                cells.append(cell)
-            paul_hold, pierre_hold, paul_draw, pierre_draw = (
-                tuple(map(operator.mul, deals_ab, column)) for column in zip(*cells)
-            )
+                        paul_cells.append(deals * settled * (paul > pierre))
+                        pierre_cells.append(deals * settled * (pierre >= paul))
             flags.append(tuple(
-                (hold, tuple(map(operator.sub, draw, hold)), sum(hold))
-                for hold, draw in ((paul_hold, paul_draw), (pierre_hold, pierre_draw))
+                (tuple(hold), tuple(map(operator.sub, drawn, hold)), sum(hold))
+                for hold, drawn in ((paul_hold, paul_draw), (pierre_hold, pierre_draw))
             ))
         table.append(tuple(flags))
     return tuple(table)
@@ -272,10 +276,20 @@ def _check_strategy(value: object, kind: type) -> None:
 
 
 def _full_weight(paul: PaulStrategy, pierre: PierreStrategy, side: int) -> int:
-    """Paul's (side 0) or Pierre's (side 1) win weight over all ordered deals."""
+    """Paul's (side 0) or Pierre's (side 1) win weight over all ordered deals.
+
+    It reads the table once: for each Paul rank, the row at his flag there
+    gives its holding total plus the draw increments at Pierre's draw ranks.
+    """
     _check_strategy(paul, PaulStrategy)
     _check_strategy(pierre, PierreStrategy)
-    return sum(_row_weight(a, switch, pierre.draw, side) for a, switch in enumerate(paul.switch, 1))
+    draw = pierre.draw
+    return sum(
+        total + sum(compress(increments, draw))
+        for _, increments, total in (
+            by_flag[switch][side] for by_flag, switch in zip(_weight_table(), paul.switch)
+        )
+    )
 
 
 def paul_win_probability(paul: PaulStrategy, pierre: PierreStrategy) -> Fraction:
@@ -300,7 +314,7 @@ def conditional_lot_paul(card: int, action: PaulAction, pierre: PierreStrategy) 
     _check_strategy(action, PaulAction)
     _check_strategy(pierre, PierreStrategy)
     win = _row_weight(card, action is PaulAction.SWITCH, pierre.draw)
-    return Fraction(win, COPIES_PER_RANK * (DECK_SIZE - 1) * (DECK_SIZE - 2))
+    return Fraction(win, _DEALS_PER_PAUL_RANK)
 
 
 def conditional_lot_pierre(card: int, action: PierreAction, paul: PaulStrategy) -> Fraction:
@@ -347,13 +361,14 @@ def build_leher_matrix() -> GameMatrix:
 
     Rows are `PAUL_TABLE_STRATEGIES` ("switch the 7", "hold the 7"), columns
     `PIERRE_TABLE_STRATEGIES` ("switch the 8", "hold the 8"); each entry is
-    that pair's exact lot.
+    that pair's exact lot, built from its count of Paul's winning deals over
+    the 132,600 ordered deals.
     """
-    rows = (
-        [paul_win_probability(paul, pierre) for pierre in PIERRE_TABLE_STRATEGIES]
+    counts = (
+        [_full_weight(paul, pierre, 0) for pierre in PIERRE_TABLE_STRATEGIES]
         for paul in PAUL_TABLE_STRATEGIES
     )
-    return GameMatrix.from_rows(rows, PAUL_TABLE_LABELS, PIERRE_TABLE_LABELS)
+    return _count_matrix(counts, ORDERED_DEALS, PAUL_TABLE_LABELS, PIERRE_TABLE_LABELS)
 
 
 @lru_cache(maxsize=None)
@@ -362,9 +377,11 @@ def threshold_matrix() -> GameMatrix:
 
     Pierre's threshold t draws on the ranks 1..t, so Paul's row weight at a
     rank against it is the row's holding total plus its first t draw
-    increments: one prefix sum per rank and flag gives all 14 at once. Then,
-    against each Pierre threshold, moving Paul's threshold from s - 1 to s
-    trades rank s's hold weight for its switch weight.
+    increments: one prefix sum per rank and flag, over the table read once,
+    gives all 14 at once. Then, against each Pierre threshold, moving Paul's
+    threshold from s - 1 to s trades rank s's hold weight for its switch
+    weight. The entries are those counts of Paul's winning deals over the
+    132,600 ordered deals, which the solver reads as they are.
     """
     table = _weight_table()
     # hold[t][a - 1] and switch[t][a - 1]: Paul's weight at rank a against threshold t.
@@ -374,20 +391,25 @@ def threshold_matrix() -> GameMatrix:
         for flag in (False, True)
     )
     columns = (
-        [Fraction(w, ORDERED_DEALS)
-         for w in accumulate(map(operator.sub, switch_t, hold_t), initial=sum(hold_t))]
+        accumulate(map(operator.sub, switch_t, hold_t), initial=sum(hold_t))
         for hold_t, switch_t in zip(hold, switch)
     )
     labels = tuple(f"threshold:{t}" for t in range(RANK_COUNT + 1))
-    return GameMatrix.from_rows(zip(*columns), labels, labels)
+    return _count_matrix(zip(*columns), ORDERED_DEALS, labels, labels)
 
 
 @lru_cache(maxsize=None)
 def _paul7_game() -> GameMatrix:
-    """Paul's conditional 2 x 2 with a seven, as `conditional_mixed_lot_paul7` mixes it."""
-    return GameMatrix.from_rows(
-        [conditional_lot_paul(7, action, pierre) for pierre in PIERRE_TABLE_STRATEGIES]
-        for action in (PaulAction.SWITCH, PaulAction.HOLD)
+    """Paul's conditional 2 x 2 with a seven, as `conditional_mixed_lot_paul7` mixes it.
+
+    Each entry is `conditional_lot_paul(7, action, pierre)`, built from its
+    count of Paul's winning deals over the 4 * 51 * 50 that give him a seven.
+    """
+    return _count_matrix(
+        ([_row_weight(7, action is PaulAction.SWITCH, pierre.draw)
+          for pierre in PIERRE_TABLE_STRATEGIES]
+         for action in (PaulAction.SWITCH, PaulAction.HOLD)),
+        _DEALS_PER_PAUL_RANK,
     )
 
 

@@ -7,12 +7,17 @@ tableau for the column player's LP (Dantzig's matrix-game LP, with Bland's
 anti-cycling rule) over the reduced matrix. Either step yields a pair of
 token-weight vectors, which are zero-extended to the original strategies,
 stored as whole-number weights and certified against the original,
-unreduced matrix before being returned. Every stage reads the ints L * A,
-L the lcm of A's denominators; as L > 0, every order and inequality among
-them is the one the entries give. A solve scales the game once for the
-saddle check and the tableau, whose rows are those of the entries mapped
-onto [1, 2] times a positive constant, so Bland's rule takes the same
-pivots; dominance and the certificate, public stages, scale for themselves.
+unreduced matrix before being returned. Every stage reads the ints D * A,
+D any positive common denominator of A's entries; as D > 0, every order and
+inequality among them is the one the entries give, whichever D it is. A
+matrix built from integer counts over one denominator keeps both, so no
+stage scales it: Le Her's threshold game and historical 2 x 2 (counts of
+the 132,600 ordered deals) and Paul's conditional 2 x 2 with a seven (over
+4 * 51 * 50). Any other matrix is scaled to D = L, the lcm of its entries'
+denominators. A solve reads the ints once for the saddle check and the
+tableau, whose rows are those of the entries mapped onto [1, 2] times a
+positive constant, so Bland's rule takes the same pivots for every D;
+dominance and the certificate, public stages, read them for themselves.
 A pivot touches only the pivot row's nonzero columns: in exact arithmetic
 0 / s = 0 and x - f * 0 = x, so the columns it skips keep their values and
 every entry, hence every pivot, is the one a full-row update gives.
@@ -34,7 +39,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import gt, lt
 
-from .rational import as_rational, format_rational, require_rational
+from .rational import as_rational, format_rational, require_integer, require_rational
 
 
 @dataclass(frozen=True)
@@ -167,22 +172,53 @@ def _scaled(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
+def _count_matrix(
+    counts: Iterable[Iterable[int]],
+    denominator: int,
+    row_labels: Iterable[str] | None = None,
+    col_labels: Iterable[str] | None = None,
+) -> GameMatrix:
+    """The matrix of entries count / denominator, labelled as `GameMatrix.from_rows` does.
+
+    It keeps (counts, denominator) outside the dataclass fields, so repr,
+    equality and hashing see only the entries and labels, and every solver
+    stage reads the counts through `_integer_form` instead of scaling.
+    """
+    require_integer("denominator", denominator, 1)
+    counts = tuple(tuple(row) for row in counts)
+    matrix = GameMatrix.from_rows(
+        ([Fraction(c, denominator) for c in row] for row in counts), row_labels, col_labels
+    )
+    object.__setattr__(matrix, "_counts", (counts, denominator))
+    return matrix
+
+
+def _integer_form(matrix: GameMatrix) -> tuple[Sequence[Sequence[int]], int]:
+    """(D * entries as ints, D) for a positive common denominator D of the entries.
+
+    A `_count_matrix` brings its own counts and D; any other matrix is
+    scaled by `_scaled` to D = L, the lcm of its denominators.
+    """
+    return getattr(matrix, "_counts", None) or _scaled(matrix.entries)
+
+
 def verify_equilibrium(
     matrix: GameMatrix, row_mix: MixedStrategy, col_mix: MixedStrategy
 ) -> EquilibriumCheck:
     """Check that no pure deviation improves either player.
 
     Returns the profile value and the full deviation-payoff certificate
-    whether or not the profile is an equilibrium. It sums ints: A' = L * A,
-    and weights x', y' scaled by their own lcms, with sums X and Y. With
-    R = A'y', C = x'A' and V = x'.R, each over the opposing support, the row
-    payoffs are R / (L * Y), the column payoffs C / (L * X) and the value
-    V / (L * X * Y); multiplied through by L * X * Y > 0, the equilibrium
-    test is max(R) * X <= V and min(C) * Y >= V.
+    whether or not the profile is an equilibrium. It sums ints: A' = D * A
+    from `_integer_form`, and weights x', y' scaled by their own lcms, with
+    sums X and Y. With R = A'y', C = x'A' and V = x'.R, each over the
+    opposing support, the row payoffs are R / (D * Y), the column payoffs
+    C / (D * X) and the value V / (D * X * Y); multiplied through by
+    D * X * Y > 0, the equilibrium test is max(R) * X <= V and
+    min(C) * Y >= V. Every payoff reduces to the same Fraction for any D.
     """
     if len(row_mix) != matrix.n_rows or len(col_mix) != matrix.n_cols:
         raise ValueError("mix lengths must match the matrix shape")
-    entries, scale = _scaled(matrix.entries)
+    entries, scale = _integer_form(matrix)
     [x], _ = _scaled([row_mix.weights])
     [y], _ = _scaled([col_mix.weights])
     row_sums = [sum(a * q for a, q in zip(row, y) if q) for row in entries]
@@ -219,11 +255,12 @@ def eliminate_dominated(matrix: GameMatrix) -> EliminationResult:
     every dominated column, and passes repeat until one removes nothing.
     Strict dominance is transitive, so every elimination order reaches this
     same reduced game (Gilboa, Kalai & Zemel 1990), and it keeps the value
-    and every equilibrium of the original. It compares the ints L * A, which
-    order as the entries do, and keeps the entries in the reduced matrix.
+    and every equilibrium of the original. It compares the ints D * A of
+    `_integer_form`, which order as the entries do, and keeps the entries in
+    the reduced matrix.
     """
     entries = matrix.entries
-    scaled, _ = _scaled(entries)
+    scaled, _ = _integer_form(matrix)
     rows, cols = list(range(matrix.n_rows)), list(range(matrix.n_cols))
     while True:
         row_vectors = [[scaled[i][j] for j in cols] for i in rows]
@@ -247,11 +284,11 @@ def eliminate_dominated(matrix: GameMatrix) -> EliminationResult:
 # ---------------------------------------------------------------------------
 
 
-def _pure_saddle(scaled: list[list[int]]) -> tuple[int, int] | None:
-    """The first maximin row and minimax column of the ints L * A.
+def _pure_saddle(scaled: Sequence[Sequence[int]]) -> tuple[int, int] | None:
+    """The first maximin row and minimax column of the ints D * A.
 
     None when maximin and minimax differ: the game has no pure saddle point.
-    As L > 0, the ints order as the entries do.
+    As D > 0, the ints order as the entries do.
     """
     row_mins = [min(row) for row in scaled]
     col_maxs = [max(col) for col in zip(*scaled)]
@@ -261,21 +298,25 @@ def _pure_saddle(scaled: list[list[int]]) -> tuple[int, int] | None:
     return row_mins.index(maximin), col_maxs.index(maximin)
 
 
-def _simplex(scaled: list[list[int]]) -> tuple[list[Fraction], list[Fraction]]:
+def _simplex(scaled: Sequence[Sequence[int]]) -> tuple[list[Fraction], list[Fraction]]:
     """Optimal (row, column) token weights from one exact Fraction tableau.
 
-    `scaled` holds the reduced game's ints S = L * A, with min low and
-    max - min span > 0. The column player's LP, maximise sum(t) subject to
-    B t <= 1 and t >= 0, on B = (S - low) / span + 1 (the entries mapped
-    onto [1, 2]) has a positive value, so it starts feasible from the slack
-    basis and is bounded. Row i is built times span, (S_i - low + span) t
-    + s_i = span, its slack column a unit vector: every t-column reduced
-    cost and every ratio stays, the slack reduced costs shrink by 1 / span,
-    so Bland's rule (enter the lowest column with a negative reduced cost;
-    among tied ratios, leave by the lowest basic index) takes B's pivots
-    and terminates. At the optimum t and the slack reduced costs are
-    positive multiples of the column and row mixes. A positive affine map
-    of the payoffs leaves B, hence every pivot and both mixes, unchanged.
+    `scaled` holds the reduced game's ints S = D * A, D any positive common
+    denominator of the entries, with min low and max - min span > 0. The
+    column player's LP, maximise sum(t) subject to B t <= 1 and t >= 0, on
+    B = (S - low) / span + 1 (the entries mapped onto [1, 2]) has a
+    positive value, so it starts feasible from the slack basis and is
+    bounded. Row i is built times span, (S_i - low + span) t + s_i = span,
+    its slack column a unit vector: every t-column reduced cost and every
+    ratio stays, the slack reduced costs shrink by 1 / span, so Bland's
+    rule (enter the lowest column with a negative reduced cost; among tied
+    ratios, leave by the lowest basic index) takes B's pivots for every D
+    and terminates: it never revisits a basis, so it pivots at most
+    comb(m + n, m) times. A tableau that revisits one would cycle forever,
+    so it raises RuntimeError at the first repeat. At the optimum t and the
+    slack reduced costs are positive multiples of the column and row mixes.
+    A positive affine map of the payoffs leaves B, hence every pivot and
+    both mixes, unchanged.
     A pivot divides only the pivot row's nonzero entries, and updates the
     other rows with a nonzero entering entry, the objective included, only
     at those columns: a zero column of the pivot row would divide to 0 and
@@ -295,6 +336,7 @@ def _simplex(scaled: list[list[int]]) -> tuple[list[Fraction], list[Fraction]]:
     ]
     objective = [-one] * n + [zero] * (m + 1)
     basis = list(range(n, n + m))
+    visited = {frozenset(basis)}
     while True:
         entering = next((k for k in range(n + m) if objective[k] < 0), None)
         if entering is None:
@@ -315,6 +357,10 @@ def _simplex(scaled: list[list[int]]) -> tuple[list[Fraction], list[Fraction]]:
                 for k, y in nonzero:
                     row[k] -= factor * y
         basis[leaving] = entering
+        reached = frozenset(basis)
+        if reached in visited:
+            raise RuntimeError("the simplex tableau revisited a basis, which Bland's rule never does")
+        visited.add(reached)
     t = [zero] * n
     for i, k in enumerate(basis):
         if k < n:
@@ -335,7 +381,7 @@ def _zero_extend(
 def solve_zero_sum(matrix: GameMatrix) -> GameSolution:
     """Exact minimax value and optimal mixes for a zero-sum matrix game.
 
-    The game is scaled once to ints. A pure saddle point gives its row and
+    The game is read once as ints. A pure saddle point gives its row and
     its column a weight of 1. Otherwise strictly dominated strategies are
     eliminated (which preserves the value and every equilibrium) and the
     reduced game's ints are solved by one exact simplex tableau. Either way
@@ -358,7 +404,7 @@ def solve_zero_sum(matrix: GameMatrix) -> GameSolution:
     >>> solution.row_mix.weights, solution.col_mix.weights
     ((Fraction(3, 1), Fraction(5, 1)), (Fraction(5, 1), Fraction(3, 1)))
     """
-    scaled, _ = _scaled(matrix.entries)
+    scaled, _ = _integer_form(matrix)
     saddle = _pure_saddle(scaled)
     if saddle is None:
         reduced = eliminate_dominated(matrix)

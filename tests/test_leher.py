@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from montmort import leher
 from montmort.leher import (
     KING,
     ORDERED_DEALS,
@@ -472,6 +473,30 @@ class TestWeightTable:
         assert len(cells) == len(reference) == 676
         for index, (cell, expected) in enumerate(zip(cells, reference)):
             assert cell == expected, index
+
+    def test_each_build_reads_the_law(self, monkeypatch):
+        law = leher._before_draw
+
+        def never_draws(paul_card, pierre_card, switch, draw):
+            paul_final, pierre_current, _ = law(paul_card, pierre_card, switch, draw)
+            return paul_final, pierre_current, False
+
+        monkeypatch.setattr(leher, "_before_draw", never_draws)
+        _weight_table.cache_clear()
+        try:
+            increments = [
+                x
+                for by_flag in _weight_table()
+                for by_side in by_flag
+                for _, row_increments, _ in by_side
+                for x in row_increments
+            ]
+        finally:
+            monkeypatch.undo()
+            _weight_table.cache_clear()
+        assert len(increments) == 13 * 2 * 2 * 13
+        assert not any(increments)
+        assert _cells_from_rows() == list(weight_table_reference())
 
     @pytest.mark.parametrize("side", [0, 1], ids=["paul", "pierre"])
     def test_row_weights_match_reference_cells(self, side):

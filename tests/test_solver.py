@@ -13,7 +13,7 @@ from oracles import (
 )
 
 from montmort import solver
-from montmort.leher import build_leher_matrix, threshold_matrix
+from montmort.leher import _paul7_game, build_leher_matrix, threshold_matrix
 from montmort.rational import format_rational, parse_rational
 from montmort.solver import (
     GameMatrix,
@@ -498,6 +498,12 @@ class TestSolveZeroSum:
         with pytest.raises(RuntimeError, match="computed solution failed certification"):
             solve_zero_sum(matrix([[1, -1], [-1, 1]]))
 
+    def test_a_revisited_basis_raises_instead_of_cycling(self, monkeypatch):
+        # Entering column 0 every time breaks Bland's rule: the second pivot keeps the basis.
+        monkeypatch.setattr(solver, "next", lambda columns, default: 0, raising=False)
+        with pytest.raises(RuntimeError, match="revisited a basis"):
+            solver._simplex([[1, -1], [-1, 1]])
+
 
 class TestTracedBoundaries:
     """solve_zero_sum reaches dominance and the certificate through their module names."""
@@ -522,6 +528,45 @@ class TestTracedBoundaries:
     def test_pure_saddle_skips_dominance(self, calls):
         solve_zero_sum(matrix([[1, 2], [3, 4]]))
         assert calls == {"eliminate_dominated": 0, "verify_equilibrium": 1}
+
+
+class TestCountMatrices:
+    """Le Her's games reach the solver as integer counts; a plain copy of one answers the same."""
+
+    @pytest.fixture(params=[threshold_matrix, build_leher_matrix, _paul7_game],
+                    ids=["threshold", "table", "paul7"])
+    def games(self, request):
+        built = request.param()
+        return built, GameMatrix(built.entries, built.row_labels, built.col_labels)
+
+    def test_counts_are_the_entries_over_their_denominator(self, games):
+        built, plain = games
+        counts, denominator = solver._integer_form(built)
+        assert [[Fraction(c, denominator) for c in row] for row in counts] == [
+            list(row) for row in built.entries
+        ]
+        scaled, scale = solver._scaled(built.entries)
+        assert solver._integer_form(plain) == (scaled, scale)
+        factor, remainder = divmod(denominator, scale)
+        assert factor > 0 and remainder == 0
+        assert [list(row) for row in counts] == [[factor * x for x in row] for row in scaled]
+
+    def test_every_stage_answers_as_on_a_plain_copy(self, games):
+        built, plain = games
+        assert (built, hash(built), repr(built)) == (plain, hash(plain), repr(plain))
+        assert eliminate_dominated(built) == eliminate_dominated(plain)
+        solution = solve_zero_sum(built)
+        assert solution == solve_zero_sum(plain)
+        rng = random.Random(59)
+        profiles = [(solution.row_mix, solution.col_mix)] + [
+            (MixedStrategy((1,) + tuple(rng.randint(0, 5) for _ in range(plain.n_rows - 1))),
+             MixedStrategy((1,) + tuple(rng.randint(0, 5) for _ in range(plain.n_cols - 1))))
+            for _ in range(20)
+        ]
+        for row_mix, col_mix in profiles:
+            assert verify_equilibrium(built, row_mix, col_mix) == verify_equilibrium(
+                plain, row_mix, col_mix
+            )
 
 
 class TestSolverProperties:
